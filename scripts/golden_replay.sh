@@ -5,7 +5,8 @@
 # tagging, L2 TLB, interval sampling, latency collection) and prints a
 # sha256 line per (org, cores) covering the summary JSON, the stats
 # dump (counters + interval series + latency histograms), and the full
-# event stream.  ci.sh cmp's the output against the committed
+# event stream, then a "sampler" line for the same run without an event
+# sink (summary + stats only).  ci.sh cmp's the output against the committed
 # tests/golden/replay_sha256.txt: any refactor that changes a single
 # output byte — one counter, one event, one interval sample — fails
 # the gate.  Regenerate the golden (only when an *intentional*
@@ -38,5 +39,17 @@ for sys in ULTRIX MACH INTEL PA-RISC NOTLB BASE HW-INVERTED HW-MIPS SPUR; do
             "$(sum "$TMP/summary.json")" \
             "$(sum "$TMP/stats.json")" \
             "$(sum "$TMP/events.jsonl")"
+        # Sampler-only row: interval sampling without an event sink
+        # (the `--check --interval` shape), which takes a different
+        # batched path than the fully observed run above.
+        "$CLI" --system="$sys" --cores="$cores" \
+            --instructions=10000 --warmup=2000 --interval=2500 \
+            --ctx-switch=997 --asid-bits=6 --l2-tlb=64 --json \
+            --stats-json="$TMP/stats.json" \
+            > "$TMP/summary.json"
+        printf '%s cores=%s sampler summary=%s stats=%s\n' \
+            "$sys" "$cores" \
+            "$(sum "$TMP/summary.json")" \
+            "$(sum "$TMP/stats.json")"
     done
 done

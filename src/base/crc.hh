@@ -5,10 +5,12 @@
  * corrupted bytes after a crash: sweep/shard journal lines, VMT2 trace
  * records, and recorded-trace replay framing.
  *
- * The implementation is the classic 256-entry table; incremental use
- * chains through the `seed` parameter (pass the previous call's return
- * value). crc32Hex() renders the canonical 8-hex-digit form the JSONL
- * journals embed.
+ * The implementation is portable slicing-by-8 (eight 256-entry tables,
+ * one 8-byte word per step, byte-assembled loads so results do not
+ * depend on host endianness); it produces exactly the classic bytewise
+ * values. Incremental use chains through the `seed` parameter (pass
+ * the previous call's return value). crc32Hex() renders the canonical
+ * 8-hex-digit form the JSONL journals embed.
  */
 
 #ifndef VMSIM_BASE_CRC_HH

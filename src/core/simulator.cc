@@ -1,5 +1,7 @@
 #include "core/simulator.hh"
 
+#include <algorithm>
+
 #include "core/factory.hh"
 #include "trace/recorded.hh"
 #include "trace/synthetic/workloads.hh"
@@ -28,13 +30,36 @@ Simulator::Simulator(VmSystem &vm,
 Counter
 Simulator::run(Counter max_instrs)
 {
-    // A single source follows the legacy loops untouched (and thus
-    // byte-identical to the pre-multicore simulator); multiple sources
-    // take the quantum-scheduled loops.
-    if (sources_.size() > 1)
-        return batch_ <= 1 ? runScalarMc(max_instrs)
-                           : runBatchedMc(max_instrs);
     return batch_ <= 1 ? runScalar(max_instrs) : runBatched(max_instrs);
+}
+
+void
+Simulator::pollCancel(Counter n)
+{
+    if (cancel_ && cancel_->load(std::memory_order_relaxed)) {
+        flushQuantum();
+        executed_ += n;
+        throwError(ErrorCode::Canceled, "simulator", "run canceled after ",
+                   executed_, " instructions");
+    }
+}
+
+void
+Simulator::rotateCore()
+{
+    flushQuantum();
+    quantumUsed_ = 0;
+    quantumCredited_ = 0;
+    curCore_ = static_cast<CoreId>((curCore_ + 1) % sources_.size());
+}
+
+Counter
+Simulator::endRun(Counter n)
+{
+    flushQuantum();
+    executed_ += n;
+    noteProgress(executed_);
+    return n;
 }
 
 Counter
@@ -42,173 +67,23 @@ Simulator::runScalar(Counter max_instrs)
 {
     TraceRecord rec;
     Counter n = 0;
-    TraceSource &trace = *sources_.front();
-    // One extra branch per instruction when anything observes the run;
-    // a plain simulation pays only the `observing` test itself.
-    const bool observing = sampler_ || vm_.tracing();
     // The paper's fundamental algorithm: translate + fetch every
     // instruction; translate + access data for loads/stores. All TLB
     // probing and page-table walking happens inside the VmSystem.
     Access a;
-    while (n < max_instrs && trace.next(rec)) {
+    while (n < max_instrs && sources_[curCore_]->next(rec)) {
         // Cooperative cancellation and progress publication: one
         // relaxed access every 2K instructions is noise next to the
         // TLB/cache probes.
         if ((n & 0x7ff) == 0 && (cancel_ || progress_)) {
             noteProgress(executed_ + n);
-            if (cancel_ && cancel_->load(std::memory_order_relaxed)) {
-                executed_ += n;
-                throwError(ErrorCode::Canceled, "simulator",
-                           "run canceled after ", executed_,
-                           " instructions");
-            }
+            pollCancel(n);
         }
-        if (observing) {
-            vm_.setCurrentInstr(executed_ + n);
-            if (sampler_)
-                sampler_->tick(executed_ + n, vm_);
-        }
-        if (ctxSwitchInterval_ && ++sinceSwitch_ >= ctxSwitchInterval_) {
-            sinceSwitch_ = 0;
-            vm_.contextSwitch();
-        }
-        a.addr = rec.pc;
-        a.store = false;
-        vm_.instRef(a);
-        if (rec.isMemOp()) {
-            a.addr = rec.daddr;
-            a.store = rec.isStore();
-            vm_.dataRef(a);
-        }
-        ++n;
-    }
-    executed_ += n;
-    noteProgress(executed_);
-    return n;
-}
-
-Counter
-Simulator::runBatched(Counter max_instrs)
-{
-    Counter n = 0;
-    TraceSource &trace = *sources_.front();
-    const bool observing = sampler_ || vm_.tracing();
-    while (n < max_instrs) {
-        // Hoisted cancel poll / progress store: once per batch instead
-        // of every 2K instructions.
-        noteProgress(executed_ + n);
-        if (cancel_ && cancel_->load(std::memory_order_relaxed)) {
-            executed_ += n;
-            throwError(ErrorCode::Canceled, "simulator",
-                       "run canceled after ", executed_,
-                       " instructions");
-        }
-        // Split the batch at the end of the run and at the exact
-        // instruction whose scalar `++sinceSwitch_ >= interval` check
-        // would fire, so a context switch can only ever be due at the
-        // head of a batch. The scalar loop's first quantum is
-        // interval-1 instructions (pre-increment), later ones exactly
-        // interval; `due` reproduces that off-by-one.
-        Counter room = max_instrs - n;
-        bool due = false;
-        if (ctxSwitchInterval_) {
-            due = sinceSwitch_ + 1 >= ctxSwitchInterval_;
-            Counter free = due ? ctxSwitchInterval_
-                               : ctxSwitchInterval_ - sinceSwitch_ - 1;
-            if (free < room)
-                room = free;
-        }
-        std::size_t want = batch_;
-        if (Counter{want} > room)
-            want = static_cast<std::size_t>(room);
-        // Fetch before switching: like the scalar loop, a switch fires
-        // only when a next instruction actually exists, so a trace
-        // that ends on a quantum boundary ends the run switch-free.
-        // Sources with contiguous storage (replay cursors) lend their
-        // buffer directly; everything else fills the staging buffer.
-        std::size_t got = 0;
-        const TraceRecord *recs = trace.lendBatch(want, got);
-        if (!recs) {
-            if (buf_.size() < batch_)
-                buf_.resize(batch_);
-            got = trace.nextBatch(buf_.data(), want);
-            recs = buf_.data();
-        }
-        if (got == 0)
-            break;
-        if (observing) {
-            // Observed runs replicate the scalar per-instruction
-            // ordering — tick before switch at coinciding boundaries —
-            // so event streams and interval samples stay bit-identical.
-            Access a;
-            for (std::size_t i = 0; i < got; ++i) {
-                vm_.setCurrentInstr(executed_ + n + i);
-                if (sampler_)
-                    sampler_->tick(executed_ + n + i, vm_);
-                if (ctxSwitchInterval_ &&
-                    ++sinceSwitch_ >= ctxSwitchInterval_) {
-                    sinceSwitch_ = 0;
-                    vm_.contextSwitch();
-                }
-                const TraceRecord &rec = recs[i];
-                a.addr = rec.pc;
-                a.store = false;
-                vm_.instRef(a);
-                if (rec.isMemOp()) {
-                    a.addr = rec.daddr;
-                    a.store = rec.isStore();
-                    vm_.dataRef(a);
-                }
-            }
-        } else {
-            if (due) {
-                vm_.contextSwitch();
-                // The triggering instruction restarts the count at 0;
-                // the rest of the batch advances it (clamped above to
-                // at most interval instructions, so no second switch).
-                sinceSwitch_ = got - 1;
-            } else if (ctxSwitchInterval_) {
-                sinceSwitch_ += got;
-            }
-            // One virtual dispatch per block; the organization's
-            // devirtualized refBlock() selects the observed or bare
-            // monomorphized kernel and inlines its own handlers.
-            AccessBlock blk;
-            blk.recs = recs;
-            blk.n = got;
-            vm_.refBlock(blk);
-        }
-        n += got;
-    }
-    executed_ += n;
-    noteProgress(executed_);
-    return n;
-}
-
-Counter
-Simulator::runScalarMc(Counter max_instrs)
-{
-    TraceRecord rec;
-    Counter n = 0;
-    const bool observing = sampler_ || vm_.tracing();
-    const CoreId ncores = static_cast<CoreId>(sources_.size());
-    Access a;
-    while (n < max_instrs && sources_[curCore_]->next(rec)) {
-        if ((n & 0x7ff) == 0 && (cancel_ || progress_)) {
-            noteProgress(executed_ + n);
-            if (cancel_ && cancel_->load(std::memory_order_relaxed)) {
-                flushQuantum();
-                executed_ += n;
-                throwError(ErrorCode::Canceled, "simulator",
-                           "run canceled after ", executed_,
-                           " instructions");
-            }
-        }
-        if (observing) {
-            vm_.setCurrentInstr(executed_ + n);
-            if (sampler_)
-                sampler_->tick(executed_ + n, vm_);
-        }
+        // The reference order every batched block head reproduces:
+        // stamp, sample, then switch.
+        vm_.setCurrentInstr(executed_ + n);
+        if (sampler_)
+            sampler_->tick(executed_ + n, vm_);
         if (ctxSwitchInterval_ && ++sinceSwitch_ >= ctxSwitchInterval_) {
             sinceSwitch_ = 0;
             vm_.contextSwitch(curCore_);
@@ -226,54 +101,48 @@ Simulator::runScalarMc(Counter max_instrs)
         // Post-increment rotation: the instruction that fills the
         // quantum is the last one its core runs before the scheduler
         // moves on.
-        if (++quantumUsed_ >= coreQuantum_) {
-            flushQuantum();
-            quantumUsed_ = 0;
-            quantumCredited_ = 0;
-            curCore_ = (curCore_ + 1) % ncores;
-        }
+        if (multicore() && ++quantumUsed_ >= coreQuantum_)
+            rotateCore();
     }
-    flushQuantum();
-    executed_ += n;
-    noteProgress(executed_);
-    return n;
+    return endRun(n);
 }
 
 Counter
-Simulator::runBatchedMc(Counter max_instrs)
+Simulator::runBatched(Counter max_instrs)
 {
     Counter n = 0;
-    const bool observing = sampler_ || vm_.tracing();
-    const CoreId ncores = static_cast<CoreId>(sources_.size());
     while (n < max_instrs) {
+        // Hoisted cancel poll / progress store: once per block instead
+        // of every 2K instructions.
         noteProgress(executed_ + n);
-        if (cancel_ && cancel_->load(std::memory_order_relaxed)) {
-            flushQuantum();
-            executed_ += n;
-            throwError(ErrorCode::Canceled, "simulator",
-                       "run canceled after ", executed_,
-                       " instructions");
-        }
-        // Split at run end and context-switch points exactly as the
-        // single-core batched loop, and additionally at the current
-        // core's quantum boundary, so the rotation points — and hence
-        // the global interleaved stream — match the scalar loop
-        // instruction for instruction.
+        pollCancel(n);
+        const Counter at = executed_ + n;
+        // Split the block at the end of the run, at the current core's
+        // quantum boundary (so rotations match the scalar loop), at
+        // the exact instruction whose scalar `++sinceSwitch_ >=
+        // interval` check would fire, and at the sampler's next
+        // boundary: a switch or a sample can then only fall due at a
+        // block head. The scalar loop's first switch quantum is
+        // interval-1 instructions (pre-increment), later ones exactly
+        // interval; `due` reproduces that off-by-one.
         Counter room = max_instrs - n;
-        bool due = false;
-        if (ctxSwitchInterval_) {
-            due = sinceSwitch_ + 1 >= ctxSwitchInterval_;
-            Counter free = due ? ctxSwitchInterval_
-                               : ctxSwitchInterval_ - sinceSwitch_ - 1;
-            if (free < room)
-                room = free;
-        }
-        Counter qroom = coreQuantum_ - quantumUsed_;
-        if (qroom < room)
-            room = qroom;
-        std::size_t want = batch_;
-        if (Counter{want} > room)
-            want = static_cast<std::size_t>(room);
+        if (multicore())
+            room = std::min(room, coreQuantum_ - quantumUsed_);
+        const bool due =
+            ctxSwitchInterval_ && sinceSwitch_ + 1 >= ctxSwitchInterval_;
+        if (ctxSwitchInterval_)
+            room = std::min(room, due ? ctxSwitchInterval_
+                                      : ctxSwitchInterval_ -
+                                            sinceSwitch_ - 1);
+        if (sampler_)
+            room = std::min(room, sampler_->untilClose(at));
+        const auto want =
+            static_cast<std::size_t>(std::min<Counter>(room, batch_));
+        // Fetch before the head work: like the scalar loop, a switch
+        // or sample fires only when a next instruction exists, so a
+        // trace that ends on a boundary ends the run switch-free.
+        // Sources with contiguous storage (replay cursors) lend their
+        // buffer directly; everything else fills the staging buffer.
         TraceSource &src = *sources_[curCore_];
         std::size_t got = 0;
         const TraceRecord *recs = src.lendBatch(want, got);
@@ -285,54 +154,33 @@ Simulator::runBatchedMc(Counter max_instrs)
         }
         if (got == 0)
             break;
-        if (observing) {
-            Access a;
-            a.core = curCore_;
-            for (std::size_t i = 0; i < got; ++i) {
-                vm_.setCurrentInstr(executed_ + n + i);
-                if (sampler_)
-                    sampler_->tick(executed_ + n + i, vm_);
-                if (ctxSwitchInterval_ &&
-                    ++sinceSwitch_ >= ctxSwitchInterval_) {
-                    sinceSwitch_ = 0;
-                    vm_.contextSwitch(curCore_);
-                }
-                const TraceRecord &rec = recs[i];
-                a.addr = rec.pc;
-                a.store = false;
-                vm_.instRef(a);
-                if (rec.isMemOp()) {
-                    a.addr = rec.daddr;
-                    a.store = rec.isStore();
-                    vm_.dataRef(a);
-                }
-            }
-        } else {
-            if (due) {
-                vm_.contextSwitch(curCore_);
-                sinceSwitch_ = got - 1;
-            } else if (ctxSwitchInterval_) {
-                sinceSwitch_ += got;
-            }
-            AccessBlock blk;
-            blk.recs = recs;
-            blk.n = got;
-            blk.core = curCore_;
-            vm_.refBlock(blk);
+        // The block head, in the scalar loop's order.
+        vm_.setCurrentInstr(at);
+        if (sampler_)
+            sampler_->tick(at, vm_);
+        if (due) {
+            vm_.contextSwitch(curCore_);
+            // The triggering instruction restarts the count at 0; the
+            // rest of the block advances it (clamped above to at most
+            // interval instructions, so no second switch).
+            sinceSwitch_ = got - 1;
+        } else if (ctxSwitchInterval_) {
+            sinceSwitch_ += got;
         }
+        // One virtual dispatch per block; the organization's
+        // devirtualized refBlock() selects the observed or bare
+        // monomorphized kernel and inlines its own handlers.
+        AccessBlock blk;
+        blk.recs = recs;
+        blk.n = got;
+        blk.firstInstr = at;
+        blk.core = curCore_;
+        vm_.refBlock(blk);
         n += got;
-        quantumUsed_ += got;
-        if (quantumUsed_ >= coreQuantum_) {
-            flushQuantum();
-            quantumUsed_ = 0;
-            quantumCredited_ = 0;
-            curCore_ = (curCore_ + 1) % ncores;
-        }
+        if (multicore() && (quantumUsed_ += got) >= coreQuantum_)
+            rotateCore();
     }
-    flushQuantum();
-    executed_ += n;
-    noteProgress(executed_);
-    return n;
+    return endRun(n);
 }
 
 System::System(const SimConfig &config)

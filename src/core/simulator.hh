@@ -43,10 +43,10 @@ defaultWarmup(Counter instrs)
  * pseudocode: the VM system interposes its TLB lookups and page-table
  * walks around the cache accesses. Instructions are fetched from the
  * source in batches (one virtual call per batch instead of per
- * instruction); batches are split at run ends and context-switch
- * points so the executed stream — including every event, interval
- * sample, and statistic — is bit-identical to the one-at-a-time loop,
- * which remains available via setBatchSize(1).
+ * instruction); batches are split at run ends, context-switch points
+ * and interval-sampler boundaries so the executed stream — including
+ * every event, interval sample, and statistic — is bit-identical to
+ * the one-at-a-time loop, which remains available via setBatchSize(1).
  *
  * The multicore form takes one TraceSource per simulated core and
  * interleaves them round-robin: each core runs core_quantum
@@ -131,8 +131,22 @@ class Simulator
   private:
     Counter runScalar(Counter max_instrs);
     Counter runBatched(Counter max_instrs);
-    Counter runScalarMc(Counter max_instrs);
-    Counter runBatchedMc(Counter max_instrs);
+
+    /**
+     * More than one source: the quantum scheduler rotates cores and
+     * credits per-core instruction slices. A single source does
+     * neither, exactly like the pre-multicore simulator.
+     */
+    bool multicore() const { return sources_.size() > 1; }
+
+    /** Throw Canceled (after crediting @p n) if cancellation is set. */
+    void pollCancel(Counter n);
+
+    /** Credit the finished quantum and move to the next core. */
+    void rotateCore();
+
+    /** Account @p n instructions of the ending run(); returns @p n. */
+    Counter endRun(Counter n);
 
     /** Publish @p done instructions to the progress counter, if any. */
     void

@@ -57,8 +57,8 @@ struct IntervalSummary
 /**
  * Snapshots Results deltas every N instructions. Attach to a System
  * (or a Simulator) before running; the driver calls tick() at each
- * instruction boundary and finish() at the end of the run. The
- * per-instruction cost while attached is one comparison.
+ * instruction boundary (or only at boundaries where untilClose() says
+ * it can act) and finish() at the end of the run.
  */
 class IntervalSampler
 {
@@ -97,6 +97,20 @@ class IntervalSampler
         }
         if (instr - start_ >= interval_)
             close(instr, vm);
+    }
+
+    /**
+     * Instructions from boundary @p instr (about to be ticked) to the
+     * next boundary whose tick closes an interval. A batched driver
+     * splits its blocks here and ticks only at block heads — the
+     * ticks in between would be no-ops.
+     */
+    Counter
+    untilClose(Counter instr) const
+    {
+        if (!started_ || instr - start_ >= interval_)
+            return interval_;
+        return start_ + interval_ - instr;
     }
 
     /** End of run at @p instr: closes the final partial interval. */

@@ -160,6 +160,8 @@ class TlbVm : public VmSystem
         a.core = blk.core;
         for (std::size_t i = 0; i < blk.n; ++i) {
             const TraceRecord &r = blk.recs[i];
+            if constexpr (kObs)
+                setCurrentInstr(blk.firstInstr + i);
             a.addr = r.pc;
             a.store = false;
             instRefK<kObs>(a, itlb);

@@ -45,6 +45,7 @@ VmSystem::refBlock(const AccessBlock &blk)
     a.core = blk.core;
     for (std::size_t i = 0; i < blk.n; ++i) {
         const TraceRecord &r = blk.recs[i];
+        setCurrentInstr(blk.firstInstr + i);
         a.addr = r.pc;
         a.store = false;
         instRef(a);

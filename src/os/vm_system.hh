@@ -94,12 +94,15 @@ struct Access
  * A block of consecutive instructions from one core's stream — the
  * unit of the devirtualized batched dispatch path. The records are
  * borrowed, not owned; the whole block belongs to a single core (the
- * simulator splits blocks at scheduling boundaries).
+ * simulator splits blocks at scheduling boundaries). Record i is
+ * global instruction firstInstr + i: observed kernels stamp it as the
+ * event timebase (setCurrentInstr) before processing the record.
  */
 struct AccessBlock
 {
     const TraceRecord *recs = nullptr;
     std::size_t n = 0;
+    Counter firstInstr = 0;
     CoreId core = 0;
 };
 
@@ -350,10 +353,12 @@ class VmSystem
     LatencyCollector *latency() const { return lat_; }
 
     /**
-     * Timebase for emitted events: the driving Simulator stamps the
-     * current user-instruction number here before each instruction
-     * (only while a sink is attached). On a multicore this is the
-     * global instruction timebase, not any core's local count.
+     * Timebase for emitted events: the current user-instruction
+     * number. The driving Simulator stamps it at each batch head (and
+     * before every instruction on the scalar path); observed block
+     * kernels stamp each record from AccessBlock::firstInstr. On a
+     * multicore this is the global instruction timebase, not any
+     * core's local count.
      */
     void setCurrentInstr(Counter n) { curInstr_ = n; }
     Counter currentInstr() const { return curInstr_; }
@@ -815,6 +820,8 @@ refBlockKernel(VM &vm, const AccessBlock &blk)
     a.core = blk.core;
     for (std::size_t i = 0; i < blk.n; ++i) {
         const TraceRecord &r = blk.recs[i];
+        if constexpr (kObs)
+            vm.setCurrentInstr(blk.firstInstr + i);
         a.addr = r.pc;
         a.store = false;
         vm.template instRefK<kObs>(a);

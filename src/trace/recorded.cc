@@ -17,55 +17,55 @@ RecordedTrace::RecordedTrace(std::vector<TraceRecord> records,
     frame();
 }
 
+std::uint32_t
+RecordedTrace::chunkCrc(std::size_t lo, std::size_t hi) const
+{
+    return crc32(records_.data() + lo, (hi - lo) * sizeof(TraceRecord));
+}
+
+std::size_t
+RecordedTrace::findBadOp(std::size_t lo, std::size_t hi) const
+{
+    for (std::size_t i = lo; i < hi; ++i)
+        if (static_cast<unsigned>(records_[i].op) > 2)
+            return i;
+    return hi;
+}
+
 void
 RecordedTrace::frame()
 {
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-        const auto op = static_cast<unsigned>(records_[i].op);
-        if (op > 2)
+    // One pass over the buffer: each chunk is op-checked and
+    // checksummed while it is still in cache.
+    const std::size_t n = records_.size();
+    chunkCrcs_.reserve((n + kCrcChunkRecords - 1) / kCrcChunkRecords);
+    for (std::size_t lo = 0; lo < n; lo += kCrcChunkRecords) {
+        const std::size_t hi = std::min(lo + kCrcChunkRecords, n);
+        if (const std::size_t i = findBadOp(lo, hi); i < hi)
             throw VmsimError(makeError(
                 ErrorCode::ParseError, name_, "recorded trace '", name_,
-                "' record ", i, ": op=", op));
+                "' record ", i, ": op=",
+                static_cast<unsigned>(records_[i].op)));
+        chunkCrcs_.push_back(chunkCrc(lo, hi));
     }
-    const auto *bytes =
-        reinterpret_cast<const unsigned char *>(records_.data());
-    const std::size_t chunkBytes =
-        kCrcChunkRecords * sizeof(TraceRecord);
-    const std::size_t totalBytes = records_.size() * sizeof(TraceRecord);
-    chunkCrcs_.reserve((records_.size() + kCrcChunkRecords - 1) /
-                       kCrcChunkRecords);
-    for (std::size_t off = 0; off < totalBytes; off += chunkBytes)
-        chunkCrcs_.push_back(
-            crc32(bytes + off, std::min(chunkBytes, totalBytes - off)));
-    checksum_ = crc32(bytes, totalBytes);
 }
 
 Status
 RecordedTrace::verifyIntegrity() const
 {
-    const auto *bytes =
-        reinterpret_cast<const unsigned char *>(records_.data());
-    const std::size_t chunkBytes =
-        kCrcChunkRecords * sizeof(TraceRecord);
-    const std::size_t totalBytes = records_.size() * sizeof(TraceRecord);
+    const std::size_t n = records_.size();
     for (std::size_t c = 0; c < chunkCrcs_.size(); ++c) {
-        const std::size_t off = c * chunkBytes;
-        if (crc32(bytes + off, std::min(chunkBytes, totalBytes - off)) ==
-            chunkCrcs_[c])
-            continue;
         const std::size_t lo = c * kCrcChunkRecords;
-        const std::size_t hi =
-            std::min(lo + kCrcChunkRecords, records_.size());
+        const std::size_t hi = std::min(lo + kCrcChunkRecords, n);
+        if (chunkCrc(lo, hi) == chunkCrcs_[c])
+            continue;
         // If the damage flipped an op out of range, name the exact
         // record; otherwise the chunk range is the best we can do.
-        for (std::size_t i = lo; i < hi; ++i) {
-            const auto op = static_cast<unsigned>(records_[i].op);
-            if (op > 2)
-                return makeError(ErrorCode::ParseError, name_,
-                                 "recorded trace '", name_,
-                                 "' corrupted: record ", i, " has op=",
-                                 op);
-        }
+        if (const std::size_t i = findBadOp(lo, hi); i < hi)
+            return makeError(ErrorCode::ParseError, name_,
+                             "recorded trace '", name_,
+                             "' corrupted: record ", i, " has op=",
+                             static_cast<unsigned>(records_[i].op));
         return makeError(ErrorCode::ParseError, name_,
                          "recorded trace '", name_,
                          "' corrupted: checksum mismatch in records [",

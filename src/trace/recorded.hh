@@ -78,9 +78,6 @@ class RecordedTrace
     const TraceRecord &at(std::size_t i) const { return records_[i]; }
     const std::vector<TraceRecord> &records() const { return records_; }
 
-    /** CRC32 over the whole record buffer, fixed at construction. */
-    std::uint32_t checksum() const { return checksum_; }
-
     /**
      * Recompute the chunk CRCs and compare against the values framed
      * at construction. On mismatch, reports the narrowest record range
@@ -95,10 +92,15 @@ class RecordedTrace
   private:
     void frame();
 
+    /** CRC32 of records [@p lo, @p hi). */
+    std::uint32_t chunkCrc(std::size_t lo, std::size_t hi) const;
+
+    /** First record in [@p lo, @p hi) with an invalid op, else @p hi. */
+    std::size_t findBadOp(std::size_t lo, std::size_t hi) const;
+
     std::vector<TraceRecord> records_;
     std::string name_;
     std::vector<std::uint32_t> chunkCrcs_;
-    std::uint32_t checksum_ = 0;
 };
 
 /**

@@ -1,17 +1,20 @@
 /**
  * @file
- * Unit tests for the base module: intmath, bitfield, logging, random,
- * stats, and table rendering.
+ * Unit tests for the base module: intmath, bitfield, crc, logging,
+ * random, stats, and table rendering.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <random>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "base/bitfield.hh"
+#include "base/crc.hh"
 #include "base/intmath.hh"
 #include "base/json.hh"
 #include "base/logging.hh"
@@ -834,6 +837,74 @@ TEST(Json, DoubleDumpParsesBackExactly)
     // Short representations stay short.
     EXPECT_EQ(Json(1.5).dump(), "1.5");
     EXPECT_EQ(Json(0.25).dump(), "0.25");
+}
+
+// -------------------------------------------------------------------- crc
+
+/** Bit-at-a-time IEEE CRC32: the definition, with no tables. */
+std::uint32_t
+crc32Bitwise(const unsigned char *p, std::size_t len, std::uint32_t seed = 0)
+{
+    std::uint32_t c = ~seed;
+    for (std::size_t i = 0; i < len; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return ~c;
+}
+
+std::vector<unsigned char>
+randomBytes(std::size_t n, std::uint32_t seed)
+{
+    std::mt19937 rng(seed);
+    std::vector<unsigned char> out(n);
+    for (auto &b : out)
+        b = static_cast<unsigned char>(rng());
+    return out;
+}
+
+TEST(Crc32, CheckValue)
+{
+    EXPECT_EQ(crc32(std::string("123456789")), 0xCBF43926u);
+    EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32, EveryShortLengthAndAlignmentMatchesBitwise)
+{
+    // Covers the word loop, the byte tail, and every start offset
+    // relative to the word size.
+    const std::vector<unsigned char> buf = randomBytes(64 + 8, 1);
+    for (std::size_t off = 0; off < 8; ++off)
+        for (std::size_t len = 0; len <= 64; ++len)
+            ASSERT_EQ(crc32(buf.data() + off, len),
+                      crc32Bitwise(buf.data() + off, len))
+                << "offset " << off << " length " << len;
+}
+
+TEST(Crc32, RandomBuffersUpTo64KiBMatchBitwise)
+{
+    std::mt19937 rng(7);
+    for (int i = 0; i < 24; ++i) {
+        const std::size_t len = rng() % (64 * 1024 + 1);
+        const std::vector<unsigned char> buf = randomBytes(len, rng());
+        ASSERT_EQ(crc32(buf.data(), len), crc32Bitwise(buf.data(), len))
+            << "length " << len;
+    }
+}
+
+TEST(Crc32, SeedChainingEqualsOneCrcOverConcatenation)
+{
+    const std::vector<unsigned char> buf = randomBytes(5000, 3);
+    const std::uint32_t whole = crc32(buf.data(), buf.size());
+    for (std::size_t cut : {0u, 1u, 7u, 16u, 17u, 2500u, 4999u, 5000u}) {
+        const std::uint32_t head = crc32(buf.data(), cut);
+        EXPECT_EQ(crc32(buf.data() + cut, buf.size() - cut, head), whole)
+            << "cut " << cut;
+    }
+    EXPECT_EQ(crc32Bitwise(buf.data() + 100, 900,
+                           crc32Bitwise(buf.data(), 100)),
+              crc32(buf.data(), 1000));
 }
 
 } // anonymous namespace

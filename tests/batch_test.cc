@@ -294,6 +294,98 @@ TEST(RecordedTrace, LendBatchMatchesNextBatchZeroCopy)
     EXPECT_EQ(got, 0u);
 }
 
+/**
+ * A recording of three full CRC chunks plus a partial fourth, so the
+ * first, a middle, and the last (short) chunk are all exercised.
+ */
+std::shared_ptr<const RecordedTrace>
+chunkedRecording()
+{
+    auto src = makeWorkload("vortex", 9);
+    return std::make_shared<const RecordedTrace>(RecordedTrace::record(
+        *src, 3 * RecordedTrace::kCrcChunkRecords + 100, src->name()));
+}
+
+/** A writable view of @p rec's record buffer: the stray write under test. */
+TraceRecord *
+strayWritable(const RecordedTrace &rec)
+{
+    return const_cast<TraceRecord *>(rec.records().data());
+}
+
+TEST(RecordedTrace, VerifyIntegrityPassesUntouched)
+{
+    auto rec = chunkedRecording();
+    EXPECT_TRUE(rec->verifyIntegrity().ok());
+    RecordedTrace empty(std::vector<TraceRecord>{});
+    EXPECT_TRUE(empty.verifyIntegrity().ok());
+}
+
+TEST(RecordedTrace, VerifyIntegrityNamesTheCorruptedChunk)
+{
+    const std::size_t chunk = RecordedTrace::kCrcChunkRecords;
+    const std::size_t total = 3 * chunk + 100;
+    // (record to damage, expected range) for the first, a middle and
+    // the last partial chunk.
+    const struct
+    {
+        std::size_t record, lo, hi;
+    } cases[] = {{0, 0, chunk},
+                 {chunk + 1234, chunk, 2 * chunk},
+                 {total - 1, 3 * chunk, total}};
+    for (const auto &c : cases) {
+        auto rec = chunkedRecording();
+        // Flip one bit of the PC: the op stays valid, so only the chunk
+        // checksum can notice.
+        auto *bytes = reinterpret_cast<unsigned char *>(
+            strayWritable(*rec) + c.record);
+        bytes[1] ^= 0x10;
+        Status st = rec->verifyIntegrity();
+        ASSERT_FALSE(st.ok()) << "record " << c.record;
+        EXPECT_EQ(st.error().code, ErrorCode::ParseError);
+        const std::string want = "checksum mismatch in records [" +
+                                 std::to_string(c.lo) + ", " +
+                                 std::to_string(c.hi) + ")";
+        EXPECT_NE(st.error().message.find(want), std::string::npos)
+            << st.error().message;
+        // Undoing the damage verifies clean again.
+        bytes[1] ^= 0x10;
+        EXPECT_TRUE(rec->verifyIntegrity().ok());
+    }
+}
+
+TEST(RecordedTrace, VerifyIntegrityNamesTheExactBadOpRecord)
+{
+    auto rec = chunkedRecording();
+    const std::size_t bad = 2 * RecordedTrace::kCrcChunkRecords + 77;
+    strayWritable(*rec)[bad].op = static_cast<MemOp>(7);
+    Status st = rec->verifyIntegrity();
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.error().code, ErrorCode::ParseError);
+    EXPECT_NE(st.error().message.find("record " + std::to_string(bad) +
+                                      " has op=7"),
+              std::string::npos)
+        << st.error().message;
+}
+
+TEST(RecordedTrace, FramingRejectsABadOpAtItsExactRecord)
+{
+    std::vector<TraceRecord> recs(RecordedTrace::kCrcChunkRecords + 10);
+    recs[RecordedTrace::kCrcChunkRecords + 3].op = static_cast<MemOp>(5);
+    try {
+        RecordedTrace rec(std::move(recs), "bad");
+        FAIL() << "invalid op was framed";
+    } catch (const VmsimError &e) {
+        EXPECT_EQ(e.error().code, ErrorCode::ParseError);
+        EXPECT_NE(e.error().message.find(
+                      "record " +
+                      std::to_string(RecordedTrace::kCrcChunkRecords + 3) +
+                      ": op=5"),
+                  std::string::npos)
+            << e.error().message;
+    }
+}
+
 TEST(TraceCache, SharesOneRecordingPerKey)
 {
     TraceCache cache(64u << 20);
@@ -391,6 +483,63 @@ TEST(BatchedSimulator, BitIdenticalToScalarForAllSystems)
                         a.instr == b.instr && a.vaddr == b.vaddr &&
                         a.vpn == b.vpn && a.cycles == b.cycles)
                 << kindName(kind) << " event " << i;
+        }
+    }
+}
+
+/**
+ * A sampler-only run (the `--check --interval` shape: no event sink):
+ * the Results dump plus the interval series as JSON and as CSV (which
+ * adds the raw per-interval counters).
+ */
+std::string
+samplerOnlyRun(SystemKind kind, std::size_t batch, unsigned cores,
+               Counter ctx_switch, Counter warmup)
+{
+    SimConfig cfg = batchTestConfig(kind);
+    cfg.cores = cores;
+    // Rotations every 1500 instructions, so quantum boundaries land
+    // mid-batch and between sampler boundaries too.
+    cfg.coreQuantum = 1500;
+    cfg.ctxSwitchInterval = ctx_switch;
+    IntervalSampler sampler(1000);
+    RunHooks hooks;
+    hooks.sampler = &sampler;
+    hooks.batch = batch;
+    Results r = runOnce(cfg, "gcc", 20000, warmup, hooks);
+    std::ostringstream csv;
+    sampler.writeCsv(csv);
+    EXPECT_EQ(sampler.intervals().size(), 20u);
+    return r.serialize().dump() + "\n" +
+           intervalsToJson(sampler.intervals()).dump() + "\n" + csv.str();
+}
+
+TEST(BatchedSimulator, SamplerOnlyBitIdenticalToScalar)
+{
+    for (SystemKind kind :
+         {SystemKind::Ultrix, SystemKind::Mach, SystemKind::Intel,
+          SystemKind::Parisc, SystemKind::Notlb, SystemKind::Base,
+          SystemKind::HwInverted, SystemKind::HwMips, SystemKind::Spur}) {
+        for (unsigned cores : {1u, 4u}) {
+            // 997: switches and interval boundaries interleave. 1000:
+            // switches fire at instructions 999 + 1000j (the first
+            // quantum is one short), so a 4999-instruction warmup puts
+            // every interval boundary on a switch, where the tick must
+            // precede the switch.
+            const struct
+            {
+                Counter ctx, warmup;
+            } cases[] = {{997, 5000}, {1000, 4999}};
+            for (const auto &c : cases) {
+                const std::string scalar =
+                    samplerOnlyRun(kind, 1, cores, c.ctx, c.warmup);
+                for (std::size_t batch :
+                     {std::size_t{256}, Simulator::kDefaultBatch})
+                    EXPECT_EQ(scalar, samplerOnlyRun(kind, batch, cores,
+                                                     c.ctx, c.warmup))
+                        << kindName(kind) << " cores " << cores << " ctx "
+                        << c.ctx << " batch " << batch;
+            }
         }
     }
 }

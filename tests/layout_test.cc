@@ -44,7 +44,9 @@ static_assert(std::is_trivially_copyable_v<Access>);
 static_assert(sizeof(Access) == 16, "Access is re-staged per record in "
               "the kernels; keep it two words");
 static_assert(std::is_trivially_copyable_v<AccessBlock>);
-static_assert(sizeof(AccessBlock) <= 24);
+// Records, count, first global instruction and core: four words, built
+// once per block and passed by reference.
+static_assert(sizeof(AccessBlock) <= 32);
 
 // The SoA TLB arrays and FlatMap64 slot arrays are probed linearly;
 // their element types must stay word-sized scalars.
