@@ -1,8 +1,8 @@
 #!/bin/sh
 # The full local gate: the tier-1 build + unit-test suite, a smoke run
 # of every bench binary, the batched-pipeline determinism check, the
-# invariant/fuzz campaigns, the golden replay manifest, the hot-path
-# kernel lint + perf smoke, then the three sanitizer builds (ASan,
+# invariant/fuzz campaigns, the golden replay manifest, the perfbench
+# digest grid, the hot-path kernel lint + perf smoke, then the three sanitizer builds (ASan,
 # TSan, UBSan). Run this before merging anything that touches src/.
 # Each stage uses its own build directory, so incremental reruns are
 # cheap.
@@ -243,6 +243,34 @@ echo "== golden replay manifest =="
 scripts/golden_replay.sh build > "$SMOKE_DIR/golden_now.txt"
 cmp tests/golden/replay_sha256.txt "$SMOKE_DIR/golden_now.txt"
 
+echo "== perfbench digests =="
+# Every cell of the four 108-cell perf grids (nine organizations, many
+# cache geometries, frame budgets, observed runs) must reproduce the
+# committed Results digests at seed 12345: a far wider byte-identity
+# net than the golden manifest's single geometry. --seconds=0 makes
+# one timed pass per grid; bench_perf exits 1 on any failed cell.
+cmake -S perfbench -B "$SMOKE_DIR/perfbench_build" \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
+cmake --build "$SMOKE_DIR/perfbench_build" --target bench_perf -j "$JOBS" \
+    > /dev/null
+"$SMOKE_DIR/perfbench_build/bench_perf" --workload=all --plain \
+    --seconds=0 --seed=12345 --digests=perfbench/expected_digests.json \
+    > "$SMOKE_DIR/perf_digests.jsonl" 2> "$SMOKE_DIR/perf_digests.err" || {
+        cat "$SMOKE_DIR/perf_digests.err" >&2
+        exit 1
+    }
+python3 - "$SMOKE_DIR/perf_digests.jsonl" <<'EOF'
+import json, sys
+
+runs = [json.loads(line) for line in open(sys.argv[1]) if line.strip()]
+assert len(runs) == 4, f"expected 4 workload runs, got {len(runs)}"
+for r in runs:
+    assert r["correct"] and r["failed"] == 0 and r["attempted"] > 0, (
+        f"{r['workload']}: {r['failed']}/{r['attempted']} cells failed")
+print("perfbench digests ok: " +
+      ", ".join(f"{r['workload']} {r['attempted']} cells" for r in runs))
+EOF
+
 echo "== kernel lint =="
 # The devirtualized per-record kernels live between LINT-KERNEL-BEGIN
 # and LINT-KERNEL-END markers. Virtual dispatch or node-based hash
@@ -269,7 +297,9 @@ done
 # comments that explains what the flat layout replaced).
 for hot_src in src/tlb/tlb.hh src/tlb/tlb.cc src/mem/phys_mem.hh \
                src/mem/phys_mem.cc src/mem/frame_pool.hh \
-               src/mem/frame_pool.cc src/pt/intel_page_table.hh \
+               src/mem/frame_pool.cc src/mem/cache.hh src/mem/cache.cc \
+               src/mem/mem_system.hh src/mem/mem_system.cc \
+               src/pt/intel_page_table.hh \
                src/pt/intel_page_table.cc src/pt/hashed_page_table.hh \
                src/pt/hashed_page_table.cc src/base/flat_hash.hh; do
     if grep -nE 'unordered_map[[:space:]]*<|include[[:space:]]*<unordered_map>' \
@@ -278,6 +308,16 @@ for hot_src in src/tlb/tlb.hh src/tlb/tlb.cc src/mem/phys_mem.hh \
         exit 1
     fi
 done
+# The per-reference cache path is defined in the headers so every
+# kernel inlines the direct-mapped tag check. An out-of-line definition
+# in a .cc still passes every test, just as a call per reference.
+if grep -nE '(^|[[:space:]])(Cache::access|MemSystem::(instFetch|dataAccess))[[:space:]]*\(' \
+        src/mem/*.cc; then
+    echo "kernel lint: Cache::access, MemSystem::instFetch or" \
+         "MemSystem::dataAccess defined out of line in src/mem/*.cc" \
+         "(keep them inline in cache.hh / mem_system.hh)" >&2
+    exit 1
+fi
 
 echo "== perf smoke =="
 # The batched replay path must beat the scalar generate path within

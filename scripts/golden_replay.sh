@@ -6,7 +6,11 @@
 # sha256 line per (org, cores) covering the summary JSON, the stats
 # dump (counters + interval series + latency histograms), and the full
 # event stream, then a "sampler" line for the same run without an event
-# sink (summary + stats only).  ci.sh cmp's the output against the committed
+# sink (summary + stats only).  Two more rows per organization at one
+# core run the same config through a 2-way LRU hierarchy and through a
+# unified L2 (the cache paths the paper's direct-mapped split caches
+# never take), with an 8 KB L1 and 32 KB L2 so that L2 conflicts
+# actually occur in 10K instructions.  ci.sh cmp's the output against the committed
 # tests/golden/replay_sha256.txt: any refactor that changes a single
 # output byte — one counter, one event, one interval sample — fails
 # the gate.  Regenerate the golden (only when an *intentional*
@@ -51,5 +55,21 @@ for sys in ULTRIX MACH INTEL PA-RISC NOTLB BASE HW-INVERTED HW-MIPS SPUR; do
             "$sys" "$cores" \
             "$(sum "$TMP/summary.json")" \
             "$(sum "$TMP/stats.json")"
+    done
+done
+
+for sys in ULTRIX MACH INTEL PA-RISC NOTLB BASE HW-INVERTED HW-MIPS SPUR; do
+    for cache in --assoc=2 --unified-l2; do
+        "$CLI" --system="$sys" --cores=1 "$cache" --l1=8192 --l2=32768 \
+            --instructions=10000 --warmup=2000 --interval=2500 \
+            --ctx-switch=997 --asid-bits=6 --l2-tlb=64 --json \
+            --stats-json="$TMP/stats.json" \
+            --trace-events="$TMP/events.jsonl" \
+            > "$TMP/summary.json"
+        printf '%s cores=1 %s summary=%s stats=%s events=%s\n' \
+            "$sys" "${cache#--}" \
+            "$(sum "$TMP/summary.json")" \
+            "$(sum "$TMP/stats.json")" \
+            "$(sum "$TMP/events.jsonl")"
     done
 done

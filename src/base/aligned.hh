@@ -7,6 +7,8 @@
 // linear probe touches the minimum number of lines and the arrays
 // never false-share a line with unrelated members.
 
+#include <sys/mman.h>
+
 #include <cstddef>
 #include <new>
 #include <vector>
@@ -40,6 +42,46 @@ struct CacheAlignedAlloc {
 
 template <class T>
 using AlignedVec = std::vector<T, CacheAlignedAlloc<T>>;
+
+// Anonymous-mmap storage for large, short-lived buffers (recorded
+// traces). Freeing such a buffer through malloc raises glibc's dynamic
+// mmap threshold, after which the next buffers of the same size come
+// from the brk heap and the process's resident peak grows with the
+// heap's fragmentation. Mapping them directly returns every page to
+// the OS on free. Buffers below kMinMappedBytes use operator new.
+template <class T>
+struct PageMappedAlloc {
+    using value_type = T;
+    static constexpr std::size_t kMinMappedBytes = std::size_t{1} << 20;
+
+    PageMappedAlloc() = default;
+    template <class U>
+    PageMappedAlloc(const PageMappedAlloc<U> &) {}
+
+    T *allocate(std::size_t n) {
+        const std::size_t bytes = n * sizeof(T);
+        if (bytes < kMinMappedBytes)
+            return static_cast<T *>(::operator new(bytes));
+        void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+        return static_cast<T *>(p);
+    }
+
+    void deallocate(T *p, std::size_t n) {
+        const std::size_t bytes = n * sizeof(T);
+        if (bytes < kMinMappedBytes)
+            ::operator delete(p);
+        else
+            ::munmap(p, bytes);
+    }
+
+    template <class U>
+    bool operator==(const PageMappedAlloc<U> &) const { return true; }
+    template <class U>
+    bool operator!=(const PageMappedAlloc<U> &) const { return false; }
+};
 
 } // namespace vmsim
 

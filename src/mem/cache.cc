@@ -1,5 +1,6 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "base/intmath.hh"
@@ -46,84 +47,70 @@ Cache::Cache(const CacheParams &params, std::uint64_t seed)
             "cache must have a power-of-two number of sets, got ", sets);
 
     lineBits_ = floorLog2(params_.lineSize);
-    setBits_ = floorLog2(sets);
     lineMask_ = params_.lineSize - 1;
     setMask_ = sets - 1;
-    ways_.assign(sets * params_.assoc, Way{});
+    lines_.assign(sets * params_.assoc, kEmpty);
+    if (params_.assoc > 1)
+        stamps_.assign(lines_.size(), 0);
 }
 
 bool
-Cache::access(Addr addr)
+Cache::accessAssoc(Addr addr)
 {
-    ++accesses_;
-    std::uint64_t set = setIndex(addr);
-    Addr tag = tagOf(addr);
-    Way *base = &ways_[set * params_.assoc];
+    const Addr line = addr >> lineBits_;
+    Addr *ways = &lines_[setBase(line)];
+    std::uint64_t *stamps = &stamps_[setBase(line)];
+    const unsigned assoc = params_.assoc;
 
     ++stamp_;
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            base[w].lruStamp = stamp_;
+    for (unsigned w = 0; w < assoc; ++w) {
+        if (ways[w] == line) {
+            stamps[w] = stamp_;
             return true;
         }
     }
 
     ++misses_;
 
-    // Fill: prefer an invalid way, else replace per policy.
-    Way *victim = nullptr;
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
-            break;
-        }
-    }
-    if (!victim) {
-        if (params_.assoc == 1) {
-            victim = base;
-        } else if (params_.repl == CacheRepl::Random) {
-            victim = &base[rng_.uniform(params_.assoc)];
+    // Fill: prefer an empty way, else replace per policy.
+    unsigned victim = static_cast<unsigned>(
+        std::find(ways, ways + assoc, kEmpty) - ways);
+    if (victim == assoc) {
+        if (params_.repl == CacheRepl::Random) {
+            victim = static_cast<unsigned>(rng_.uniform(assoc));
         } else {
-            victim = base;
-            for (unsigned w = 1; w < params_.assoc; ++w)
-                if (base[w].lruStamp < victim->lruStamp)
-                    victim = &base[w];
+            victim = 0;
+            for (unsigned w = 1; w < assoc; ++w)
+                if (stamps[w] < stamps[victim])
+                    victim = w;
         }
     }
-    victim->tag = tag;
-    victim->valid = true;
-    victim->lruStamp = stamp_;
+    ways[victim] = line;
+    stamps[victim] = stamp_;
     return false;
 }
 
 bool
 Cache::probe(Addr addr) const
 {
-    std::uint64_t set = setIndex(addr);
-    Addr tag = tagOf(addr);
-    const Way *base = &ways_[set * params_.assoc];
-    for (unsigned w = 0; w < params_.assoc; ++w)
-        if (base[w].valid && base[w].tag == tag)
-            return true;
-    return false;
+    const Addr line = addr >> lineBits_;
+    const Addr *ways = &lines_[setBase(line)];
+    return std::find(ways, ways + params_.assoc, line) !=
+           ways + params_.assoc;
 }
 
 void
 Cache::invalidate(Addr addr)
 {
-    std::uint64_t set = setIndex(addr);
-    Addr tag = tagOf(addr);
-    Way *base = &ways_[set * params_.assoc];
-    for (unsigned w = 0; w < params_.assoc; ++w)
-        if (base[w].valid && base[w].tag == tag)
-            base[w].valid = false;
+    const Addr line = addr >> lineBits_;
+    Addr *ways = &lines_[setBase(line)];
+    std::replace(ways, ways + params_.assoc, line, kEmpty);
 }
 
 void
 Cache::invalidateAll()
 {
-    for (auto &w : ways_)
-        w.valid = false;
+    std::fill(lines_.begin(), lines_.end(), kEmpty);
 }
 
 double
@@ -137,11 +124,9 @@ Cache::missRate() const
 std::uint64_t
 Cache::validLines() const
 {
-    std::uint64_t n = 0;
-    for (const auto &w : ways_)
-        if (w.valid)
-            ++n;
-    return n;
+    return lines_.size() -
+           static_cast<std::uint64_t>(
+               std::count(lines_.begin(), lines_.end(), kEmpty));
 }
 
 } // namespace vmsim

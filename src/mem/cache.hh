@@ -16,6 +16,7 @@
 #ifndef VMSIM_MEM_CACHE_HH
 #define VMSIM_MEM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -69,9 +70,24 @@ class Cache
 
     /**
      * Access one line. On a miss the line is filled (write-allocate);
-     * the caller attributes cost. @return true on hit.
+     * the caller attributes cost. @return true on hit. Direct-mapped
+     * (the paper's configuration) is one load and one compare, inline;
+     * associative sets go to accessAssoc().
      */
-    bool access(Addr addr);
+    bool
+    access(Addr addr)
+    {
+        ++accesses_;
+        if (params_.assoc != 1)
+            return accessAssoc(addr);
+        const Addr line = addr >> lineBits_;
+        Addr &slot = lines_[line & setMask_];
+        if (slot == line)
+            return true;
+        ++misses_;
+        slot = line;
+        return false;
+    }
 
     /** Tag check without state change. @return true if present. */
     bool probe(Addr addr) const;
@@ -95,26 +111,28 @@ class Cache
     Addr lineAddr(Addr addr) const { return addr & ~lineMask_; }
 
   private:
-    struct Way
-    {
-        Addr tag = 0;
-        bool valid = false;
-        std::uint64_t lruStamp = 0;
-    };
+    /** Line number of an empty way; no address maps to it, since
+     *  lineBits_ >= 2. */
+    static constexpr Addr kEmpty = ~Addr{0};
 
-    std::uint64_t setIndex(Addr addr) const
+    /** access() for assoc > 1: LRU or random victim, empty ways first. */
+    bool accessAssoc(Addr addr);
+
+    /** First way of the set holding line number @p line. */
+    std::size_t setBase(Addr line) const
     {
-        return (addr >> lineBits_) & setMask_;
+        return (line & setMask_) * params_.assoc;
     }
-
-    Addr tagOf(Addr addr) const { return addr >> (lineBits_ + setBits_); }
 
     CacheParams params_;
     unsigned lineBits_;
-    unsigned setBits_;
     std::uint64_t lineMask_;
     std::uint64_t setMask_;
-    std::vector<Way> ways_; // sets * assoc, way-major within a set
+    /** Line number (addr >> lineBits_) per way, sets * assoc, way-major
+     *  within a set; kEmpty marks an empty way. */
+    std::vector<Addr> lines_;
+    /** Last-use stamp per way; allocated only when assoc > 1. */
+    std::vector<std::uint64_t> stamps_;
     Random rng_;
     std::uint64_t stamp_ = 0;
     Counter accesses_ = 0;

@@ -29,36 +29,11 @@ MemSystem::MemSystem(const CacheParams &l1, const CacheParams &l2,
 }
 
 MemLevel
-MemSystem::accessLine(Cache &l1, Cache &l2, Addr addr, ClassCounters &ctrs)
+MemSystem::dataSpan(Addr addr, Addr last, ClassCounters &ctrs)
 {
-    ++ctrs.accesses;
-    if (l1.access(addr))
-        return MemLevel::L1;
-    ++ctrs.l1Misses;
-    if (l2.access(addr))
-        return MemLevel::L2;
-    ++ctrs.l2Misses;
-    return MemLevel::Memory;
-}
-
-MemLevel
-MemSystem::instFetch(Addr pc, AccessClass cls)
-{
-    auto &ctrs = stats_.inst[static_cast<unsigned>(cls)];
-    return accessLine(l1i_, l2i_, pc, ctrs);
-}
-
-MemLevel
-MemSystem::dataAccess(Addr addr, unsigned size, bool store, AccessClass cls)
-{
-    if (store)
-        ++stores_;
-    auto &ctrs = stats_.data[static_cast<unsigned>(cls)];
-    unsigned line = l1d_.params().lineSize;
-    Addr first = l1d_.lineAddr(addr);
-    Addr last = l1d_.lineAddr(addr + (size ? size - 1 : 0));
     MemLevel worst = MemLevel::L1;
-    for (Addr a = first; a <= last; a += line) {
+    for (Addr a = l1d_.lineAddr(addr); a <= l1d_.lineAddr(last);
+         a += l1d_.params().lineSize) {
         MemLevel lvl = accessLine(l1d_, *l2dPtr_, a, ctrs);
         if (lvl > worst)
             worst = lvl;

@@ -110,7 +110,12 @@ class MemSystem
      * Fetch one instruction word at @p pc through the I-side hierarchy.
      * @return deepest level reached.
      */
-    MemLevel instFetch(Addr pc, AccessClass cls);
+    MemLevel
+    instFetch(Addr pc, AccessClass cls)
+    {
+        return accessLine(l1i_, l2i_, pc,
+                          stats_.inst[static_cast<unsigned>(cls)]);
+    }
 
     /**
      * Access @p size bytes at @p addr through the D-side hierarchy.
@@ -119,8 +124,17 @@ class MemSystem
      * identical for tag state (write-allocate, write-through); the
      * @p store flag only routes statistics.
      */
-    MemLevel dataAccess(Addr addr, unsigned size, bool store,
-                        AccessClass cls);
+    MemLevel
+    dataAccess(Addr addr, unsigned size, bool store, AccessClass cls)
+    {
+        if (store)
+            ++stores_;
+        auto &ctrs = stats_.data[static_cast<unsigned>(cls)];
+        const Addr last = addr + (size ? size - 1 : 0);
+        if (l1d_.lineAddr(addr) == l1d_.lineAddr(last))
+            return accessLine(l1d_, *l2dPtr_, addr, ctrs);
+        return dataSpan(addr, last, ctrs);
+    }
 
     /** Invalidate all four caches (cold start). */
     void invalidateAll();
@@ -138,8 +152,21 @@ class MemSystem
     bool unifiedL2() const { return unifiedL2_; }
 
   private:
-    MemLevel accessLine(Cache &l1, Cache &l2, Addr addr,
-                        ClassCounters &ctrs);
+    static MemLevel
+    accessLine(Cache &l1, Cache &l2, Addr addr, ClassCounters &ctrs)
+    {
+        ++ctrs.accesses;
+        if (l1.access(addr))
+            return MemLevel::L1;
+        ++ctrs.l1Misses;
+        if (l2.access(addr))
+            return MemLevel::L2;
+        ++ctrs.l2Misses;
+        return MemLevel::Memory;
+    }
+
+    /** dataAccess() of bytes [@p addr, @p last] spanning lines. */
+    MemLevel dataSpan(Addr addr, Addr last, ClassCounters &ctrs);
 
     /** Double the capacity of @p p (for the unified-L2 geometry). */
     static CacheParams doubled(CacheParams p, bool enable);

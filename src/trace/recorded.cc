@@ -10,8 +10,7 @@
 namespace vmsim
 {
 
-RecordedTrace::RecordedTrace(std::vector<TraceRecord> records,
-                             std::string name)
+RecordedTrace::RecordedTrace(Buffer records, std::string name)
     : records_(std::move(records)), name_(std::move(name))
 {
     frame();
@@ -78,7 +77,7 @@ RecordedTrace
 RecordedTrace::record(TraceSource &source, Counter max_records,
                       std::string name)
 {
-    std::vector<TraceRecord> records;
+    Buffer records;
     records.resize(max_records);
     std::size_t filled = 0;
     while (filled < max_records) {

@@ -26,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "base/aligned.hh"
 #include "base/error.hh"
 #include "base/types.hh"
 #include "trace/trace.hh"
@@ -54,12 +55,15 @@ class RecordedTrace
     /** Records per CRC chunk (16 KiB of CRC per ~47 MiB of trace). */
     static constexpr std::size_t kCrcChunkRecords = 4096;
 
+    /** Record storage: page-mapped, so a freed recording's pages go
+     *  back to the OS instead of staying in the malloc heap. */
+    using Buffer = std::vector<TraceRecord, PageMappedAlloc<TraceRecord>>;
+
     /**
      * Wrap an already-materialized record buffer. Throws VmsimError
      * (ParseError) if any record carries an invalid op.
      */
-    explicit RecordedTrace(std::vector<TraceRecord> records,
-                           std::string name = "recorded");
+    explicit RecordedTrace(Buffer records, std::string name = "recorded");
 
     /**
      * Pull up to @p max_records from @p source into a new recording
@@ -76,7 +80,7 @@ class RecordedTrace
     std::size_t bytes() const { return records_.size() * sizeof(TraceRecord); }
 
     const TraceRecord &at(std::size_t i) const { return records_[i]; }
-    const std::vector<TraceRecord> &records() const { return records_; }
+    const Buffer &records() const { return records_; }
 
     /**
      * Recompute the chunk CRCs and compare against the values framed
@@ -98,7 +102,7 @@ class RecordedTrace
     /** First record in [@p lo, @p hi) with an invalid op, else @p hi. */
     std::size_t findBadOp(std::size_t lo, std::size_t hi) const;
 
-    std::vector<TraceRecord> records_;
+    Buffer records_;
     std::string name_;
     std::vector<std::uint32_t> chunkCrcs_;
 };

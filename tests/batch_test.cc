@@ -317,7 +317,7 @@ TEST(RecordedTrace, VerifyIntegrityPassesUntouched)
 {
     auto rec = chunkedRecording();
     EXPECT_TRUE(rec->verifyIntegrity().ok());
-    RecordedTrace empty(std::vector<TraceRecord>{});
+    RecordedTrace empty(RecordedTrace::Buffer{});
     EXPECT_TRUE(empty.verifyIntegrity().ok());
 }
 
@@ -370,7 +370,7 @@ TEST(RecordedTrace, VerifyIntegrityNamesTheExactBadOpRecord)
 
 TEST(RecordedTrace, FramingRejectsABadOpAtItsExactRecord)
 {
-    std::vector<TraceRecord> recs(RecordedTrace::kCrcChunkRecords + 10);
+    RecordedTrace::Buffer recs(RecordedTrace::kCrcChunkRecords + 10);
     recs[RecordedTrace::kCrcChunkRecords + 3].op = static_cast<MemOp>(5);
     try {
         RecordedTrace rec(std::move(recs), "bad");

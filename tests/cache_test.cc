@@ -5,6 +5,9 @@
  * parameterized sweeps over the paper's cache shapes.
  */
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "base/logging.hh"
@@ -298,6 +301,273 @@ TEST(Cache, InvalidateMissingLineIsHarmless)
     EXPECT_TRUE(c.probe(0x40));
 }
 
+
+// --- Reference-model differential test -------------------------------
+//
+// A deliberately naive LRU model: one std::vector of line numbers per
+// set, most recently used first. Cache is diffed against it access by
+// access (hit/miss, probe, validLines) under interleaved invalidate and
+// invalidateAll, over the sweep geometries at assoc 1/2/4/8.
+
+class RefLruCache
+{
+  public:
+    RefLruCache(std::uint64_t size, unsigned line, unsigned assoc)
+        : line_(line), assoc_(assoc), sets_(size / line / assoc)
+    {}
+
+    bool access(Addr addr)
+    {
+        auto &set = sets_[setOf(addr)];
+        Addr ln = addr / line_;
+        for (std::size_t i = 0; i < set.size(); ++i) {
+            if (set[i] == ln) {
+                set.erase(set.begin() + static_cast<long>(i));
+                set.insert(set.begin(), ln);
+                return true;
+            }
+        }
+        if (set.size() == assoc_)
+            set.pop_back();
+        set.insert(set.begin(), ln);
+        return false;
+    }
+
+    bool probe(Addr addr) const
+    {
+        const auto &set = sets_[setOf(addr)];
+        return std::find(set.begin(), set.end(), addr / line_) != set.end();
+    }
+
+    void invalidate(Addr addr)
+    {
+        auto &set = sets_[setOf(addr)];
+        set.erase(std::remove(set.begin(), set.end(), addr / line_),
+                  set.end());
+    }
+
+    void invalidateAll()
+    {
+        for (auto &set : sets_)
+            set.clear();
+    }
+
+    std::uint64_t validLines() const
+    {
+        std::uint64_t n = 0;
+        for (const auto &set : sets_)
+            n += set.size();
+        return n;
+    }
+
+  private:
+    std::size_t setOf(Addr addr) const
+    {
+        return static_cast<std::size_t>((addr / line_) % sets_.size());
+    }
+
+    unsigned line_;
+    std::size_t assoc_;
+    std::vector<std::vector<Addr>> sets_;
+};
+
+enum class Stream { Random, Strided, Conflict };
+
+/**
+ * Deterministic address stream of @p n accesses over a cache of the
+ * given geometry: random (a hot half-cache region plus a 4x-capacity
+ * cold region), strided (line-multiple strides wrapping over 1.5x the
+ * capacity) or conflict (assoc + 2 lines per set in a few sets).
+ */
+std::vector<Addr>
+makeStream(Stream kind, std::uint64_t size, unsigned line, unsigned assoc,
+           std::uint64_t seed, std::size_t n)
+{
+    Random rng(seed);
+    std::vector<Addr> out;
+    out.reserve(n);
+    const Addr base = 0x40000000;
+    const std::uint64_t way_bytes = size / assoc;
+    Addr cursor = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        Addr a = 0;
+        switch (kind) {
+        case Stream::Random:
+            a = rng.chance(0.5) ? rng.uniform(size / 2)
+                                : rng.uniform(4 * size);
+            break;
+        case Stream::Strided: {
+            static const unsigned kStrides[] = {1, 3, 7};
+            cursor = (cursor + line * kStrides[(i / 4096) % 3]) %
+                     (size + size / 2);
+            a = cursor + rng.uniform(line);
+            break;
+        }
+        case Stream::Conflict:
+            a = rng.uniform(4) * 5 * line +
+                rng.uniform(assoc + 2) * way_bytes + rng.uniform(line);
+            break;
+        }
+        out.push_back(base + a);
+    }
+    return out;
+}
+
+struct Geometry
+{
+    std::uint64_t size;
+    unsigned line;
+};
+
+// The benchmark sweep's geometries: L1 sides and L2 sides.
+const Geometry kSweepGeometries[] = {
+    {16_KiB, 32}, {16_KiB, 64}, {64_KiB, 32}, {64_KiB, 64},
+    {1_MiB, 64},  {1_MiB, 128}, {2_MiB, 64},  {2_MiB, 128},
+};
+
+const Stream kStreams[] = {Stream::Random, Stream::Strided,
+                           Stream::Conflict};
+
+/** One step of a differential run: access, probe, invalidate one line,
+ *  invalidate all, or read validLines. */
+struct CacheOp
+{
+    enum Kind : char { Access, Probe, Inval, InvalAll, Valid } kind;
+    Addr addr;
+};
+
+/** The accesses of @p addrs with seeded probes, single-line
+ *  invalidations, rare invalidateAll calls and periodic validLines
+ *  reads interleaved. */
+std::vector<CacheOp>
+withOps(const std::vector<Addr> &addrs, std::uint64_t seed)
+{
+    Random rng(seed ^ 0x5eed);
+    std::vector<CacheOp> ops;
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+        ops.push_back({CacheOp::Access, addrs[i]});
+        std::uint64_t r = rng.uniform(4096);
+        Addr other = addrs[rng.uniform(i + 1)];
+        if (r < 128)
+            ops.push_back({CacheOp::Probe, other});
+        else if (r < 192)
+            ops.push_back({CacheOp::Inval, other});
+        else if (r == 192 && rng.chance(0.1))
+            ops.push_back({CacheOp::InvalAll, 0});
+        if (i % 4093 == 0)
+            ops.push_back({CacheOp::Valid, 0});
+    }
+    ops.push_back({CacheOp::Valid, 0});
+    return ops;
+}
+
+/** Apply @p op to a Cache or the reference model; @return its
+ *  observable result (0 for the state-changing ops). */
+template <class C>
+std::uint64_t
+apply(C &c, const CacheOp &op)
+{
+    switch (op.kind) {
+    case CacheOp::Access:
+        return c.access(op.addr);
+    case CacheOp::Probe:
+        return c.probe(op.addr);
+    case CacheOp::Inval:
+        c.invalidate(op.addr);
+        return 0;
+    case CacheOp::InvalAll:
+        c.invalidateAll();
+        return 0;
+    case CacheOp::Valid:
+        return c.validLines();
+    }
+    return 0;
+}
+
+class CacheRefModelTest
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
+{};
+
+TEST_P(CacheRefModelTest, MatchesNaiveLruModel)
+{
+    auto [gi, assoc] = GetParam();
+    const Geometry g = kSweepGeometries[gi];
+    for (Stream kind : kStreams) {
+        const std::uint64_t seed = 1000 + gi * 16 + assoc;
+        auto ops = withOps(
+            makeStream(kind, g.size, g.line, assoc, seed, 40000), seed);
+        CacheParams p = params(g.size, g.line, assoc);
+        p.repl = CacheRepl::LRU;
+        Cache c(p, seed);
+        RefLruCache ref(g.size, g.line, assoc);
+        Counter accesses = 0, misses = 0;
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            std::uint64_t got = apply(c, ops[i]);
+            ASSERT_EQ(got, apply(ref, ops[i]))
+                << "stream " << static_cast<int>(kind) << " op " << i
+                << " kind " << ops[i].kind << " addr 0x" << std::hex
+                << ops[i].addr;
+            if (ops[i].kind == CacheOp::Access) {
+                ++accesses;
+                misses += got ? 0 : 1;
+            }
+        }
+        EXPECT_EQ(c.accesses(), accesses);
+        EXPECT_EQ(c.misses(), misses);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SweepGeometries, CacheRefModelTest,
+    ::testing::Combine(::testing::Range(0u, 8u),
+                       ::testing::Values(1u, 2u, 4u, 8u)));
+
+// Random replacement has no simple reference model; its exact victim
+// choices are pinned instead. Each value is an FNV-1a hash of every
+// observable result of the three streams over one geometry at one
+// associativity, recorded before the flat line layout landed.
+TEST(CacheRefModel, RandomReplacementPinned)
+{
+    const std::uint64_t kExpected[8][3] = {
+        {0xae41f66d15f00879, 0x0d41784ca9094fb9, 0xd7a9e477ab105d0f},
+        {0xa2061a62067c464c, 0x913c6520fcb90764, 0xf19c47a5eddef586},
+        {0x2694af6aa9f33892, 0x4dcf3eab768e6ab4, 0xaf0e449b2b491f44},
+        {0x476defbd40542187, 0x8c1ed3ab522ad172, 0x31e0c42a8cabe563},
+        {0xc3c0d69f20aca434, 0x17a5a4af0c11b4d8, 0x734cba36b32f640e},
+        {0xedadc9f2145df1dd, 0x606f1a139853b746, 0xe85318588adf7155},
+        {0x19a48786d25c2549, 0xebbefa8c03064565, 0xaf29b3ef21a81f3a},
+        {0xd3b5c7051cf759be, 0xd077fe1a7d09033f, 0xceb369b723a48414},
+    };
+    const unsigned kAssocs[] = {2, 4, 8};
+    for (unsigned gi = 0; gi < 8; ++gi) {
+        const Geometry g = kSweepGeometries[gi];
+        for (unsigned ai = 0; ai < 3; ++ai) {
+            const unsigned assoc = kAssocs[ai];
+            std::uint64_t h = 0xcbf29ce484222325ULL;
+            auto mix = [&h](std::uint64_t v) {
+                for (int b = 0; b < 8; ++b) {
+                    h ^= (v >> (8 * b)) & 0xff;
+                    h *= 0x100000001b3ULL;
+                }
+            };
+            for (Stream kind : kStreams) {
+                const std::uint64_t seed = 2000 + gi * 16 + assoc;
+                CacheParams p = params(g.size, g.line, assoc);
+                p.repl = CacheRepl::Random;
+                Cache c(p, seed);
+                for (const CacheOp &op : withOps(
+                         makeStream(kind, g.size, g.line, assoc, seed,
+                                    40000),
+                         seed))
+                    mix(apply(c, op));
+                mix(c.misses());
+            }
+            EXPECT_EQ(h, kExpected[gi][ai])
+                << "geometry " << gi << " assoc " << assoc << " hash 0x"
+                << std::hex << h;
+        }
+    }
+}
 
 TEST(CacheParams, ToStringSubKilobyteAndOddSizes)
 {

@@ -259,9 +259,10 @@ TEST(TlbFlatIndex, ConsistentUnderTaggedChurn)
                 tlb.insert(v);
             break;
         }
-        if (op % 64 == 0)
+        if (op % 64 == 0) {
             ASSERT_TRUE(tlb.auditIndex(&why)) << "op " << op << ": "
                                               << why;
+        }
     }
     ASSERT_TRUE(tlb.auditIndex(&why)) << why;
     EXPECT_GT(tlb.hits(), 0u);
@@ -285,9 +286,10 @@ TEST(TlbFlatIndex, UntaggedSmallTlbChurn)
             tlb.insert(v);
         if (rng.chance(0.05))
             tlb.invalidate(rng.uniform(200));
-        if (op % 128 == 0)
+        if (op % 128 == 0) {
             ASSERT_TRUE(tlb.auditIndex(&why)) << "op " << op << ": "
                                               << why;
+        }
     }
     ASSERT_TRUE(tlb.auditIndex(&why)) << why;
 }

@@ -238,8 +238,9 @@ TEST(StrictParse, RejectsGarbageThatStrtoullAccepted)
                           "+3", "0x10", "99999999999999999999999"}) {
         Expected<std::uint64_t> v = parseU64(s, "--flag");
         EXPECT_FALSE(v.ok()) << "'" << s << "'";
-        if (!v.ok())
+        if (!v.ok()) {
             EXPECT_EQ(v.error().code, ErrorCode::InvalidArgument);
+        }
     }
     EXPECT_FALSE(parseU32("4294967296", "--x").ok()); // 2^32
     EXPECT_TRUE(parseU32("4294967295", "--x").ok());

@@ -32,8 +32,9 @@ TEST(BaseVm, NoVmEventsEver)
     MemSystem mem(l1(), l2());
     BaseVm vm(mem);
     for (int i = 0; i < 1000; ++i) {
-        vm.instRef(Access{0x00400000 + i * 4});
-        vm.dataRef(Access{0x10000000 + i * 64, 0, i % 3 == 0});
+        vm.instRef(Access{0x00400000 + static_cast<Addr>(i) * 4});
+        vm.dataRef(Access{0x10000000 + static_cast<Addr>(i) * 64, 0,
+                          i % 3 == 0});
     }
     const VmStats &s = vm.vmStats();
     EXPECT_EQ(s.interrupts, 0u);

@@ -140,7 +140,8 @@ TEST(MachVm, TlbHitIsFree)
     f.vm.dataRef(Access{0x10000000, 0, false});
     VmStats before = f.vm.vmStats();
     for (int i = 0; i < 10; ++i)
-        f.vm.dataRef(Access{0x10000000 + i * 8, 0, false});
+        f.vm.dataRef(
+            Access{0x10000000 + static_cast<Addr>(i) * 8, 0, false});
     EXPECT_EQ(f.vm.vmStats().interrupts, before.interrupts);
 }
 
