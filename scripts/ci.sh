@@ -318,6 +318,23 @@ if grep -nE '(^|[[:space:]])(Cache::access|MemSystem::(instFetch|dataAccess))[[:
          "(keep them inline in cache.hh / mem_system.hh)" >&2
     exit 1
 fi
+# The per-draw RNG calls are header-defined so the trace generators and
+# Random replacement inline them; only seeding and geometric() belong
+# in random.cc.
+if grep -nE '(^|[[:space:]])Random::(next|uniform|uniformRange|uniformReal|chance)[[:space:]]*\(' \
+        src/base/random.cc; then
+    echo "kernel lint: a per-draw Random call defined out of line in" \
+         "src/base/random.cc (keep it inline in random.hh)" >&2
+    exit 1
+fi
+# The data generators are a closed std::variant set dispatched by a
+# switch; a virtual base regrowing in components.hh (outside comments)
+# puts an indirect call back on every data reference.
+if grep -nE '^[^*/]*\bvirtual\b' src/trace/synthetic/components.hh; then
+    echo "kernel lint: virtual in src/trace/synthetic/components.hh" \
+         "(the generators are a closed variant set)" >&2
+    exit 1
+fi
 
 echo "== perf smoke =="
 # The batched replay path must beat the scalar generate path within

@@ -10,7 +10,11 @@
 # core run the same config through a 2-way LRU hierarchy and through a
 # unified L2 (the cache paths the paper's direct-mapped split caches
 # never take), with an 8 KB L1 and 32 KB L2 so that L2 conflicts
-# actually occur in 10K instructions.  ci.sh cmp's the output against the committed
+# actually occur in 10K instructions.  The last rows run the other five
+# workloads (vortex, ijpeg and the stream, chase and uniform
+# diagnostics) through three organizations at one core, so every
+# synthetic generator kind is pinned, not just gcc's.  ci.sh cmp's
+# the output against the committed
 # tests/golden/replay_sha256.txt: any refactor that changes a single
 # output byte — one counter, one event, one interval sample — fails
 # the gate.  Regenerate the golden (only when an *intentional*
@@ -68,6 +72,22 @@ for sys in ULTRIX MACH INTEL PA-RISC NOTLB BASE HW-INVERTED HW-MIPS SPUR; do
             > "$TMP/summary.json"
         printf '%s cores=1 %s summary=%s stats=%s events=%s\n' \
             "$sys" "${cache#--}" \
+            "$(sum "$TMP/summary.json")" \
+            "$(sum "$TMP/stats.json")" \
+            "$(sum "$TMP/events.jsonl")"
+    done
+done
+
+for wl in vortex ijpeg stream chase uniform; do
+    for sys in ULTRIX PA-RISC BASE; do
+        "$CLI" --system="$sys" --cores=1 --workload="$wl" \
+            --instructions=10000 --warmup=2000 --interval=2500 \
+            --ctx-switch=997 --asid-bits=6 --l2-tlb=64 --json \
+            --stats-json="$TMP/stats.json" \
+            --trace-events="$TMP/events.jsonl" \
+            > "$TMP/summary.json"
+        printf '%s cores=1 workload=%s summary=%s stats=%s events=%s\n' \
+            "$sys" "$wl" \
             "$(sum "$TMP/summary.json")" \
             "$(sum "$TMP/stats.json")" \
             "$(sum "$TMP/events.jsonl")"

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "base/logging.hh"
+
 namespace vmsim
 {
 
@@ -19,12 +21,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // anonymous namespace
 
 Random::Random(std::uint64_t seed)
@@ -33,59 +29,6 @@ Random::Random(std::uint64_t seed)
     // spread even for small or zero seeds.
     for (auto &s : s_)
         s = splitmix64(seed);
-}
-
-std::uint64_t
-Random::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Random::uniform(std::uint64_t bound)
-{
-    if (bound == 0)
-        return next();
-    // Rejection sampling: discard draws in the biased tail.
-    const std::uint64_t threshold = -bound % bound;
-    for (;;) {
-        std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
-std::uint64_t
-Random::uniformRange(std::uint64_t lo, std::uint64_t hi)
-{
-    return lo + uniform(hi - lo + 1);
-}
-
-double
-Random::uniformReal()
-{
-    // 53 high-order bits give a uniform double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Random::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniformReal() < p;
 }
 
 std::uint64_t
@@ -102,6 +45,14 @@ Random::geometric(double p, std::uint64_t cap)
         k = 0;
     auto v = static_cast<std::uint64_t>(k);
     return v > cap ? cap : v;
+}
+
+Bernoulli::Bernoulli(double p)
+{
+    fatalIf(!(p >= 0.0 && p <= 1.0), "probability ", p, " outside [0, 1]");
+    // ceil(0 * 2^53) is 0, "never"; p == 1 must not draw, unlike 2^53.
+    const double scaled = std::ceil(p * 0x1.0p53);
+    threshold_ = p == 1.0 ? kAlways : static_cast<std::uint64_t>(scaled);
 }
 
 } // namespace vmsim

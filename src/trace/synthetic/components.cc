@@ -9,7 +9,32 @@
 namespace vmsim
 {
 
+namespace
+{
+
+/** @p region, once a StackModel frame of @p frame_bytes is known to fit. */
+Region
+stackRegion(Region region, unsigned frame_bytes)
+{
+    fatalIf(frame_bytes < 4, "stack frame size must be >= 4");
+    fatalIf(region.size < 2 * std::uint64_t{frame_bytes},
+            "stack region too small for its frame size");
+    return region;
+}
+
+/** @p region, once it is known to hold records of @p record_bytes. */
+Region
+recordRegion(Region region, unsigned record_bytes)
+{
+    fatalIf(record_bytes < 4, "record size must be >= 4");
+    fatalIf(region.size < record_bytes, "region smaller than one record");
+    return region;
+}
+
+} // anonymous namespace
+
 ZipfSampler::ZipfSampler(std::uint64_t n, double s)
+    : scale_(static_cast<double>(n))
 {
     fatalIf(n == 0, "ZipfSampler over zero items");
     cdf_.resize(n);
@@ -21,14 +46,21 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double s)
     for (auto &c : cdf_)
         c /= acc;
     cdf_.back() = 1.0; // guard against fp residue
-}
 
-std::uint64_t
-ZipfSampler::sample(Random &rng) const
-{
-    double u = rng.uniformReal();
-    auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return static_cast<std::uint64_t>(it - cdf_.begin());
+    // Guide entry b is the lower bound of the smallest double in bucket
+    // b. bucket() and the lower bound are both monotone in u, so the
+    // entry is <= the answer for every u in the bucket, and lookup()'s
+    // scan from it lands on exactly std::lower_bound's index.
+    guide_.resize(n);
+    for (std::uint64_t b = 0; b < n; ++b) {
+        double u = static_cast<double>(b) / scale_;
+        while (u > 0.0 && bucket(std::nextafter(u, 0.0)) >= b)
+            u = std::nextafter(u, 0.0);
+        while (bucket(u) < b)
+            u = std::nextafter(u, 1.0);
+        guide_[b] = static_cast<std::uint32_t>(
+            std::lower_bound(cdf_.begin(), cdf_.end(), u) - cdf_.begin());
+    }
 }
 
 StreamWalker::StreamWalker(Region region, unsigned stride)
@@ -84,19 +116,17 @@ PointerChase::nextAddr(Random &)
 
 StackModel::StackModel(Region region, unsigned frame_bytes,
                        double move_prob)
-    : region_(region), frameBytes_(frame_bytes), moveProb_(move_prob)
-{
-    fatalIf(region.size < 2 * frame_bytes,
-            "stack region too small for its frame size");
-    // Stacks grow down; start in the middle so both directions have
-    // headroom.
-    top_ = region_.base + region_.size / 2;
-}
+    : region_(stackRegion(region, frame_bytes)), frameBytes_(frame_bytes),
+      move_(move_prob),
+      // Stacks grow down; start in the middle so both directions have
+      // headroom.
+      top_(region.base + region.size / 2)
+{}
 
 Addr
 StackModel::nextAddr(Random &rng)
 {
-    if (rng.chance(moveProb_)) {
+    if (rng.chance(move_)) {
         // Push or pop one frame, staying inside the region.
         if (rng.chance(0.5)) {
             if (top_ >= region_.base + frameBytes_)
@@ -114,12 +144,10 @@ StackModel::nextAddr(Random &rng)
 ZipfRegionAccess::ZipfRegionAccess(Region region, unsigned record_bytes,
                                    double skew, unsigned run_len,
                                    std::uint64_t seed, bool scatter)
-    : region_(region), recordBytes_(record_bytes),
-      runLen_(run_len ? run_len : 1),
+    : region_(recordRegion(region, record_bytes)),
+      recordBytes_(record_bytes), runLen_(run_len ? run_len : 1),
       zipf_(region.size / record_bytes, skew)
 {
-    fatalIf(record_bytes < 4, "record size must be >= 4");
-    fatalIf(region.size < record_bytes, "region smaller than one record");
     if (scatter) {
         // Map popularity rank -> record slot through a shuffle so hot
         // records land on scattered pages rather than clustering.
@@ -153,12 +181,22 @@ ZipfRegionAccess::nextAddr(Random &rng)
     return runAddr_;
 }
 
+UniformAccess::UniformAccess(Region region) : region_(region)
+{
+    fatalIf(region.size < 4, "UniformAccess region too small");
+}
+
+Addr
+UniformAccess::nextAddr(Random &rng)
+{
+    return region_.base + rng.uniform(region_.size / 4) * 4;
+}
+
 CodeModel::CodeModel(Addr code_base, unsigned num_funcs,
                      unsigned min_instrs, unsigned max_instrs, double skew,
                      double loop_prob, std::uint64_t seed,
                      double branch_prob)
-    : zipf_(num_funcs, skew), loopProb_(loop_prob),
-      branchProb_(branch_prob)
+    : zipf_(num_funcs, skew), loop_(loop_prob), branch_(branch_prob)
 {
     fatalIf(num_funcs == 0, "CodeModel needs at least one function");
     fatalIf(min_instrs == 0 || max_instrs < min_instrs,
@@ -205,7 +243,7 @@ CodeModel::nextPc(Random &rng)
             // Re-run the tail loop.
             --loopTripsLeft_;
             curInstr_ = loopStart_;
-        } else if (instrsLeft_ > 0 && rng.chance(loopProb_) &&
+        } else if (instrsLeft_ > 0 && rng.chance(loop_) &&
                    fn.numInstrs > 8) {
             // Start a short backward loop over the function tail.
             loopStart_ = fn.numInstrs -
@@ -217,67 +255,66 @@ CodeModel::nextPc(Random &rng)
         } else {
             inFunction_ = false; // return; next call picks a function
         }
-    } else if (rng.chance(branchProb_)) {
+    } else if (rng.chance(branch_)) {
         // Taken branch to another basic block of this function.
         curInstr_ = static_cast<unsigned>(rng.uniform(fn.numInstrs));
     }
     return pc;
 }
 
-SyntheticWorkload::SyntheticWorkload(std::string name, std::uint64_t seed)
-    : rng_(seed), name_(std::move(name))
+SyntheticWorkload::SyntheticWorkload(std::string name, std::uint64_t seed,
+                                     CodeModel code)
+    : rng_(seed), name_(std::move(name)), code_(std::move(code))
 {}
 
 void
-SyntheticWorkload::setCode(CodeModel code)
+SyntheticWorkload::addData(DataGenerator gen, double weight)
 {
-    code_.clear();
-    code_.push_back(std::move(code));
-}
-
-void
-SyntheticWorkload::addData(std::unique_ptr<AddressGenerator> gen,
-                           double weight)
-{
-    fatalIf(weight <= 0, "data generator weight must be positive");
+    fatalIf(!(weight > 0), "data generator weight must be positive");
     double prev = weightCdf_.empty() ? 0.0 : weightCdf_.back();
     gens_.push_back(std::move(gen));
     weightCdf_.push_back(prev + weight);
 }
 
-inline void
-SyntheticWorkload::generate(TraceRecord &rec)
+// Flattened so that the code model, every generator and every draw
+// inline here; the RNG state, copied to a local, then stays in
+// registers for the batch instead of round-tripping through memory.
+[[gnu::flatten]] void
+SyntheticWorkload::generate(TraceRecord *out, std::size_t n)
 {
-    rec.pc = static_cast<std::uint32_t>(code_[0].nextPc(rng_));
-    if (!gens_.empty() && rng_.chance(memOpRate_)) {
-        // Pick a generator by weight.
-        double u = rng_.uniformReal() * weightCdf_.back();
+    Random rng = rng_;
+    for (std::size_t i = 0; i < n; ++i) {
+        TraceRecord &rec = out[i];
+        rec.pc = static_cast<std::uint32_t>(code_.nextPc(rng));
+        if (gens_.empty() || !rng.chance(memOp_)) {
+            rec.daddr = 0;
+            rec.op = MemOp::None;
+            continue;
+        }
+        // Pick a generator by weight: as the CDF never decreases, the
+        // count of bounds <= u is the first bound above u, branch-free.
+        const double u = rng.uniformReal() * weightCdf_.back();
         std::size_t g = 0;
-        while (g + 1 < weightCdf_.size() && u >= weightCdf_[g])
-            ++g;
-        rec.daddr =
-            static_cast<std::uint32_t>(gens_[g]->nextAddr(rng_));
-        rec.op = rng_.chance(storeFrac_) ? MemOp::Store : MemOp::Load;
-    } else {
-        rec.daddr = 0;
-        rec.op = MemOp::None;
+        for (std::size_t j = 0; j + 1 < weightCdf_.size(); ++j)
+            g += u >= weightCdf_[j];
+        rec.daddr = static_cast<std::uint32_t>(std::visit(
+            [&rng](auto &gen) { return gen.nextAddr(rng); }, gens_[g]));
+        rec.op = rng.chance(store_) ? MemOp::Store : MemOp::Load;
     }
+    rng_ = rng;
 }
 
 bool
 SyntheticWorkload::next(TraceRecord &rec)
 {
-    panicIf(code_.empty(), "SyntheticWorkload without a CodeModel");
-    generate(rec);
+    generate(&rec, 1);
     return true;
 }
 
 std::size_t
 SyntheticWorkload::nextBatch(TraceRecord *out, std::size_t n)
 {
-    panicIf(code_.empty(), "SyntheticWorkload without a CodeModel");
-    for (std::size_t i = 0; i < n; ++i)
-        generate(out[i]);
+    generate(out, n);
     return n;
 }
 

@@ -15,6 +15,7 @@
  *  - StackModel:   small hot region with push/pop drift (call stacks)
  *  - ZipfRegionAccess: skewed record access with short spatial runs
  *                  (gcc-style heap behavior)
+ *  - UniformAccess: uniformly random words (the no-locality diagnostic)
  *  - CodeModel:    functions of basic blocks with skewed invocation
  *
  * Everything is seeded and deterministic: the same seed always yields
@@ -25,8 +26,8 @@
 #define VMSIM_TRACE_SYNTHETIC_COMPONENTS_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "base/random.hh"
@@ -48,7 +49,10 @@ struct Region
 
 /**
  * Zipf-distributed sampler over [0, n): item i has weight
- * 1 / (i+1)^s. Sampling is O(log n) via CDF binary search.
+ * 1 / (i+1)^s. A sample is the CDF's std::lower_bound of one
+ * uniformReal(), found in O(1) expected time through a guide table
+ * (the cutpoint method): bucket floor(u * n) holds the lower bound of
+ * the smallest u in that bucket, and a short forward scan finishes.
  */
 class ZipfSampler
 {
@@ -60,34 +64,47 @@ class ZipfSampler
     ZipfSampler(std::uint64_t n, double s);
 
     /** Draw one item index using @p rng. */
-    std::uint64_t sample(Random &rng) const;
+    std::uint64_t
+    sample(Random &rng) const
+    {
+        return lookup(rng.uniformReal());
+    }
+
+    /** The first index whose CDF value is >= @p u. @pre 0 <= u <= 1 */
+    std::uint64_t
+    lookup(double u) const
+    {
+        std::uint32_t i = guide_[bucket(u)];
+        while (cdf_[i] < u)
+            ++i;
+        return i;
+    }
 
     std::uint64_t numItems() const { return cdf_.size(); }
 
   private:
+    std::uint64_t
+    bucket(double u) const
+    {
+        const auto b = static_cast<std::uint64_t>(u * scale_);
+        return b < cdf_.size() ? b : cdf_.size() - 1;
+    }
+
     std::vector<double> cdf_;
-};
-
-/** Abstract data-address generator: one effective address per call. */
-class AddressGenerator
-{
-  public:
-    virtual ~AddressGenerator() = default;
-
-    /** Produce the next effective address. */
-    virtual Addr nextAddr(Random &rng) = 0;
+    std::vector<std::uint32_t> guide_; ///< bucket -> first candidate
+    double scale_;                     ///< n, as a double
 };
 
 /**
  * Sequential streaming through a region with a fixed stride, wrapping
  * at the end — models image/buffer sweeps with high spatial locality.
  */
-class StreamWalker : public AddressGenerator
+class StreamWalker
 {
   public:
     StreamWalker(Region region, unsigned stride = 4);
 
-    Addr nextAddr(Random &rng) override;
+    Addr nextAddr(Random &rng);
 
     /** Restart the sweep from the region base. */
     void restart() { offset_ = 0; }
@@ -104,7 +121,7 @@ class StreamWalker : public AddressGenerator
  * traversal with poor spatial locality: successive references land on
  * unrelated lines and pages.
  */
-class PointerChase : public AddressGenerator
+class PointerChase
 {
   public:
     /**
@@ -116,7 +133,7 @@ class PointerChase : public AddressGenerator
     PointerChase(Region region, std::uint64_t num_nodes,
                  unsigned node_size, std::uint64_t seed);
 
-    Addr nextAddr(Random &rng) override;
+    Addr nextAddr(Random &rng);
 
   private:
     Region region_;
@@ -130,25 +147,25 @@ class PointerChase : public AddressGenerator
  * small region; the top drifts up and down with push/pop events.
  * Almost all references hit a handful of hot pages.
  */
-class StackModel : public AddressGenerator
+class StackModel
 {
   public:
     /**
      * @param region the stack region
-     * @param frame_bytes typical frame size (drift step)
+     * @param frame_bytes typical frame size (drift step), >= 4
      * @param move_prob probability a reference pushes/pops first
      */
     StackModel(Region region, unsigned frame_bytes = 96,
                double move_prob = 0.03);
 
-    Addr nextAddr(Random &rng) override;
+    Addr nextAddr(Random &rng);
 
     Addr top() const { return top_; }
 
   private:
     Region region_;
     unsigned frameBytes_;
-    double moveProb_;
+    Bernoulli move_;
     Addr top_;
 };
 
@@ -158,7 +175,7 @@ class StackModel : public AddressGenerator
  * heap behavior of a compiler-like workload (moderate spatial
  * locality, strong temporal skew).
  */
-class ZipfRegionAccess : public AddressGenerator
+class ZipfRegionAccess
 {
   public:
     /**
@@ -177,7 +194,7 @@ class ZipfRegionAccess : public AddressGenerator
                      unsigned run_len, std::uint64_t seed,
                      bool scatter = false);
 
-    Addr nextAddr(Random &rng) override;
+    Addr nextAddr(Random &rng);
 
   private:
     Region region_;
@@ -188,6 +205,22 @@ class ZipfRegionAccess : public AddressGenerator
     Addr runAddr_ = 0;
     unsigned runLeft_ = 0;
 };
+
+/** Uniformly random word accesses over a region. */
+class UniformAccess
+{
+  public:
+    explicit UniformAccess(Region region);
+
+    Addr nextAddr(Random &rng);
+
+  private:
+    Region region_;
+};
+
+/** The closed set of data-address generators a workload mixes. */
+using DataGenerator = std::variant<StreamWalker, PointerChase, StackModel,
+                                   ZipfRegionAccess, UniformAccess>;
 
 /**
  * Instruction-side model: a set of functions, each a contiguous run of
@@ -239,8 +272,8 @@ class CodeModel
 
     std::vector<Function> funcs_;
     ZipfSampler zipf_;
-    double loopProb_;
-    double branchProb_;
+    Bernoulli loop_;
+    Bernoulli branch_;
     std::uint64_t codeBytes_;
     // Execution cursor.
     unsigned curFunc_ = 0;
@@ -253,7 +286,7 @@ class CodeModel
 
 /**
  * Shared skeleton of the synthetic workloads: a CodeModel for the
- * instruction stream and a weighted mixture of AddressGenerators for
+ * instruction stream and a weighted mixture of DataGenerators for
  * the data stream, with a fixed memory-operation rate and store
  * fraction. Subclasses just configure the pieces.
  */
@@ -273,35 +306,29 @@ class SyntheticWorkload : public TraceSource
     const std::string &name() const { return name_; }
 
   protected:
-    SyntheticWorkload(std::string name, std::uint64_t seed);
+    SyntheticWorkload(std::string name, std::uint64_t seed,
+                      CodeModel code);
 
-    /** Install the instruction-side model. */
-    void setCode(CodeModel code);
-
-    /**
-     * Add a data generator with selection @p weight (relative).
-     * Ownership is taken.
-     */
-    void addData(std::unique_ptr<AddressGenerator> gen, double weight);
+    /** Add a data generator with selection @p weight (relative). */
+    void addData(DataGenerator gen, double weight);
 
     /** Set the fraction of instructions that are loads/stores. */
-    void setMemOpRate(double rate) { memOpRate_ = rate; }
+    void setMemOpRate(double rate) { memOp_ = Bernoulli(rate); }
 
     /** Set the fraction of memory operations that are stores. */
-    void setStoreFrac(double frac) { storeFrac_ = frac; }
+    void setStoreFrac(double frac) { store_ = Bernoulli(frac); }
 
     Random rng_;
 
   private:
-    void generate(TraceRecord &rec);
+    void generate(TraceRecord *out, std::size_t n);
 
     std::string name_;
-    std::vector<std::unique_ptr<AddressGenerator>> gens_;
+    CodeModel code_;
+    std::vector<DataGenerator> gens_;
     std::vector<double> weightCdf_;
-    double memOpRate_ = 0.35;
-    double storeFrac_ = 0.3;
-    CodeModel *codePtr() { return code_.empty() ? nullptr : &code_[0]; }
-    std::vector<CodeModel> code_; ///< 0 or 1 entries (optional storage)
+    Bernoulli memOp_{0.35};
+    Bernoulli store_{0.3};
 };
 
 } // namespace vmsim

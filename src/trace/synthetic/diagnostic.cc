@@ -20,7 +20,6 @@
 
 #include "trace/synthetic/workloads.hh"
 
-#include "base/logging.hh"
 #include "base/units.hh"
 
 namespace vmsim
@@ -32,61 +31,38 @@ namespace
 constexpr Addr kTextBase = 0x00400000;
 constexpr Addr kDataBase = 0x10048000;
 
-/** Uniform random word accesses over a region. */
-class UniformAccess : public AddressGenerator
+/** One 64-instruction kernel looping forever. */
+CodeModel
+loopKernel(std::uint64_t seed)
 {
-  public:
-    explicit UniformAccess(Region region)
-        : region_(region)
-    {
-        fatalIf(region.size < 4, "UniformAccess region too small");
-    }
-
-    Addr
-    nextAddr(Random &rng) override
-    {
-        return region_.base + rng.uniform(region_.size / 4) * 4;
-    }
-
-  private:
-    Region region_;
-};
+    return CodeModel(kTextBase, 1, 64, 64, 0.0, 1.0, seed, 0.0);
+}
 
 } // anonymous namespace
 
 StreamDiagnosticWorkload::StreamDiagnosticWorkload(std::uint64_t seed)
-    : SyntheticWorkload("stream-diagnostic", seed)
+    : SyntheticWorkload("stream-diagnostic", seed, loopKernel(seed ^ 0x9a1))
 {
-    // One 64-instruction kernel looping forever.
-    setCode(CodeModel(kTextBase, 1, 64, 64, 0.0, 1.0, seed ^ 0x9a1,
-                      0.0));
-    addData(std::make_unique<StreamWalker>(Region{kDataBase, 4_MiB}, 4),
-            1.0);
+    addData(StreamWalker(Region{kDataBase, 4_MiB}, 4), 1.0);
     setMemOpRate(0.5);
     setStoreFrac(0.25);
 }
 
 ChaseDiagnosticWorkload::ChaseDiagnosticWorkload(std::uint64_t seed)
-    : SyntheticWorkload("chase-diagnostic", seed)
+    : SyntheticWorkload("chase-diagnostic", seed, loopKernel(seed ^ 0x9b2))
 {
-    setCode(CodeModel(kTextBase, 1, 64, 64, 0.0, 1.0, seed ^ 0x9b2,
-                      0.0));
     // 64K nodes of 64 B over 4 MB: ~1024 pages against a 128-entry
     // TLB, no spatial locality whatsoever.
-    addData(std::make_unique<PointerChase>(Region{kDataBase, 4_MiB},
-                                           65536, 64, seed ^ 0x9c3),
+    addData(PointerChase(Region{kDataBase, 4_MiB}, 65536, 64, seed ^ 0x9c3),
             1.0);
     setMemOpRate(0.5);
     setStoreFrac(0.0);
 }
 
 UniformDiagnosticWorkload::UniformDiagnosticWorkload(std::uint64_t seed)
-    : SyntheticWorkload("uniform-diagnostic", seed)
+    : SyntheticWorkload("uniform-diagnostic", seed, loopKernel(seed ^ 0x9d4))
 {
-    setCode(CodeModel(kTextBase, 1, 64, 64, 0.0, 1.0, seed ^ 0x9d4,
-                      0.0));
-    addData(std::make_unique<UniformAccess>(Region{kDataBase, 4_MiB}),
-            1.0);
+    addData(UniformAccess(Region{kDataBase, 4_MiB}), 1.0);
     setMemOpRate(0.5);
     setStoreFrac(0.25);
 }

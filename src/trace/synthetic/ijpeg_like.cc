@@ -17,25 +17,20 @@ constexpr Addr kStackBase = 0x7ff00000;
 
 } // anonymous namespace
 
+// ~10 KB of text: a handful of tight DCT/quantization kernels that
+// loop heavily — nearly all fetches hit a few I-cache pages.
 IjpegLikeWorkload::IjpegLikeWorkload(std::uint64_t seed)
-    : SyntheticWorkload("ijpeg-like", seed)
+    : SyntheticWorkload("ijpeg-like", seed, CodeModel(kTextBase, 8, 100, 400,
+                                                      0.5, 0.9, seed ^ 0x666))
 {
-    // ~10 KB of text: a handful of tight DCT/quantization kernels that
-    // loop heavily — nearly all fetches hit a few I-cache pages.
-    setCode(CodeModel(kTextBase, 8, 100, 400, 0.5, 0.9, seed ^ 0x666));
-
     // Data: sequential sweeps over source/destination images and a
     // coefficient buffer (together well under the L2 size, so steady
     // state is compulsory-miss free at L2). High spatial locality,
     // small page working set — the paper's counterexample benchmark.
-    addData(std::make_unique<StreamWalker>(Region{kSrcImage, 256_KiB}, 4),
-            0.40);
-    addData(std::make_unique<StreamWalker>(Region{kDstImage, 256_KiB}, 8),
-            0.30);
-    addData(std::make_unique<StreamWalker>(Region{kCoeffBuf, 128_KiB}, 4),
-            0.20);
-    addData(std::make_unique<StackModel>(Region{kStackBase, 16_KiB}),
-            0.10);
+    addData(StreamWalker(Region{kSrcImage, 256_KiB}, 4), 0.40);
+    addData(StreamWalker(Region{kDstImage, 256_KiB}, 8), 0.30);
+    addData(StreamWalker(Region{kCoeffBuf, 128_KiB}, 4), 0.20);
+    addData(StackModel(Region{kStackBase, 16_KiB}), 0.10);
 
     setMemOpRate(0.30);
     setStoreFrac(0.40);

@@ -9,7 +9,7 @@
  * program itself (see DESIGN.md, substitution #1):
  *
  *  - GccLike:    large multi-function text footprint with skewed reuse;
- *                data split between a hot call stack and a multi-MB
+ *                data split between a hot call stack and a 1 MB
  *                heap with short spatial runs. Moderate-to-poor TLB
  *                behavior on both I and D sides.
  *  - VortexLike: database-style access — pointer chasing over a large

@@ -296,6 +296,44 @@ TEST(Random, ChanceFrequency)
     EXPECT_NEAR(hits / 50000.0, 0.25, 0.01);
 }
 
+TEST(Random, BernoulliMatchesChance)
+{
+    // Bernoulli(p) is chance(p) as one integer compare: same results
+    // and the same draws consumed, so the streams stay in step.
+    const double ps[] = {0.0,  4.9e-324, 0x1.0p-53, 0.03,
+                         0.12, 0.35,     0.5,       1.0 - 0x1.0p-53,
+                         1.0};
+    for (double p : ps) {
+        const Bernoulli b(p);
+        Random a(29), ref(29);
+        for (int i = 0; i < 100000; ++i)
+            ASSERT_EQ(a.chance(b), ref.chance(p))
+                << "p=" << p << " draw " << i;
+        for (int i = 0; i < 16; ++i)
+            ASSERT_EQ(a.next(), ref.next()) << "p=" << p;
+    }
+}
+
+TEST(Random, BernoulliExactAtTheDrawnValue)
+{
+    // p equal to the next uniformReal() is where a rounded threshold
+    // would go wrong: u < p is false at p == u, true one ulp above.
+    const double u = Random(31).uniformReal();
+    for (double p : {std::nextafter(u, 0.0), u, std::nextafter(u, 1.0)}) {
+        Random a(31);
+        EXPECT_EQ(a.chance(Bernoulli(p)), u < p) << "p=" << p;
+    }
+}
+
+TEST(Random, BernoulliRejectsOutOfRange)
+{
+    setQuiet(true);
+    EXPECT_THROW(Bernoulli(-0.1), FatalError);
+    EXPECT_THROW(Bernoulli(1.5), FatalError);
+    EXPECT_THROW(Bernoulli(std::nan("")), FatalError);
+    setQuiet(false);
+}
+
 TEST(Random, GeometricMean)
 {
     Random r(19);

@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "base/logging.hh"
 #include "base/units.hh"
@@ -62,6 +66,85 @@ TEST(ZipfSampler, EmptyRejected)
     setQuiet(true);
     EXPECT_THROW(ZipfSampler(0, 1.0), FatalError);
     setQuiet(false);
+}
+
+/** The sampler's CDF, rebuilt independently: item i weighs 1/(i+1)^s. */
+std::vector<double>
+referenceCdf(std::uint64_t n, double s)
+{
+    std::vector<double> cdf(n);
+    double acc = 0.0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        acc += 1.0 / std::pow(static_cast<double>(i + 1), s);
+        cdf[i] = acc;
+    }
+    for (auto &c : cdf)
+        c /= acc;
+    cdf.back() = 1.0;
+    return cdf;
+}
+
+std::uint64_t
+referenceIndex(const std::vector<double> &cdf, double u)
+{
+    return static_cast<std::uint64_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+}
+
+// Every (items, skew) geometry the workloads build, from the one-
+// function diagnostics' n = 1 to gcc's 16384-record heap.
+const std::uint64_t kZipfSizes[] = {1, 8, 40, 64, 1024, 16384};
+const double kZipfSkews[] = {0.0, 0.5, 0.7, 0.8, 1.0, 1.2};
+
+TEST(ZipfSampler, DrawsMatchLowerBoundReference)
+{
+    for (std::uint64_t n : kZipfSizes) {
+        for (double s : kZipfSkews) {
+            ZipfSampler z(n, s);
+            const auto cdf = referenceCdf(n, s);
+            Random rng(n * 1000 + static_cast<std::uint64_t>(s * 10));
+            for (int i = 0; i < 1000000; ++i) {
+                Random fork = rng;
+                const std::uint64_t want =
+                    referenceIndex(cdf, fork.uniformReal());
+                ASSERT_EQ(z.sample(rng), want)
+                    << "n=" << n << " s=" << s << " draw " << i;
+            }
+        }
+    }
+}
+
+TEST(ZipfSampler, LookupMatchesLowerBoundAtEveryEdge)
+{
+    // The guide table's only risk is a u near a bucket edge or a CDF
+    // value; probe both, and a few ulps either side.
+    auto near = [](double x, auto &&check) {
+        double lo = x, hi = x;
+        check(x);
+        for (int k = 0; k < 3; ++k) {
+            lo = std::nextafter(lo, 0.0);
+            hi = std::nextafter(hi, 1.0);
+            check(lo);
+            if (hi <= 1.0)
+                check(hi);
+        }
+    };
+    for (std::uint64_t n : kZipfSizes) {
+        for (double s : kZipfSkews) {
+            ZipfSampler z(n, s);
+            const auto cdf = referenceCdf(n, s);
+            auto check = [&](double u) {
+                if (u < 0.0 || u > 1.0)
+                    return;
+                ASSERT_EQ(z.lookup(u), referenceIndex(cdf, u))
+                    << "n=" << n << " s=" << s << " u=" << u;
+            };
+            for (std::uint64_t b = 0; b <= n; ++b)
+                near(static_cast<double>(b) / static_cast<double>(n), check);
+            for (double c : cdf)
+                near(c, check);
+        }
+    }
 }
 
 TEST(StreamWalker, SequentialWithWrap)
@@ -138,6 +221,60 @@ TEST(StackModel, ReferencesClusterNearTop)
         EXPECT_GE(a, top);
         EXPECT_LT(a, top + 128);
     }
+}
+
+TEST(StackModel, FrameUnderOneWordRejected)
+{
+    // frame_bytes / 4 == 0 made the word draw uniform(0), a full 64-bit
+    // value: StackModel(Region{0x7ff00000, 64}, 2) emitted
+    // 0x14ed56599cc933c8.
+    setQuiet(true);
+    EXPECT_THROW(StackModel(Region{0x7ff00000, 64}, 2), FatalError);
+    EXPECT_THROW(StackModel(Region{0x7ff00000, 64}, 0), FatalError);
+    setQuiet(false);
+}
+
+TEST(Rates, OutsideUnitIntervalRejected)
+{
+    setQuiet(true);
+    EXPECT_THROW(StackModel(Region{0, 4096}, 96, 1.5), FatalError);
+    EXPECT_THROW(StackModel(Region{0, 4096}, 96, std::nan("")),
+                 FatalError);
+    EXPECT_THROW(CodeModel(0, 4, 10, 20, 1, -0.5, 1), FatalError);
+    EXPECT_THROW(CodeModel(0, 4, 10, 20, 1, 0.5, 1, std::nan("")),
+                 FatalError);
+    setQuiet(false);
+}
+
+/** what() of the FatalError @p make throws, or "" if it throws none. */
+template <typename F>
+std::string
+fatalMessage(F make)
+{
+    setQuiet(true);
+    std::string msg;
+    try {
+        make();
+    } catch (const FatalError &e) {
+        msg = e.what();
+    }
+    setQuiet(false);
+    return msg;
+}
+
+TEST(ZipfRegionAccess, BadGeometryRejectedBeforeBuilding)
+{
+    // Both used to reach the ZipfSampler first: record_bytes == 0
+    // divided by zero (SIGFPE), and a region under one record failed
+    // as "ZipfSampler over zero items".
+    EXPECT_NE(fatalMessage([] {
+                  ZipfRegionAccess(Region{0, 4096}, 0, 1.0, 4, 1);
+              }).find("record size must be >= 4"),
+              std::string::npos);
+    EXPECT_NE(fatalMessage([] {
+                  ZipfRegionAccess(Region{0, 32}, 64, 1.0, 4, 1);
+              }).find("region smaller than one record"),
+              std::string::npos);
 }
 
 TEST(ZipfRegionAccess, StaysInRegion)
@@ -365,6 +502,85 @@ TEST(Workloads, IjpegHasSmallCodeFootprint)
         return pages.size();
     };
     EXPECT_LT(count_code_pages("ijpeg"), count_code_pages("gcc"));
+}
+
+// ---------------------------------------------------------- pinned streams
+
+/** FNV-1a over the fields of the first @p n records of @p w. */
+std::uint64_t
+streamHash(TraceSource &w, std::size_t n)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](std::uint64_t v, int bytes) {
+        for (int b = 0; b < bytes; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    TraceRecord r;
+    for (std::size_t i = 0; i < n; ++i) {
+        w.next(r);
+        mix(r.pc, 4);
+        mix(r.daddr, 4);
+        mix(static_cast<std::uint64_t>(r.op), 1);
+    }
+    return h;
+}
+
+const char *const kAllWorkloads[] = {"gcc",    "vortex", "ijpeg",
+                                     "stream", "chase",  "uniform"};
+
+TEST(PinnedStreams, FirstMillionRecordsUnchanged)
+{
+    // Recorded from the generators before their hot path was
+    // restructured: any change to a draw, its order or its use moves
+    // these, and with them every digest and golden row downstream.
+    struct Pin
+    {
+        const char *name;
+        std::uint64_t seed;
+        std::uint64_t fnv;
+    };
+    const Pin pins[] = {
+        {"gcc", 1, 0xbe8f009dbcde035fULL},
+        {"gcc", 12345, 0xd5a9bd734b0b139bULL},
+        {"vortex", 1, 0x76ebef7f7399e8a4ULL},
+        {"vortex", 12345, 0x9df8ee1489bf2a34ULL},
+        {"ijpeg", 1, 0x61a642e893fb9550ULL},
+        {"ijpeg", 12345, 0x61e1a16e5b654b29ULL},
+        {"stream", 1, 0x3e3108778d5dbfc4ULL},
+        {"stream", 12345, 0x9d862a2e5049a273ULL},
+        {"chase", 1, 0xc4b2509bbd4d491bULL},
+        {"chase", 12345, 0x09fe7f46e665b1a2ULL},
+        {"uniform", 1, 0x7edb9949beca8af2ULL},
+        {"uniform", 12345, 0x72a5ca09cf17209dULL},
+    };
+    for (const Pin &p : pins) {
+        auto w = makeWorkload(p.name, p.seed);
+        EXPECT_EQ(streamHash(*w, 1000000), p.fnv)
+            << p.name << " seed " << p.seed;
+    }
+}
+
+TEST(PinnedStreams, NextBatchMatchesNext)
+{
+    const std::size_t n = 100000;
+    for (const char *name : kAllWorkloads) {
+        auto ref = makeWorkload(name, 12345);
+        std::vector<TraceRecord> want(n);
+        for (auto &r : want)
+            ref->next(r);
+        for (std::size_t batch : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{4096}}) {
+            auto w = makeWorkload(name, 12345);
+            std::vector<TraceRecord> got(n);
+            for (std::size_t i = 0; i < n; i += batch)
+                w->nextBatch(got.data() + i, std::min(batch, n - i));
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(got[i], want[i])
+                    << name << " batch " << batch << " record " << i;
+        }
+    }
 }
 
 TEST(Workloads, UnboundedSource)
