@@ -327,6 +327,17 @@ if grep -nE '(^|[[:space:]])Random::(next|uniform|uniformRange|uniformReal|chanc
          "src/base/random.cc (keep it inline in random.hh)" >&2
     exit 1
 fi
+# An observed TLB hit samples its reuse distance through the integer
+# edge table, inlined into the probe: Histogram::sampleCount and
+# Tlb::sampleReuse are header-defined. Out of line in a .cc they still
+# pass every test, just as a call per TLB hit.
+if grep -nE '(^|[[:space:]])(Histogram::sampleCount|Tlb::sampleReuse)[[:space:]]*\(' \
+        src/base/stats.cc src/tlb/tlb.cc; then
+    echo "kernel lint: Histogram::sampleCount or Tlb::sampleReuse" \
+         "defined out of line in src/base/stats.cc or src/tlb/tlb.cc" \
+         "(keep them inline in stats.hh / tlb.hh)" >&2
+    exit 1
+fi
 # The data generators are a closed std::variant set dispatched by a
 # switch; a virtual base regrowing in components.hh (outside comments)
 # puts an indirect call back on every data reference.

@@ -13,7 +13,11 @@
 # actually occur in 10K instructions.  The last rows run the other five
 # workloads (vortex, ijpeg and the stream, chase and uniform
 # diagnostics) through three organizations at one core, so every
-# synthetic generator kind is pinned, not just gcc's.  ci.sh cmp's
+# synthetic generator kind is pinned, not just gcc's.  The final three
+# rows run vortex for 2M instructions through a software-, a
+# hardware-walked and an inverted-table organization, long enough that
+# TLB reuse distances and lifetimes above 10^4 probes land and the
+# upper residency buckets are pinned too.  ci.sh cmp's
 # the output against the committed
 # tests/golden/replay_sha256.txt: any refactor that changes a single
 # output byte — one counter, one event, one interval sample — fails
@@ -92,4 +96,15 @@ for wl in vortex ijpeg stream chase uniform; do
             "$(sum "$TMP/stats.json")" \
             "$(sum "$TMP/events.jsonl")"
     done
+done
+
+for sys in ULTRIX INTEL HW-INVERTED; do
+    "$CLI" --system="$sys" --cores=1 --workload=vortex \
+        --instructions=2000000 --warmup=2000 --interval=100000 --json \
+        --stats-json="$TMP/stats.json" \
+        > "$TMP/summary.json"
+    printf '%s cores=1 workload=vortex instructions=2000000 summary=%s stats=%s\n' \
+        "$sys" \
+        "$(sum "$TMP/summary.json")" \
+        "$(sum "$TMP/stats.json")"
 done

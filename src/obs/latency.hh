@@ -56,16 +56,22 @@ struct LatencyCosts
 class LatencyCollector
 {
   public:
-    /** Bucket geometry for cycle-valued episode histograms. */
+    /**
+     * Bucket geometry for cycle-valued episode histograms. Copies of
+     * one prototype share its integer edge table, so only the first
+     * call pays for deriving it.
+     */
     static Histogram cycleHistogram()
     {
-        return Histogram::logSpaced(1.0, 1e6, 24);
+        static const Histogram proto = Histogram::logSpaced(1.0, 1e6, 24);
+        return proto;
     }
 
     /** Bucket geometry for probe-valued residency histograms. */
     static Histogram residencyHistogram()
     {
-        return Histogram::logSpaced(1.0, 1e8, 32);
+        static const Histogram proto = Histogram::logSpaced(1.0, 1e8, 32);
+        return proto;
     }
 
     LatencyCollector() { configure(1, LatencyCosts{}); }

@@ -138,7 +138,7 @@ VmSystem::shootdownBroadcast(CoreId from, CoreTlbs &tlbs)
         ++stats_.perCore[c].shootdownsRecv;
         stats_.shootdownCycles += perRecv;
         if (lat_)
-            lat_->shootdown(c).sample(static_cast<double>(perRecv));
+            lat_->shootdown(c).sampleCount(perRecv);
         tlbs.itlb(c).evictRandom(shootdownEvictions_);
         tlbs.dtlb(c).evictRandom(shootdownEvictions_);
         if (!sharedL2)
@@ -183,7 +183,7 @@ VmSystem::touchPageSlow(Vpn v, CoreId core)
     stats_.faultCycles += cost;
     if (lat_) {
         svcAcc_ += cost;
-        lat_->fault(coreSlot(core)).sample(static_cast<double>(cost));
+        lat_->fault(coreSlot(core)).sampleCount(cost);
     }
     emitEvent(EventKind::MajorFault, EventLevel::User, 0, v, cost);
 }
@@ -225,7 +225,7 @@ VmSystem::evictionShootdown(CoreId from)
         ++stats_.perCore[c].shootdownsRecv;
         stats_.shootdownCycles += perRecv;
         if (lat_)
-            lat_->shootdown(c).sample(static_cast<double>(perRecv));
+            lat_->shootdown(c).sampleCount(perRecv);
         emitEvent(EventKind::Shootdown, EventLevel::User, 0, c, perRecv);
     }
 }

@@ -514,8 +514,7 @@ class VmSystem
             return;
         endHwWalk();
         if (missOpen_) {
-            lat_->missService(missCore_).sample(
-                static_cast<double>(svcAcc_ - missStart_));
+            lat_->missService(missCore_).sampleCount(svcAcc_ - missStart_);
             missOpen_ = false;
         }
     }
@@ -529,8 +528,7 @@ class VmSystem
     endHwWalk()
     {
         if (lat_ && walkOpen_) {
-            lat_->hwWalk(walkCore_).sample(
-                static_cast<double>(svcAcc_ - walkStart_));
+            lat_->hwWalk(walkCore_).sampleCount(svcAcc_ - walkStart_);
             walkOpen_ = false;
         }
     }

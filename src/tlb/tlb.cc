@@ -225,17 +225,10 @@ Tlb::setCurrentAsid(Asid asid)
 }
 
 void
-Tlb::sampleReuse(unsigned s)
-{
-    reuseHist_->sample(static_cast<double>(probes_ - lastProbe_[s]));
-    lastProbe_[s] = probes_;
-}
-
-void
 Tlb::noteEvict(unsigned s)
 {
     if (lifeHist_ && valid_[s])
-        lifeHist_->sample(static_cast<double>(probes_ - fillProbe_[s]));
+        lifeHist_->sampleCount(probes_ - fillProbe_[s]);
 }
 
 void

@@ -46,12 +46,11 @@
 #include "base/aligned.hh"
 #include "base/flat_hash.hh"
 #include "base/random.hh"
+#include "base/stats.hh"
 #include "base/types.hh"
 
 namespace vmsim
 {
-
-class Histogram;
 
 /** Replacement policy for the TLB's slot regions. */
 enum class TlbRepl : std::uint8_t { Random, LRU, FIFO };
@@ -275,7 +274,12 @@ class Tlb
     }
 
     /** Sample slot @p s's reuse distance (reuseHist_ attached). */
-    void sampleReuse(unsigned s);
+    void
+    sampleReuse(unsigned s)
+    {
+        reuseHist_->sampleCount(probes_ - lastProbe_[s]);
+        lastProbe_[s] = probes_;
+    }
 
     /** Sample slot @p s's lifetime into lifeHist_ if it is valid. */
     void noteEvict(unsigned s);

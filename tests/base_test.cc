@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <random>
@@ -777,6 +778,256 @@ TEST(Histogram, PercentileMonotoneAndBounded)
         EXPECT_GE(v, prev);
         prev = v;
     }
+}
+
+/** Bucket geometry for the integer-path equivalence tests. */
+struct HistGeom
+{
+    double lo;
+    double hi;
+    unsigned n;
+    bool log;
+
+    Histogram
+    make() const
+    {
+        return log ? Histogram::logSpaced(lo, hi, n) : Histogram(lo, hi, n);
+    }
+};
+
+/**
+ * The bin sample(double(v)) must pick, spelled out from the bucket
+ * formula independently of Histogram: 0 is underflow, 1..n the
+ * buckets, n + 1 overflow.
+ */
+std::size_t
+formulaBin(const HistGeom &g, double v)
+{
+    if (v < g.lo)
+        return 0;
+    if (v >= g.hi)
+        return g.n + 1;
+    const double ratio = std::log(g.hi / g.lo) / g.n;
+    const double width = (g.hi - g.lo) / g.n;
+    auto idx = g.log ? static_cast<std::size_t>(std::log(v / g.lo) / ratio)
+                     : static_cast<std::size_t>((v - g.lo) / width);
+    return std::min<std::size_t>(idx, g.n - 1) + 1;
+}
+
+Counter
+binCount(const Histogram &h, std::size_t bin)
+{
+    if (bin == 0)
+        return h.underflow();
+    if (bin > h.numBuckets())
+        return h.overflow();
+    return h.bucket(static_cast<unsigned>(bin - 1));
+}
+
+/**
+ * Feeds integers through sampleCount() one at a time and checks each
+ * lands in exactly the bin the formula names (the total grows by one
+ * and that bin by one, so no other bin moved).
+ */
+class BinChecker
+{
+  public:
+    explicit BinChecker(const HistGeom &g) : g_(g), h_(g.make()) {}
+
+    void
+    check(Counter v)
+    {
+        const std::size_t want = formulaBin(g_, static_cast<double>(v));
+        const Counter before = binCount(h_, want);
+        const Counter total = h_.count();
+        h_.sampleCount(v);
+        ++checked_;
+        if (h_.count() != total + 1 || binCount(h_, want) != before + 1) {
+            if (mismatches_++ < 10)
+                ADD_FAILURE() << h_.geometryString() << ": sampleCount("
+                              << v << ") missed bin " << want;
+        }
+    }
+
+    /** Every integer in [a, b] (clamped at 0). */
+    void
+    range(double a, double b)
+    {
+        const Counter first = a <= 0.0 ? 0 : static_cast<Counter>(a);
+        const Counter last = static_cast<Counter>(b);
+        for (Counter v = first; v <= last; ++v)
+            check(v);
+    }
+
+    /** +-@p radius around the rounded lower edge of every bucket. */
+    void
+    edges(double radius)
+    {
+        for (unsigned i = 0; i <= g_.n; ++i) {
+            const double e = std::round(h_.bucketLo(i));
+            range(e - radius, e + radius);
+        }
+    }
+
+    std::uint64_t checked() const { return checked_; }
+    unsigned mismatches() const { return mismatches_; }
+
+  private:
+    HistGeom g_;
+    Histogram h_;
+    std::uint64_t checked_ = 0;
+    unsigned mismatches_ = 0;
+};
+
+TEST(HistogramInt, CycleGeometryMatchesFormulaForEveryInteger)
+{
+    BinChecker c({1.0, 1e6, 24, true});
+    c.range(0.0, 1e6 + 1000);
+    EXPECT_EQ(c.checked(), 1001001u);
+    EXPECT_EQ(c.mismatches(), 0u);
+}
+
+TEST(HistogramInt, ResidencyGeometryMatchesFormula)
+{
+    BinChecker c({1.0, 1e8, 32, true});
+    c.range(0.0, double(1 << 20) - 1);
+    c.edges(4096.0);
+    std::mt19937_64 rng(20260417);
+    for (int i = 0; i < 1000000; ++i)
+        c.check(rng() & (Histogram::kIntBound - 1));
+    // Log-uniform draws too, so every bucket (not just overflow) gets
+    // random integers.
+    for (int i = 0; i < 1000000; ++i)
+        c.check(rng() >> (24 + rng() % 40));
+    EXPECT_EQ(c.mismatches(), 0u);
+}
+
+TEST(HistogramInt, OddGeometriesMatchFormula)
+{
+    const HistGeom geoms[] = {
+        {0.5, 1000.0, 10, true},     // lo below 1
+        {3.0, 1e5, 16, true},        // lo above 1
+        {1.0, 100.0, 1, true},       // one log bucket
+        {2.0, 9.0, 1, false},        // one uniform bucket
+        {0.0, 100.0, 7, false},      // non-integer uniform width
+        {-10.5, 20.25, 9, false},    // negative, fractional bounds
+        {0.0, 512.0, 32, false},     // 16 edges an octave: path off
+        {1.0, 0x1p41, 41, true},     // hi >= kIntBound: path off
+        {0.0, 1e13, 10, false},      // hi >= kIntBound: path off
+        {1.0, 0x1p40 - 1.0, 40, true}, // just below kIntBound: path on
+    };
+    std::mt19937_64 rng(7);
+    for (const HistGeom &g : geoms) {
+        BinChecker c(g);
+        c.range(0.0, 65536.0);
+        c.edges(256.0);
+        for (int i = 0; i < 100000; ++i)
+            c.check(rng() >> (20 + rng() % 44));
+        for (Counter v : {Histogram::kIntBound - 1, Histogram::kIntBound,
+                          Histogram::kIntBound + 1, ~Counter(0)})
+            c.check(v);
+        EXPECT_EQ(c.mismatches(), 0u) << g.make().geometryString();
+    }
+}
+
+/** Every observable of two histograms agrees. */
+void
+expectSameHistogram(const Histogram &a, const Histogram &b)
+{
+    ASSERT_TRUE(a.sameGeometry(b));
+    EXPECT_EQ(a.count(), b.count());
+    EXPECT_EQ(a.underflow(), b.underflow());
+    EXPECT_EQ(a.overflow(), b.overflow());
+    for (unsigned i = 0; i < a.numBuckets(); ++i)
+        EXPECT_EQ(a.bucket(i), b.bucket(i)) << "bucket " << i;
+    for (double p : {0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0})
+        EXPECT_EQ(a.percentile(p), b.percentile(p)) << "p" << p;
+    EXPECT_EQ(a.toString("h"), b.toString("h"));
+}
+
+TEST(HistogramInt, CopyMergeSubtractPercentileUnchanged)
+{
+    for (const HistGeom &g : {HistGeom{1.0, 1e8, 32, true},
+                              HistGeom{1.0, 1e6, 24, true},
+                              HistGeom{0.0, 100.0, 7, false}}) {
+        std::mt19937_64 rng(99);
+        std::vector<Counter> vals;
+        for (int i = 0; i < 20000; ++i)
+            vals.push_back(rng() >> (30 + rng() % 34));
+        Histogram viaDouble = g.make(), viaCount = g.make();
+        for (std::size_t i = 0; i < vals.size() / 2; ++i) {
+            viaDouble.sample(static_cast<double>(vals[i]));
+            viaCount.sampleCount(vals[i]);
+        }
+        expectSameHistogram(viaDouble, viaCount);
+
+        // A copy shares the edge table but not the counts.
+        Histogram snapD = viaDouble, snapC = viaCount;
+        for (std::size_t i = vals.size() / 2; i < vals.size(); ++i) {
+            viaDouble.sample(static_cast<double>(vals[i]));
+            viaCount.sampleCount(vals[i]);
+        }
+        expectSameHistogram(viaDouble, viaCount);
+        expectSameHistogram(snapD, snapC);
+        EXPECT_LT(snapC.count(), viaCount.count());
+
+        Histogram deltaD = viaDouble, deltaC = viaCount;
+        deltaD.subtract(snapD);
+        deltaC.subtract(snapC);
+        expectSameHistogram(deltaD, deltaC);
+
+        deltaD.merge(snapD);
+        deltaC.merge(snapC);
+        expectSameHistogram(deltaD, viaCount);
+        expectSameHistogram(deltaC, viaDouble);
+    }
+}
+
+TEST(Histogram, NaNSampleIsFatalAndCountsNothing)
+{
+    setQuiet(true);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (Histogram h : {Histogram(0.0, 10.0, 5),
+                        Histogram::logSpaced(1.0, 1e6, 24)}) {
+        h.sample(3.0);
+        const std::string before = h.toString("h");
+        EXPECT_THROW(h.sample(nan), FatalError);
+        EXPECT_EQ(h.count(), 1u);
+        EXPECT_EQ(h.toString("h"), before);
+    }
+    setQuiet(false);
+}
+
+TEST(Histogram, NonFiniteRangeIsFatal)
+{
+    setQuiet(true);
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(Histogram(0.0, inf, 4), FatalError);
+    EXPECT_THROW(Histogram(-inf, 1.0, 4), FatalError);
+    EXPECT_THROW(Histogram(nan, 1.0, 4), FatalError);
+    EXPECT_THROW(Histogram::logSpaced(1.0, nan, 4), FatalError);
+    setQuiet(false);
+}
+
+TEST(Histogram, FailedSubtractLeavesHistogramUnchanged)
+{
+    // other's underflow and bucket 0 fit, but its bucket 3 does not:
+    // the fatal must fire before anything is decremented.
+    Histogram cur(0.0, 10.0, 4), other(0.0, 10.0, 4);
+    for (double v : {-1.0, -2.0, 0.5, 11.0})
+        cur.sample(v);
+    for (double v : {-1.0, 0.5, 9.0})
+        other.sample(v);
+    const Histogram snapshot = cur;
+    setQuiet(true);
+    EXPECT_THROW(cur.subtract(other), FatalError);
+    setQuiet(false);
+    expectSameHistogram(cur, snapshot);
+    EXPECT_EQ(cur.count(), 4u);
+    EXPECT_EQ(cur.underflow(), 2u);
+    EXPECT_EQ(cur.bucket(0), 1u);
+    EXPECT_EQ(cur.overflow(), 1u);
 }
 
 TEST(CounterGroup, InsertionOrderSurvivesManyKeys)
