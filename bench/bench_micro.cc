@@ -96,10 +96,12 @@ BM_HashedWalk(benchmark::State &state)
 }
 BENCHMARK(BM_HashedWalk);
 
-// ---- hot-path layout before/after: the FA TLB key->slot index as it
-// was (node-based unordered_map) vs as it is (open-addressed
-// FlatMap64), probing a resident working set the size of a 128-entry
-// TLB. Same keys, same access pattern; only the layout differs.
+// ---- hot-path layout before/after: the FA TLB key->slot index as a
+// node-based unordered_map (the original), as the growable
+// open-addressed FlatMap64 (the next) and as the fixed-capacity
+// SlotIndex (today), probing a resident working set the size of a
+// 128-entry TLB. Same keys, same access pattern; only the layout
+// differs.
 
 constexpr unsigned kIndexEntries = 128;
 
@@ -138,6 +140,20 @@ BM_IndexProbeFlatMap64(benchmark::State &state)
     }
 }
 BENCHMARK(BM_IndexProbeFlatMap64);
+
+void
+BM_IndexProbeSlotIndex(benchmark::State &state)
+{
+    SlotIndex index(kIndexEntries);
+    for (unsigned i = 0; i < kIndexEntries; ++i)
+        index.insertNew(indexKey(i), i);
+    unsigned i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(index.find(indexKey(i)));
+        i = (i + 1) % kIndexEntries;
+    }
+}
+BENCHMARK(BM_IndexProbeSlotIndex);
 
 // ---- hashed-PT chain layout before/after: heap-allocated linked
 // nodes (one pointer chase per hop) vs the flat arena (an index hop

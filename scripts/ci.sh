@@ -86,7 +86,7 @@ done
 # Seeded fuzz campaign: scalar/batched/observed/cached legs must agree
 # on every counter, and the report must be byte-stable across reruns.
 # Tuples draw TLB geometry (tlbEntries in {32, 64}) alongside ASID and
-# L2-TLB settings, so the flat probe index's fill/evict/tombstone
+# L2-TLB settings, so the TLB slot index's fill/evict/backward-shift
 # paths are fuzzed on every gate run.
 build/examples/vmsim_cli --fuzz=200 --seed=12345 \
     --fuzz-report="$SMOKE_DIR/fuzz_a.json" > /dev/null
@@ -295,7 +295,8 @@ done
 # The flat data-layout files must never regrow a node-based map
 # (matching real uses — instantiations and includes — not prose in
 # comments that explains what the flat layout replaced).
-for hot_src in src/tlb/tlb.hh src/tlb/tlb.cc src/mem/phys_mem.hh \
+for hot_src in src/tlb/tlb.hh src/tlb/tlb.cc src/tlb/slot_index.hh \
+               src/mem/phys_mem.hh \
                src/mem/phys_mem.cc src/mem/frame_pool.hh \
                src/mem/frame_pool.cc src/mem/cache.hh src/mem/cache.cc \
                src/mem/mem_system.hh src/mem/mem_system.cc \
@@ -308,6 +309,23 @@ for hot_src in src/tlb/tlb.hh src/tlb/tlb.cc src/mem/phys_mem.hh \
         exit 1
     fi
 done
+# The TLB's key->slot index is its own fixed-capacity SlotIndex: a TLB
+# holds at most `entries` keys, so the growable FlatMap64 (three arrays,
+# tombstones, incremental rehash) has no place in it. SlotIndex::find is
+# header-defined so every refBlock kernel inlines the probe. A TLB back
+# on FlatMap64, or an out-of-line find, still passes every test, just
+# slower on every reference.
+if grep -n 'FlatMap64' src/tlb/tlb.hh; then
+    echo "kernel lint: src/tlb/tlb.hh names FlatMap64 (the TLB index" \
+         "is SlotIndex, src/tlb/slot_index.hh)" >&2
+    exit 1
+fi
+if grep -rnE --exclude=slot_index.hh \
+        '(^|[[:space:]]|::)SlotIndex::find[[:space:]]*\(' src; then
+    echo "kernel lint: SlotIndex::find defined outside" \
+         "src/tlb/slot_index.hh (keep it inline in the header)" >&2
+    exit 1
+fi
 # The per-reference cache path is defined in the headers so every
 # kernel inlines the direct-mapped tag check. An out-of-line definition
 # in a .cc still passes every test, just as a call per reference.

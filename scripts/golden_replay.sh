@@ -17,8 +17,13 @@
 # rows run vortex for 2M instructions through a software-, a
 # hardware-walked and an inverted-table organization, long enough that
 # TLB reuse distances and lifetimes above 10^4 probes land and the
-# upper residency buckets are pinned too.  ci.sh cmp's
-# the output against the committed
+# upper residency buckets are pinned too.  The budget rows run a
+# software-, a hardware-walked and a hashed-table organization at four
+# cores under a 1 MB frame budget with LRU and CLOCK reclaim and a
+# 32-entry TLB, so TLB invalidation by page eviction, shootdown
+# receipts and ASID-switch evictRandom churn are pinned too (about
+# 2,000 evictions and 6,500 shootdown receipts per ULTRIX run).
+# ci.sh cmp's the output against the committed
 # tests/golden/replay_sha256.txt: any refactor that changes a single
 # output byte — one counter, one event, one interval sample — fails
 # the gate.  Regenerate the golden (only when an *intentional*
@@ -107,4 +112,21 @@ for sys in ULTRIX INTEL HW-INVERTED; do
         "$sys" \
         "$(sum "$TMP/summary.json")" \
         "$(sum "$TMP/stats.json")"
+done
+
+for sys in ULTRIX INTEL PA-RISC; do
+    for reclaim in lru clock; do
+        "$CLI" --system="$sys" --cores=4 --workload=vortex \
+            --instructions=200000 --tlb=32 --protected=8 --l2-tlb=512 \
+            --ctx-switch=25000 --asid-bits=6 --phys-mb=1 \
+            --reclaim="$reclaim" --json \
+            --stats-json="$TMP/stats.json" \
+            --trace-events="$TMP/events.jsonl" \
+            > "$TMP/summary.json"
+        printf '%s cores=4 workload=vortex phys-mb=1 reclaim=%s summary=%s stats=%s events=%s\n' \
+            "$sys" "$reclaim" \
+            "$(sum "$TMP/summary.json")" \
+            "$(sum "$TMP/stats.json")" \
+            "$(sum "$TMP/events.jsonl")"
+    done
 done

@@ -69,8 +69,8 @@ class FlatMap64 {
     }
 
     // Insert a key that is known to be absent.  Every call site in the
-    // simulator checks find() first (TLB fill after a miss, first-touch
-    // frame allocation), so the map skips the duplicate probe.
+    // simulator checks find() first (first-touch frame allocation,
+    // page-table page creation), so the map skips the duplicate probe.
     void insertNew(uint64_t key, const V &value) {
         step();
         maybeGrow();
@@ -193,7 +193,7 @@ class FlatMap64 {
     };
 
     // splitmix64 finalizer: cheap, and strong enough to spread the
-    // (asid << 48) | vpn composite keys the TLB feeds us.
+    // VPN and page-table segment keys its clients feed it.
     static uint64_t hashOf(uint64_t x) {
         x += 0x9E3779B97F4A7C15ull;
         x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;

@@ -187,7 +187,7 @@ DiffRunner::generate(std::uint64_t index) const
     t.ctxSwitch = kCtx[rng.uniform(std::size(kCtx))];
     static constexpr unsigned kAsid[] = {0, 0, 6};
     t.asidBits = kAsid[rng.uniform(std::size(kAsid))];
-    // Small TLBs keep the flat FA index under fill/evict/tombstone
+    // Small TLBs keep the FA slot index under fill/evict/erase
     // pressure; 0 leaves each kind's default geometry.
     static constexpr unsigned kTlb[] = {0, 0, 32, 64};
     t.tlbEntries = kTlb[rng.uniform(std::size(kTlb))];

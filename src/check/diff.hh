@@ -40,8 +40,8 @@ struct FuzzTuple
     Counter ctxSwitch = 0;    ///< context-switch interval (0 = never)
     unsigned asidBits = 0;
     unsigned tlbEntries = 0;  ///< first-level TLB entries (0 = default);
-                              ///< small values churn the flat probe
-                              ///< index through fills and tombstones
+                              ///< small values churn the TLB slot
+                              ///< index through fills and erases
     unsigned l2TlbEntries = 0;
     std::size_t l1Size = 0;
     unsigned l1Line = 0;

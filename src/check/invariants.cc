@@ -635,9 +635,10 @@ checkLiveTlb(const VmSystem &vm, Counter instrs, CheckReport &rep)
         iprobes += itlb->accesses();
         imisses += itlb->misses();
         dmisses += dtlb->misses();
-        // The fully-associative flat probe index must agree with the
-        // slot arrays after any mix of fills, invalidates (tombstones)
-        // and context-switch evictions.
+        // The fully-associative slot index must agree with the slot
+        // arrays, and keep its probe runs unbroken, after any mix of
+        // fills, invalidates (backward-shift erases) and
+        // context-switch evictions.
         rep.check(itlb->auditIndex(&why), "tlb.index-audit",
                   "core ", c, " I-TLB index inconsistent: ", why);
         rep.check(dtlb->auditIndex(&why), "tlb.index-audit",

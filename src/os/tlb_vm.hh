@@ -131,7 +131,7 @@ class TlbVm : public VmSystem
   protected:
     /**
      * Frame-budget eviction of @p v: drop its translation from every
-     * core's I/D TLB pair (targeted tombstones, not random evictions —
+     * core's I/D TLB pair (targeted invalidates, not random evictions —
      * the invalidated VPN is known exactly).
      */
     void

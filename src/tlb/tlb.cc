@@ -53,7 +53,7 @@ Tlb::Tlb(const TlbParams &params, std::uint64_t seed)
     valid_.assign(params_.entries, 0);
     stamps_.assign(params_.entries, 0);
     if (params_.fullyAssociative())
-        index_.reserve(params_.entries);
+        index_ = SlotIndex(params_.entries);
 }
 
 void
@@ -62,8 +62,9 @@ Tlb::insertInRegion(std::uint64_t key, unsigned lo, unsigned hi)
     // Refresh if already resident (fully-assoc: index probe;
     // set-assoc: scan the region's packed keys).
     if (params_.fullyAssociative()) {
-        if (const unsigned *p = index_.find(key)) {
-            stamps_[*p] = ++stamp_;
+        unsigned s = index_.find(key);
+        if (s != kNoSlot) {
+            stamps_[s] = ++stamp_;
             return;
         }
     } else {
@@ -115,7 +116,7 @@ Tlb::insert(Vpn vpn)
     // VPN that already hits as a global/protected entry must refresh
     // that entry, not create a duplicate under the current ASID.
     unsigned resident = findSlot(vpn);
-    if (resident != params_.entries) {
+    if (resident != kNoSlot) {
         stamps_[resident] = ++stamp_;
         return;
     }
@@ -154,16 +155,16 @@ Tlb::invalidate(Vpn vpn)
 {
     // Mirror lookup()'s dual-key rule: dropping a VPN must also drop
     // a global/protected entry, or the mapping keeps hitting after
-    // invalidation. Under the flat index both erases must land even
-    // when the first one tombstones a slot on the second key's probe
-    // chain — tests/layout_test.cc pins this down.
+    // invalidation. Both erases must land even when the first one
+    // shifts the second key's cell back along its probe run —
+    // tests/layout_test.cc pins this down.
     std::uint64_t keys[2] = {keyOf(vpn, tagAsid()),
                              keyOf(vpn, kGlobalAsid)};
     unsigned nkeys = params_.tagged() ? 2 : 1;
     if (params_.fullyAssociative()) {
         for (unsigned k = 0; k < nkeys; ++k) {
-            if (const unsigned *p = index_.find(keys[k])) {
-                unsigned s = *p;
+            unsigned s = index_.find(keys[k]);
+            if (s != kNoSlot) {
                 noteEvict(s);
                 valid_[s] = 0;
                 index_.erase(keys[k]);
@@ -276,6 +277,8 @@ Tlb::auditIndex(std::string *why) const
     };
     if (!params_.fullyAssociative())
         return true; // no index to audit
+    if (!index_.audit(why))
+        return false;
     unsigned live = validEntries();
     if (index_.size() != live)
         return fail("index size " + std::to_string(index_.size()) +
@@ -303,13 +306,13 @@ Tlb::auditIndex(std::string *why) const
     for (unsigned s = 0; s < params_.entries; ++s) {
         if (!valid_[s])
             continue;
-        const unsigned *p = index_.find(keys_[s]);
-        if (p == nullptr)
+        unsigned p = index_.find(keys_[s]);
+        if (p == kNoSlot)
             return fail("valid slot " + std::to_string(s) +
                         " missing from index");
-        if (*p != s)
+        if (p != s)
             return fail("index maps slot " + std::to_string(s) +
-                        "'s key to slot " + std::to_string(*p));
+                        "'s key to slot " + std::to_string(p));
     }
     return true;
 }

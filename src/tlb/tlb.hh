@@ -28,8 +28,14 @@
  * stamps in separate cache-line-aligned vectors — so the
  * set-associative dual-key ASID probe is a linear scan over packed
  * keys and a replacement-stamp update touches only the stamp line.
- * The fully-associative key->slot index is an open-addressed flat
- * probe table (FlatMap64) instead of a node-based unordered_map.
+ * The fully-associative key->slot index is the TLB's own SlotIndex
+ * (tlb/slot_index.hh), not a general-purpose growable map: a TLB
+ * holds at most `entries` keys, so the index is sized once at load
+ * <= 1/4 and never grows, each {key, slot} pair sits in one cell, a
+ * probe is one multiply and (almost always) one cell, and erase
+ * shifts the probe run back instead of leaving tombstones. Every slot
+ * decision (victim draw, invalid-slot scan, LRU/FIFO stamps) reads
+ * only the slot arrays, so the index layout cannot move a counter.
  *
  * evictRandom() supports the multiprogramming model where competing
  * processes displace a fraction of a process's entries between its
@@ -44,10 +50,10 @@
 #include <vector>
 
 #include "base/aligned.hh"
-#include "base/flat_hash.hh"
 #include "base/random.hh"
 #include "base/stats.hh"
 #include "base/types.hh"
+#include "tlb/slot_index.hh"
 
 namespace vmsim
 {
@@ -96,9 +102,9 @@ struct TlbParams
 
 /**
  * TLB with protected-slot partition, optional set associativity and
- * optional ASID tagging. lookup() is the hot path: an open-addressed
- * probe over the flat key->slot index when fully associative, a
- * linear scan over the set's packed keys otherwise.
+ * optional ASID tagging. lookup() is the hot path: a SlotIndex probe
+ * when fully associative, a linear scan over the set's packed keys
+ * otherwise.
  */
 class Tlb
 {
@@ -123,7 +129,7 @@ class Tlb
                 ++probes_;
         }
         unsigned s = findSlot(vpn);
-        if (s == params_.entries) {
+        if (s == kNoSlot) {
             ++misses_;
             return false;
         }
@@ -141,7 +147,7 @@ class Tlb
     bool lookup(Vpn vpn) { return lookupT<true>(vpn); }
 
     /** Probe without touching statistics or LRU state. */
-    bool contains(Vpn vpn) const { return findSlot(vpn) != params_.entries; }
+    bool contains(Vpn vpn) const { return findSlot(vpn) != kNoSlot; }
 
     /**
      * Insert a mapping for @p vpn (tagged with the current ASID if
@@ -190,16 +196,29 @@ class Tlb
     void resetStats() { hits_ = misses_ = 0; }
 
     /**
-     * Audit the flat key->slot index against the slot arrays (the
-     * ground truth): every valid slot must be findable under its own
-     * key, every index entry must point at a valid slot holding that
-     * key, and the live-entry counts must agree. Trivially true for
-     * set-associative TLBs (no index). Used by checkLiveTlb and the
-     * layout tests to prove invalidate/evict tombstone accounting
-     * never leaves the probe array inconsistent. @return true if
-     * consistent; on failure appends a reason to @p why if non-null.
+     * Audit the key->slot index against the slot arrays (the ground
+     * truth): every valid slot must be findable under its own key,
+     * every index entry must point at a valid slot holding that key,
+     * and the live-entry counts must agree. Also checks the index's
+     * own invariants (SlotIndex::audit): no empty cell between a live
+     * cell and its home, and the load within its fixed bound.
+     * Trivially true for set-associative TLBs (no index). Used by
+     * checkLiveTlb and the layout and index tests to prove that
+     * backward-shift erases under invalidate/evict never leave the
+     * probe runs inconsistent. @return true if consistent; on failure
+     * appends a reason to @p why if non-null.
      */
     bool auditIndex(std::string *why = nullptr) const;
+
+    /** Slot @p s holds a valid entry (audits and tests). */
+    bool slotValid(unsigned s) const { return valid_[s] != 0; }
+
+    /**
+     * Slot @p s's tag, `(asid << 48) | vpn`, where asid is the
+     * inserting ASID (0 when untagged) or 0xffff for a global entry
+     * of a tagged TLB. Meaningful only while slotValid(s).
+     */
+    std::uint64_t slotKey(unsigned s) const { return keys_[s]; }
 
     /**
      * Attach residency histograms (not owned; nullptr detaches both):
@@ -217,6 +236,9 @@ class Tlb
     Counter residencyProbes() const { return probes_; }
 
   private:
+    /** findSlot()'s "not resident" answer. */
+    static constexpr unsigned kNoSlot = SlotIndex::kNone;
+
     /**
      * Slot tag: VPN plus ASID. Protected/global entries use
      * kGlobalAsid so they hit under any current ASID.
@@ -237,20 +259,20 @@ class Tlb
 
     /**
      * The slot holding @p vpn under the current ASID *or* the global
-     * tag, or params_.entries if absent (no stats). The single probe
-     * shared by lookup/contains/insert/invalidate so every path sees
-     * the same dual-key residency rule. Fully associative: one or two
-     * open-addressed probes of the flat index. Set associative: a
-     * linear scan over the set's packed keys.
+     * tag, or kNoSlot if absent (no stats). The single probe shared
+     * by lookup/contains/insert/invalidate so every path sees the
+     * same dual-key residency rule. Fully associative: one or two
+     * SlotIndex probes. Set associative: a linear scan over the set's
+     * packed keys.
      */
     unsigned
     findSlot(Vpn vpn) const
     {
         if (params_.fullyAssociative()) {
-            const unsigned *p = index_.find(keyOf(vpn, curTag_));
-            if (p == nullptr && params_.tagged())
-                p = index_.find(keyOf(vpn, kGlobalAsid));
-            return p != nullptr ? *p : params_.entries;
+            unsigned s = index_.find(keyOf(vpn, curTag_));
+            if (s == kNoSlot && params_.tagged())
+                s = index_.find(keyOf(vpn, kGlobalAsid));
+            return s;
         }
         unsigned lo, hi;
         setRange(vpn, lo, hi);
@@ -261,7 +283,7 @@ class Tlb
                 (keys_[s] == key ||
                  (params_.tagged() && keys_[s] == gkey)))
                 return s;
-        return params_.entries;
+        return kNoSlot;
     }
 
     /** Set-associative region bounds for @p vpn. */
@@ -308,7 +330,7 @@ class Tlb
     AlignedVec<std::uint8_t> valid_;
     AlignedVec<std::uint64_t> stamps_; ///< LRU: last touch; FIFO: fill
 
-    FlatMap64<unsigned> index_; ///< FA: key->slot, open-addressed
+    SlotIndex index_; ///< FA: key->slot; empty when set-associative
     Random rng_;
     std::uint64_t stamp_ = 0;
     unsigned numSets_ = 1; ///< set-associative only

@@ -3,8 +3,8 @@
  * Tests for the hot-path data layouts (DESIGN.md "Hot-path data
  * layout"): static size/alignment guarantees of the structures the
  * replay kernels stream over, the FlatMap64 open-addressed table's
- * collision/tombstone/incremental-rehash edge cases, the TLB's flat
- * key->slot index under ASID-tagged churn (including the dual-key
+ * collision/tombstone/incremental-rehash edge cases, the TLB's
+ * key->slot SlotIndex under ASID-tagged churn (including the dual-key
  * invalidate regression Tlb::invalidate documents), and scalar-vs-
  * batched equivalence for all nine organizations at cores=4 with
  * mid-batch context switches and shootdowns.
@@ -48,7 +48,7 @@ static_assert(std::is_trivially_copyable_v<AccessBlock>);
 // once per block and passed by reference.
 static_assert(sizeof(AccessBlock) <= 32);
 
-// The SoA TLB arrays and FlatMap64 slot arrays are probed linearly;
+// The SoA TLB arrays and the flat index arrays are probed linearly;
 // their element types must stay word-sized scalars.
 static_assert(sizeof(Vpn) == 8);
 static_assert(kCacheLineBytes == 64);
@@ -175,7 +175,7 @@ TEST(FlatMap64, ClearDropsEntriesAndTombstones)
     ASSERT_NE(m.find(5), nullptr);
 }
 
-// -------------------------------------------------- TLB flat-index audit
+// --------------------------------------------------- TLB slot-index audit
 
 TlbParams
 taggedFaParams()
@@ -191,10 +191,9 @@ taggedFaParams()
  * Regression for the dual-key invalidate interaction the comment in
  * Tlb::invalidate pins down: a VPN resident both as an ASID-tagged
  * normal entry and as a global protected entry must lose *both* on
- * invalidate(), and the flat index must stay consistent even though
- * the first erase tombstones a slot that may sit on the second key's
- * probe chain. Before the tombstone accounting fix, auditIndex()
- * caught a stale index entry here.
+ * invalidate(), and the index must stay consistent even though the
+ * first erase may shift the second key's cell back along its probe
+ * run.
  */
 TEST(TlbFlatIndex, InvalidateDropsAsidAndGlobalEntryTogether)
 {
@@ -228,7 +227,7 @@ TEST(TlbFlatIndex, ConsistentUnderTaggedChurn)
     // insertProtected, invalidate, invalidateAsid, evictRandom, ASID
     // switches, invalidateAll — auditing the index as we go. A small
     // TLB plus a small VPN universe forces evictions, refreshes and
-    // tombstone reuse in the flat index.
+    // backward-shift erases in the index.
     Tlb tlb(taggedFaParams(), 7);
     Random rng(1234);
     std::string why;
