@@ -15,7 +15,7 @@ cmake -B "$BUILD_DIR" -S . -DVMSIM_SANITIZE=undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
     --target error_test fault_test sweep_resume_test trace_test \
-    sim_config_test check_fuzz vmsim_cli
+    sim_config_test check_fuzz base_test batch_test vmsim_cli
 
 # halt_on_error turns any UB report into a nonzero exit so set -eu
 # fails the script instead of scrolling past a diagnostic.
@@ -30,6 +30,10 @@ export UBSAN_OPTIONS
 # The fuzzer's counter arithmetic and the fault tuples' error paths
 # run under the same integer/enum strictness.
 "$BUILD_DIR"/tests/check_fuzz
+# Both CRC32 paths (the carry-less-multiply kernel's lane loads and the
+# table loop's shifts), and chunk verification of shared recordings.
+"$BUILD_DIR"/tests/base_test
+"$BUILD_DIR"/tests/batch_test
 
 # Smoke test: a fault-injected CLI run must fail cleanly (exit 1 with
 # a structured diagnostic), not trip UBSan or abort.

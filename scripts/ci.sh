@@ -364,6 +364,20 @@ if grep -nE '^[^*/]*\bvirtual\b' src/trace/synthetic/components.hh; then
          "(the generators are a closed variant set)" >&2
     exit 1
 fi
+# One CRC implementation: the carry-less-multiply kernel, its
+# intrinsics headers and the polynomial live in src/base/crc.cc alone,
+# and crc.hh's detail:: paths are for tests. A second CRC elsewhere in
+# src/ still passes every test, as a second source of truth.
+crc_hits=$(grep -rniE \
+        '_mm_clmulepi64_si128|<(immintrin|wmmintrin)\.h>|0xEDB88320|detail::crc32' \
+        src | grep -v '^src/base/crc\.cc:' || true)
+if [ -n "$crc_hits" ]; then
+    printf '%s\n' "$crc_hits" >&2
+    echo "kernel lint: CRC32 kernel, intrinsics or polynomial outside" \
+         "src/base/crc.cc, or a detail::crc32 path called from src/" \
+         "(call crc32())" >&2
+    exit 1
+fi
 
 echo "== perf smoke =="
 # The batched replay path must beat the scalar generate path within

@@ -3,6 +3,10 @@
 #include <array>
 #include <cstdio>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace vmsim
 {
 
@@ -42,14 +46,11 @@ load32le(const unsigned char *p)
            std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
 }
 
-} // anonymous namespace
-
+/** Slicing-by-16 over the inverted register @p c. */
 std::uint32_t
-crc32(const void *data, std::size_t len, std::uint32_t seed)
+tableUpdate(std::uint32_t c, const unsigned char *p, std::size_t len)
 {
     const auto &t = kTables;
-    const unsigned char *p = static_cast<const unsigned char *>(data);
-    std::uint32_t c = seed ^ 0xFFFFFFFFu;
     for (; len >= 16; p += 16, len -= 16) {
         // Written out: -O2 does not unroll the equivalent 16-step loop,
         // and the unrolled form is what lets the lookups overlap.
@@ -68,7 +69,127 @@ crc32(const void *data, std::size_t len, std::uint32_t seed)
     }
     for (; len > 0; ++p, --len)
         c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
-    return c ^ 0xFFFFFFFFu;
+    return c;
+}
+
+#if defined(__x86_64__)
+
+/** Fold @p x forward over @p k's distance and add in @p next. */
+__attribute__((target("pclmul,sse4.1"))) inline __m128i
+fold(__m128i x, __m128i k, __m128i next)
+{
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                       _mm_clmulepi64_si128(x, k, 0x11)),
+                         next);
+}
+
+/**
+ * Carry-less-multiply folding (Gopal et al., "Fast CRC Computation for
+ * Generic Polynomials Using PCLMULQDQ", Intel, 2009) over the inverted
+ * register @p c. @p len must be a multiple of 16 and at least 64.
+ *
+ * Each constant is x^k mod P(x) for the reflected polynomial, shifted
+ * by one bit for the reflected domain: k1/k2 fold a 128-bit lane
+ * forward 512 bits (four lanes), k3/k4 fold it forward 128 bits, k5
+ * folds 64 bits to 32, and mu/P' drive the final Barrett reduction.
+ */
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t
+foldUpdate(std::uint32_t c, const unsigned char *p, std::size_t len)
+{
+    const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+    const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+    const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+    const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+    const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+
+    const auto load = [](const unsigned char *q) {
+        return _mm_loadu_si128(reinterpret_cast<const __m128i *>(q));
+    };
+
+    __m128i x0 = _mm_xor_si128(load(p), _mm_cvtsi32_si128(
+                                            static_cast<int>(c)));
+    __m128i x1 = load(p + 16);
+    __m128i x2 = load(p + 32);
+    __m128i x3 = load(p + 48);
+    for (p += 64, len -= 64; len >= 64; p += 64, len -= 64) {
+        x0 = fold(x0, k1k2, load(p));
+        x1 = fold(x1, k1k2, load(p + 16));
+        x2 = fold(x2, k1k2, load(p + 32));
+        x3 = fold(x3, k1k2, load(p + 48));
+    }
+    x0 = fold(x0, k3k4, x1);
+    x0 = fold(x0, k3k4, x2);
+    x0 = fold(x0, k3k4, x3);
+    for (; len >= 16; p += 16, len -= 16)
+        x0 = fold(x0, k3k4, load(p));
+
+    // 128 -> 64 bits, then 64 -> 32 bits.
+    x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                       _mm_clmulepi64_si128(x0, k3k4, 0x10));
+    x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                       _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k5,
+                                            0x00));
+    // Barrett reduction to the 32-bit remainder.
+    __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), poly, 0x10);
+    t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+    return static_cast<std::uint32_t>(
+        _mm_extract_epi32(_mm_xor_si128(x0, t), 1));
+}
+
+#endif // __x86_64__
+
+} // anonymous namespace
+
+namespace detail
+{
+
+bool
+hasFoldedCrc()
+{
+#if defined(__x86_64__)
+    // Function-local so the probe runs on first use, even when that use
+    // is a static initializer elsewhere.
+    static const bool supported = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("pclmul") &&
+               __builtin_cpu_supports("sse4.1");
+    }();
+    return supported;
+#else
+    return false;
+#endif
+}
+
+std::uint32_t
+crc32Table(const void *data, std::size_t len, std::uint32_t seed)
+{
+    return ~tableUpdate(~seed, static_cast<const unsigned char *>(data),
+                        len);
+}
+
+std::uint32_t
+crc32Folded(const void *data, std::size_t len, std::uint32_t seed)
+{
+    const unsigned char *p = static_cast<const unsigned char *>(data);
+    std::uint32_t c = ~seed;
+#if defined(__x86_64__)
+    if (len >= 64) {
+        const std::size_t body = len & ~std::size_t{15};
+        c = foldUpdate(c, p, body);
+        p += body;
+        len -= body;
+    }
+#endif
+    return ~tableUpdate(c, p, len);
+}
+
+} // namespace detail
+
+std::uint32_t
+crc32(const void *data, std::size_t len, std::uint32_t seed)
+{
+    return detail::hasFoldedCrc() ? detail::crc32Folded(data, len, seed)
+                                  : detail::crc32Table(data, len, seed);
 }
 
 std::uint32_t

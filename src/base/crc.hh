@@ -1,16 +1,22 @@
 /**
  * @file
- * CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the record
+ * CRC32 (IEEE 802.3, the zlib/Ethernet polynomial, reflected) — the record
  * checksum used by every durable artifact that must detect torn or
  * corrupted bytes after a crash: sweep/shard journal lines, VMT2 trace
  * records, and recorded-trace replay framing.
  *
- * The implementation is portable slicing-by-8 (eight 256-entry tables,
- * one 8-byte word per step, byte-assembled loads so results do not
- * depend on host endianness); it produces exactly the classic bytewise
- * values. Incremental use chains through the `seed` parameter (pass
- * the previous call's return value). crc32Hex() renders the canonical
- * 8-hex-digit form the JSONL journals embed.
+ * Two implementations return the same values. On x86-64 hosts whose
+ * CPU has PCLMULQDQ and SSE4.1, a carry-less-multiply folding kernel
+ * (four 128-bit accumulators, 64 bytes per step, Barrett reduction to
+ * 32 bits) takes the 16-byte-multiple prefix of every input of 64
+ * bytes or more, and slicing-by-16 finishes the tail. Everywhere else,
+ * and for every shorter input, portable slicing-by-16 (sixteen 256-entry
+ * tables, byte-assembled loads, so results do not depend on host
+ * endianness) does all the work. The platform picks the path once, at
+ * the first call; nothing else selects it. Incremental use chains
+ * through the `seed` parameter (pass the previous call's return value).
+ * crc32Hex() renders the canonical 8-hex-digit form the JSONL journals
+ * embed.
  */
 
 #ifndef VMSIM_BASE_CRC_HH
@@ -26,6 +32,29 @@ namespace vmsim
 /** CRC32 of @p len bytes at @p data, chained from @p seed (0 = fresh). */
 std::uint32_t crc32(const void *data, std::size_t len,
                     std::uint32_t seed = 0);
+
+namespace detail
+{
+
+// For tests only: each path on its own, so both are pinned on every
+// host. crc32() is crc32Folded() when hasFoldedCrc(), else crc32Table().
+
+/** Slicing-by-16 alone. */
+std::uint32_t crc32Table(const void *data, std::size_t len,
+                         std::uint32_t seed = 0);
+
+/**
+ * Folding kernel for the 16-byte-multiple prefix of inputs of 64 bytes
+ * or more, slicing-by-16 for the rest. Call only when hasFoldedCrc();
+ * on non-x86 builds it is the table path.
+ */
+std::uint32_t crc32Folded(const void *data, std::size_t len,
+                          std::uint32_t seed = 0);
+
+/** True when this host runs the folding kernel. */
+bool hasFoldedCrc();
+
+} // namespace detail
 
 /** Convenience overload for string payloads (journal lines). */
 std::uint32_t crc32(const std::string &s);

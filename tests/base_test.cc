@@ -1153,47 +1153,99 @@ randomBytes(std::size_t n, std::uint32_t seed)
     return out;
 }
 
+/** One CRC32 implementation, named for failure messages. */
+struct CrcPath
+{
+    const char *name;
+    std::uint32_t (*fn)(const void *, std::size_t, std::uint32_t);
+};
+
+/** Every path this host runs: the table always, the folding kernel if
+ *  the CPU has it. */
+std::vector<CrcPath>
+crcPaths()
+{
+    std::vector<CrcPath> paths{{"table", detail::crc32Table}};
+    if (detail::hasFoldedCrc())
+        paths.push_back({"folded", detail::crc32Folded});
+    return paths;
+}
+
 TEST(Crc32, CheckValue)
 {
     EXPECT_EQ(crc32(std::string("123456789")), 0xCBF43926u);
     EXPECT_EQ(crc32(nullptr, 0), 0u);
+    for (const CrcPath &path : crcPaths()) {
+        EXPECT_EQ(path.fn("123456789", 9, 0), 0xCBF43926u) << path.name;
+        EXPECT_EQ(path.fn(nullptr, 0, 0), 0u) << path.name;
+    }
 }
 
 TEST(Crc32, EveryShortLengthAndAlignmentMatchesBitwise)
 {
-    // Covers the word loop, the byte tail, and every start offset
-    // relative to the word size.
-    const std::vector<unsigned char> buf = randomBytes(64 + 8, 1);
-    for (std::size_t off = 0; off < 8; ++off)
-        for (std::size_t len = 0; len <= 64; ++len)
-            ASSERT_EQ(crc32(buf.data() + off, len),
-                      crc32Bitwise(buf.data() + off, len))
-                << "offset " << off << " length " << len;
+    // Lengths to 1 KiB at every offset within a 16-byte lane: the
+    // folding kernel's 64-byte minimum, its 64-byte and 16-byte folds,
+    // the table path's 16-byte loop, and every tail after either.
+    const std::vector<unsigned char> buf = randomBytes(1024 + 16, 1);
+    const std::vector<CrcPath> paths = crcPaths();
+    for (std::size_t off = 0; off < 16; ++off)
+        for (std::size_t len = 0; len <= 1024; ++len) {
+            const std::uint32_t want = crc32Bitwise(buf.data() + off, len);
+            for (const CrcPath &path : paths)
+                ASSERT_EQ(path.fn(buf.data() + off, len, 0), want)
+                    << path.name << " offset " << off << " length " << len;
+        }
 }
 
 TEST(Crc32, RandomBuffersUpTo64KiBMatchBitwise)
 {
     std::mt19937 rng(7);
+    const std::vector<CrcPath> paths = crcPaths();
     for (int i = 0; i < 24; ++i) {
         const std::size_t len = rng() % (64 * 1024 + 1);
         const std::vector<unsigned char> buf = randomBytes(len, rng());
-        ASSERT_EQ(crc32(buf.data(), len), crc32Bitwise(buf.data(), len))
+        const std::uint32_t want = crc32Bitwise(buf.data(), len);
+        for (const CrcPath &path : paths)
+            ASSERT_EQ(path.fn(buf.data(), len, 0), want)
+                << path.name << " length " << len;
+        ASSERT_EQ(crc32(buf.data(), len),
+                  detail::crc32Table(buf.data(), len))
             << "length " << len;
     }
 }
 
 TEST(Crc32, SeedChainingEqualsOneCrcOverConcatenation)
 {
-    const std::vector<unsigned char> buf = randomBytes(5000, 3);
-    const std::uint32_t whole = crc32(buf.data(), buf.size());
-    for (std::size_t cut : {0u, 1u, 7u, 16u, 17u, 2500u, 4999u, 5000u}) {
-        const std::uint32_t head = crc32(buf.data(), cut);
-        EXPECT_EQ(crc32(buf.data() + cut, buf.size() - cut, head), whole)
-            << "cut " << cut;
-    }
+    // Cuts on both sides of the folding kernel's 64-byte minimum and of
+    // its 16-byte single folds, and at one replay chunk (4096 records,
+    // 49,152 bytes).
+    const std::vector<unsigned char> buf = randomBytes(49152 + 5000, 3);
+    const std::uint32_t whole = crc32Bitwise(buf.data(), buf.size());
+    for (const CrcPath &path : crcPaths())
+        for (std::size_t cut : {0u, 1u, 7u, 16u, 17u, 63u, 64u, 65u, 79u,
+                                80u, 127u, 128u, 2500u, 4999u, 5000u,
+                                49152u, 54152u}) {
+            const std::uint32_t head = path.fn(buf.data(), cut, 0);
+            EXPECT_EQ(path.fn(buf.data() + cut, buf.size() - cut, head),
+                      whole)
+                << path.name << " cut " << cut;
+        }
     EXPECT_EQ(crc32Bitwise(buf.data() + 100, 900,
                            crc32Bitwise(buf.data(), 100)),
               crc32(buf.data(), 1000));
+
+    // One 4 MiB buffer: many 64-byte folds, whole and chained.
+    const std::vector<unsigned char> big = randomBytes(4 << 20, 11);
+    const std::uint32_t bigWhole = crc32Bitwise(big.data(), big.size());
+    EXPECT_EQ(crc32(big.data(), big.size()), bigWhole);
+    for (const CrcPath &path : crcPaths()) {
+        EXPECT_EQ(path.fn(big.data(), big.size(), 0), bigWhole) << path.name;
+        const std::size_t cut = (2 << 20) + 5;
+        EXPECT_EQ(path.fn(big.data() + cut, big.size() - cut,
+                          path.fn(big.data(), cut, 0)),
+                  bigWhole)
+            << path.name;
+    }
 }
 
 } // anonymous namespace

@@ -299,11 +299,11 @@ TEST(RecordedTrace, LendBatchMatchesNextBatchZeroCopy)
  * first, a middle, and the last (short) chunk are all exercised.
  */
 std::shared_ptr<const RecordedTrace>
-chunkedRecording()
+chunkedRecording(std::size_t tail = 100)
 {
     auto src = makeWorkload("vortex", 9);
     return std::make_shared<const RecordedTrace>(RecordedTrace::record(
-        *src, 3 * RecordedTrace::kCrcChunkRecords + 100, src->name()));
+        *src, 3 * RecordedTrace::kCrcChunkRecords + tail, src->name()));
 }
 
 /** A writable view of @p rec's record buffer: the stray write under test. */
@@ -324,17 +324,23 @@ TEST(RecordedTrace, VerifyIntegrityPassesUntouched)
 TEST(RecordedTrace, VerifyIntegrityNamesTheCorruptedChunk)
 {
     const std::size_t chunk = RecordedTrace::kCrcChunkRecords;
-    const std::size_t total = 3 * chunk + 100;
-    // (record to damage, expected range) for the first, a middle and
-    // the last partial chunk.
+    const std::size_t base = 3 * chunk;
+    static_assert(sizeof(TraceRecord) == 12);
+    // (partial-chunk records, record to damage, expected range) for the
+    // first, a middle and the last partial chunk. A 101-record tail is
+    // 1,212 bytes: CRC32 folds the first 1,200 and finishes the last
+    // record through the table path, so damage on both sides of that
+    // split is covered.
     const struct
     {
-        std::size_t record, lo, hi;
-    } cases[] = {{0, 0, chunk},
-                 {chunk + 1234, chunk, 2 * chunk},
-                 {total - 1, 3 * chunk, total}};
+        std::size_t tail, record, lo, hi;
+    } cases[] = {{100, 0, 0, chunk},
+                 {100, chunk + 1234, chunk, 2 * chunk},
+                 {100, base + 99, base, base + 100},
+                 {101, chunk + 1234, chunk, 2 * chunk},
+                 {101, base + 100, base, base + 101}};
     for (const auto &c : cases) {
-        auto rec = chunkedRecording();
+        auto rec = chunkedRecording(c.tail);
         // Flip one bit of the PC: the op stays valid, so only the chunk
         // checksum can notice.
         auto *bytes = reinterpret_cast<unsigned char *>(
