@@ -14,13 +14,16 @@ BUILD_DIR=${1:-build-asan}
 cmake -B "$BUILD_DIR" -S . -DVMSIM_SANITIZE=address \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
-    --target base_test obs_test simulator_test error_test fault_test \
-    sweep_resume_test shard_test batch_test check_test check_fuzz \
-    multicore_test pressure_test vmsim_cli
+    --target base_test obs_test simulator_test trace_test error_test \
+    fault_test sweep_resume_test shard_test batch_test check_test \
+    check_fuzz multicore_test pressure_test vmsim_cli
 
 "$BUILD_DIR"/tests/base_test
 "$BUILD_DIR"/tests/obs_test
 "$BUILD_DIR"/tests/simulator_test
+# Lent chunk pointers of the prefetch ring must stay inside the mapped
+# ring, and a stopped producer must not outlive it.
+"$BUILD_DIR"/tests/trace_test
 "$BUILD_DIR"/tests/error_test
 "$BUILD_DIR"/tests/fault_test
 "$BUILD_DIR"/tests/sweep_resume_test

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Build the simulator with ThreadSanitizer and run the concurrency-
-# sensitive test suites (thread pool, sweep engine) plus a small
-# parallel bench sweep. Catches data races in the SweepRunner /
-# ThreadPool / Logger stack that plain unit tests can miss.
+# sensitive test suites (thread pool, sweep engine, trace prefetcher)
+# plus a small parallel bench sweep. Catches data races in the
+# SweepRunner / ThreadPool / Logger / PrefetchedTrace stack that plain
+# unit tests can miss.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -eu
@@ -15,7 +16,7 @@ cmake -B "$BUILD_DIR" -S . -DVMSIM_SANITIZE=thread \
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
     --target thread_pool_test sweep_test fault_test sweep_resume_test \
     batch_test check_fuzz multicore_test obs_test pressure_test \
-    bench_mcpi_sweep
+    trace_test simulator_test bench_mcpi_sweep
 
 "$BUILD_DIR"/tests/thread_pool_test
 "$BUILD_DIR"/tests/sweep_test
@@ -23,6 +24,12 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 # atomics, and the journal mutex — the racy-by-construction paths.
 "$BUILD_DIR"/tests/fault_test
 "$BUILD_DIR"/tests/sweep_resume_test
+# PrefetchedTrace hands chunks between its producer thread and the
+# consumer through release/acquire counters and atomic waits; trace_test
+# drives the ring through every access path, errors and shutdown, and
+# simulator_test runs prefetched cells against bare ones.
+"$BUILD_DIR"/tests/trace_test
+"$BUILD_DIR"/tests/simulator_test
 # batch_test hammers the TraceCache from concurrent sweep workers
 # (promise/shared_future publication, budget accounting under the
 # mutex) — the shared-recording paths TSan exists to check.

@@ -364,6 +364,26 @@ if grep -nE '^[^*/]*\bvirtual\b' src/trace/synthetic/components.hh; then
          "(the generators are a closed variant set)" >&2
     exit 1
 fi
+# Threads stop at the trace decorator (src/trace/prefetch.*): the
+# synthetic generators stay single-threaded state machines that a
+# PrefetchedTrace owns, and the per-record kernels stay free of
+# synchronisation. A lock or an atomic in either still passes every
+# identity test, just as a cost on every record.
+sync_re='std::(thread|jthread|atomic|mutex)'
+if grep -rnE "$sync_re" src/trace/synthetic; then
+    echo "kernel lint: std::thread, std::atomic or std::mutex in" \
+         "src/trace/synthetic/ (generators are single-threaded; the" \
+         "PrefetchedTrace decorator owns the thread)" >&2
+    exit 1
+fi
+for hot_hdr in $(grep -rl "LINT-KERNEL-BEGIN" src); do
+    if awk '/LINT-KERNEL-BEGIN/,/LINT-KERNEL-END/' "$hot_hdr" |
+            grep -nE "$sync_re"; then
+        echo "kernel lint: std::thread, std::atomic or std::mutex inside" \
+             "a LINT-KERNEL region of $hot_hdr" >&2
+        exit 1
+    fi
+done
 # One CRC implementation: the carry-less-multiply kernel, its
 # intrinsics headers and the polynomial live in src/base/crc.cc alone,
 # and crc.hh's detail:: paths are for tests. A second CRC elsewhere in

@@ -1,8 +1,10 @@
 #include "core/simulator.hh"
 
 #include <algorithm>
+#include <thread>
 
 #include "core/factory.hh"
+#include "trace/prefetch.hh"
 #include "trace/recorded.hh"
 #include "trace/synthetic/workloads.hh"
 
@@ -300,11 +302,48 @@ runOnce(const SimConfig &config, const std::string &workload,
     return runOnce(config, workload, instrs, warmup_instrs, RunHooks{});
 }
 
+namespace
+{
+
+std::atomic<unsigned> liveRuns{0};
+
+/** Counts one runOnce() call in flight for its lifetime. */
+struct InFlight
+{
+    InFlight() { liveRuns.fetch_add(1, std::memory_order_relaxed); }
+    ~InFlight() { liveRuns.fetch_sub(1, std::memory_order_relaxed); }
+    InFlight(const InFlight &) = delete;
+    InFlight &operator=(const InFlight &) = delete;
+};
+
+} // anonymous namespace
+
+unsigned
+runsInFlight()
+{
+    return liveRuns.load(std::memory_order_relaxed);
+}
+
+std::unique_ptr<TraceSource>
+liveGenerator(std::unique_ptr<TraceSource> gen, const SimConfig &config,
+              Counter records)
+{
+    // Multicore runs record their trace before simulating, so there is
+    // nothing to overlap.
+    if (config.cores > 1 ||
+        !prefetchAffordable(runsInFlight(),
+                            std::thread::hardware_concurrency()))
+        return gen;
+    return std::make_unique<PrefetchedTrace>(std::move(gen), records);
+}
+
 Results
 runOnce(const SimConfig &config, const std::string &workload,
         Counter instrs, std::optional<Counter> warmup_instrs,
         const RunHooks &hooks)
 {
+    const InFlight counted;
+    const Counter warmup = warmup_instrs.value_or(defaultWarmup(instrs));
     // The trace cache substitutes a replay cursor here; otherwise
     // generate the named workload. Either way, capture the display
     // name before any wrapping: wrappers are plain TraceSources with
@@ -318,7 +357,7 @@ runOnce(const SimConfig &config, const std::string &workload,
     } else {
         auto trace = makeWorkload(workload, config.seed);
         name = trace->name();
-        source = std::move(trace);
+        source = liveGenerator(std::move(trace), config, warmup + instrs);
     }
     if (hooks.wrapTrace)
         source = hooks.wrapTrace(std::move(source));
@@ -329,8 +368,7 @@ runOnce(const SimConfig &config, const std::string &workload,
     system.attachProgress(hooks.progress);
     system.attachLatency(hooks.latency);
     system.setBatchSize(hooks.batch);
-    Results r = system.run(*source, instrs, name,
-                           warmup_instrs.value_or(defaultWarmup(instrs)));
+    Results r = system.run(*source, instrs, name, warmup);
     if (hooks.audit)
         hooks.audit(r);
     return r;

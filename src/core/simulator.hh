@@ -374,6 +374,20 @@ Results runOnce(const SimConfig &config, const std::string &workload,
                 Counter instrs, std::optional<Counter> warmup_instrs,
                 const RunHooks &hooks);
 
+/** runOnce() calls in flight across the process, on any thread. */
+unsigned runsInFlight();
+
+/**
+ * The live source for a run of @p config over @p records records of
+ * the generator @p gen: on one core, while prefetchAffordable() holds
+ * for runsInFlight() and the host's hardware threads, @p gen behind a
+ * PrefetchedTrace that generates ahead on its own thread; otherwise
+ * @p gen itself. Either way the run sees the same records.
+ */
+std::unique_ptr<TraceSource>
+liveGenerator(std::unique_ptr<TraceSource> gen, const SimConfig &config,
+              Counter records);
+
 } // namespace vmsim
 
 #endif // VMSIM_CORE_SIMULATOR_HH

@@ -669,7 +669,9 @@ CellRunner::run(std::size_t flat, const Hooks &extra) const
                     auto gen =
                         makeWorkload(cell.workload, cell.config.seed);
                     std::string name = gen->name();
-                    return {std::move(gen), std::move(name)};
+                    return {liveGenerator(std::move(gen), cell.config,
+                                          executed),
+                            std::move(name)};
                 };
             }
 

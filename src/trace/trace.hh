@@ -85,8 +85,8 @@ class TraceSource
      * Zero-copy variant of nextBatch() for sources that own contiguous
      * record storage: lend the caller a pointer to up to @p n records
      * and advance past them, setting @p got to the count (0 at
-     * exhaustion). The pointer stays valid until the source is
-     * destroyed or rewound.
+     * exhaustion). The pointer stays valid until the next call on the
+     * source; a ReplayCursor's, until it is destroyed or rewound.
      *
      * Returns nullptr when the source cannot lend (the default) — the
      * caller must then fall back to nextBatch() into its own buffer.

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "base/logging.hh"
+#include "base/thread_pool.hh"
 #include "core/simulator.hh"
 #include "core/sweep.hh"
 #include "obs/event.hh"
@@ -611,16 +612,26 @@ TEST(SweepTraceCache, CsvByteIdenticalCacheOnVsOff)
         .instructions(15000)
         .warmup(3000);
 
-    std::ostringstream cached, uncached, scalar;
+    std::ostringstream cached, uncached, uncachedWide, scalar;
     {
         SweepRunner runner(2);
         runner.traceCache(64); // cache on, parallel, batched
         runner.run(spec).writeCsv(cached);
     }
     {
+        // Cache off: every cell regenerates. One worker leaves a
+        // hardware thread free, so (on a host with two or more) each
+        // cell's generator runs ahead on its own thread...
         SweepRunner runner(1);
-        runner.traceCache(0); // cache off: every cell regenerates
+        runner.traceCache(0);
         runner.run(spec).writeCsv(uncached);
+    }
+    {
+        // ...while a worker per hardware thread leaves none free, so
+        // cells generate in line once the sweep is under way.
+        SweepRunner runner(ThreadPool::defaultThreads());
+        runner.traceCache(0);
+        runner.run(spec).writeCsv(uncachedWide);
     }
     {
         SweepRunner runner(1);
@@ -629,8 +640,41 @@ TEST(SweepTraceCache, CsvByteIdenticalCacheOnVsOff)
         runner.run(spec).writeCsv(scalar);
     }
     EXPECT_EQ(cached.str(), uncached.str());
+    EXPECT_EQ(cached.str(), uncachedWide.str());
     EXPECT_EQ(cached.str(), scalar.str());
     EXPECT_FALSE(cached.str().empty());
+}
+
+TEST(SweepTraceCache, OverBudgetCellsMatchReplayedCells)
+{
+    // A cache too small for any recording sends every cell down the
+    // fallback path, which generates the trace live (prefetched when a
+    // hardware thread is free): same Results as replaying it.
+    SweepSpec spec;
+    SimConfig base = batchTestConfig(SystemKind::Ultrix);
+    spec.base(base)
+        .systems({SystemKind::Ultrix, SystemKind::Intel, SystemKind::Spur})
+        .workloads({"gcc", "vortex"})
+        .instructions(12000)
+        .warmup(3000);
+    TraceCache roomy(64u << 20);
+    TraceCache full(0);
+    const ObsOptions obs;   // CellRunner keeps references to these
+    const FaultSpec faults; // two, so they outlive both runners
+    CellRunner replaying(spec, obs, RetryPolicy{}, faults, 0, true, false,
+                         &roomy);
+    CellRunner generating(spec, obs, RetryPolicy{}, faults, 0, true, false,
+                          &full);
+    for (std::size_t i = 0; i < spec.numCells(); ++i) {
+        CellExecution a = replaying.run(i);
+        CellExecution b = generating.run(i);
+        ASSERT_TRUE(a.outcome.ok) << a.outcome.error.toString();
+        ASSERT_TRUE(b.outcome.ok) << b.outcome.error.toString();
+        EXPECT_EQ(a.results.serialize().dump(),
+                  b.results.serialize().dump());
+    }
+    EXPECT_EQ(full.stats().fallbacks, spec.numCells());
+    EXPECT_EQ(roomy.stats().fallbacks, 0u);
 }
 
 TEST(SweepTraceCache, ComposesWithFaultInjection)

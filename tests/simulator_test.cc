@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the driver layer: Simulator semantics (accumulation,
- * trace-end, warmup), the System wrapper, the sweep grids, and the
+ * trace-end, warmup), the System wrapper, prefetched generated runs,
+ * the sweep grids, and the
  * VmSystem base-class helpers (handler fetch mechanics, handler
  * layout constants).
  */
@@ -9,6 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "base/intmath.hh"
@@ -18,6 +23,7 @@
 #include "os/base_vm.hh"
 #include "os/mach_vm.hh"
 #include "os/ultrix_vm.hh"
+#include "trace/prefetch.hh"
 #include "trace/synthetic/workloads.hh"
 
 namespace vmsim
@@ -172,6 +178,136 @@ TEST(System, SweepCellMatchesRunOnce)
     Results a = sweepCell(cfg(SystemKind::Intel), "gcc", 20000);
     Results b = runOnce(cfg(SystemKind::Intel), "gcc", 20000);
     EXPECT_DOUBLE_EQ(a.totalCpi(), b.totalCpi());
+}
+
+// ------------------------------------------------------- prefetched runs
+
+constexpr SystemKind kAllKinds[] = {
+    SystemKind::Ultrix,     SystemKind::Mach,   SystemKind::Intel,
+    SystemKind::Parisc,     SystemKind::Notlb,  SystemKind::Base,
+    SystemKind::HwInverted, SystemKind::HwMips, SystemKind::Spur,
+};
+
+/** Results::serialize() of a run and of every sampled interval. */
+std::string
+serialized(const Results &r, const IntervalSampler &sampler)
+{
+    std::string s = r.serialize().dump();
+    for (const IntervalRecord &iv : sampler.intervals())
+        s += "|" + iv.results.serialize().dump();
+    return s;
+}
+
+std::string
+systemRun(const SimConfig &c, TraceSource &src, std::size_t batch,
+          Counter instrs, Counter warmup)
+{
+    System sys(c);
+    IntervalSampler sampler(3000);
+    sys.attachSampler(&sampler);
+    sys.setBatchSize(batch);
+    return serialized(sys.run(src, instrs, "gcc-like", warmup), sampler);
+}
+
+TEST(PrefetchedRun, MatchesTheBareGeneratorOnEveryOrganization)
+{
+    const Counter instrs = 20000;
+    const Counter warmup = 5000;
+    for (SystemKind kind : kAllKinds) {
+        for (std::size_t batch : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{0}}) {
+            SCOPED_TRACE(std::string(kindName(kind)) + " batch " +
+                         std::to_string(batch));
+            SimConfig c = cfg(kind);
+            c.seed = 12345;
+            c.ctxSwitchInterval = 2500;
+            auto gen = makeWorkload("gcc", c.seed);
+            const std::string bare =
+                systemRun(c, *gen, batch, instrs, warmup);
+
+            // runOnce prefetches when the host has a thread to spare.
+            IntervalSampler sampler(3000);
+            RunHooks hooks;
+            hooks.sampler = &sampler;
+            hooks.batch = batch;
+            EXPECT_EQ(serialized(runOnce(c, "gcc", instrs, warmup, hooks),
+                                 sampler),
+                      bare);
+
+            // The decorator itself, whatever the host's thread count.
+            PrefetchedTrace pre(makeWorkload("gcc", c.seed),
+                                warmup + instrs);
+            EXPECT_EQ(systemRun(c, pre, batch, instrs, warmup), bare);
+        }
+    }
+}
+
+TEST(PrefetchedRun, LiveGeneratorPrefetchesOnlyAffordableSingleCoreRuns)
+{
+    SimConfig c = cfg(SystemKind::Ultrix);
+    const bool affordable = prefetchAffordable(
+        runsInFlight(), std::thread::hardware_concurrency());
+    auto gen = makeWorkload("gcc", 1);
+    TraceSource *raw = gen.get();
+    auto live = liveGenerator(std::move(gen), c, 1000);
+    EXPECT_EQ(live.get() == raw, !affordable);
+    EXPECT_EQ(dynamic_cast<PrefetchedTrace *>(live.get()) != nullptr,
+              affordable);
+
+    // Multicore runs record their trace first: never prefetched.
+    c.cores = 4;
+    gen = makeWorkload("gcc", 1);
+    raw = gen.get();
+    EXPECT_EQ(liveGenerator(std::move(gen), c, 1000).get(), raw);
+}
+
+TEST(PrefetchedRun, RunsInFlightCountsRunOnceCalls)
+{
+    EXPECT_EQ(runsInFlight(), 0u);
+    unsigned seen = 0;
+    RunHooks hooks;
+    hooks.makeTrace = [&seen] {
+        seen = runsInFlight();
+        auto gen = makeWorkload("ijpeg", 1);
+        std::string name = gen->name();
+        return NamedTraceSource{std::move(gen), std::move(name)};
+    };
+    runOnce(cfg(), "ijpeg", 4000, 1000, hooks);
+    EXPECT_EQ(seen, 1u);
+    EXPECT_EQ(runsInFlight(), 0u);
+
+    hooks.makeTrace = nullptr;
+    hooks.audit = [](const Results &) {
+        throw std::runtime_error("audit failed");
+    };
+    EXPECT_THROW(runOnce(cfg(), "ijpeg", 4000, 1000, hooks),
+                 std::runtime_error);
+    EXPECT_EQ(runsInFlight(), 0u);
+}
+
+TEST(PrefetchedRun, FailedRunsStopTheProducer)
+{
+    // Each run fails with the prefetched source mid-stream: before the
+    // first record (System construction), at the first cancel poll,
+    // and after the run (a throwing audit). Each must return, with no
+    // producer left behind.
+    const Counter instrs = 2'000'000;
+    SimConfig bad = cfg();
+    bad.l1 = CacheParams{3000, 32};
+    EXPECT_THROW(runOnce(bad, "gcc", instrs), VmsimError);
+
+    std::atomic<bool> cancel{true};
+    RunHooks hooks;
+    hooks.cancel = &cancel;
+    EXPECT_THROW(runOnce(cfg(), "gcc", instrs, 0, hooks), VmsimError);
+
+    hooks.cancel = nullptr;
+    hooks.audit = [](const Results &) {
+        throw std::runtime_error("audit failed");
+    };
+    EXPECT_THROW(runOnce(cfg(), "gcc", 20000, 0, hooks),
+                 std::runtime_error);
+    EXPECT_EQ(runsInFlight(), 0u);
 }
 
 // ------------------------------------------------------------ sweep grids

@@ -1,19 +1,28 @@
 /**
  * @file
- * Tests for the trace record types and the VMT1 binary file format:
- * round-tripping, header validation, truncation detection, rewind.
+ * Tests for the trace record types, the VMT1 binary file format
+ * (round-tripping, header validation, truncation detection, rewind)
+ * and the PrefetchedTrace decorator (stream identity, errors,
+ * shutdown).
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <climits>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/error.hh"
 #include "base/logging.hh"
+#include "trace/prefetch.hh"
+#include "trace/synthetic/workloads.hh"
 #include "trace/trace.hh"
 #include "trace/trace_file.hh"
 
@@ -450,6 +459,229 @@ TEST(TraceFile, WriterDestructorSilentOnCleanClose)
         w.write(TraceRecord{4, 0, MemOp::None});
     }
     EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+}
+
+// ------------------------------------------------------ PrefetchedTrace
+
+constexpr std::size_t kChunk = PrefetchedTrace::kChunkRecords;
+
+/**
+ * Forwards a source, counting the records pulled from it into
+ * @p pulled, and throws instead of pulling past record @p fail_at.
+ */
+class CountingSource : public TraceSource
+{
+  public:
+    CountingSource(std::unique_ptr<TraceSource> inner,
+                   std::atomic<Counter> &pulled,
+                   Counter fail_at = ~Counter{0})
+        : inner_(std::move(inner)), pulled_(pulled), failAt_(fail_at)
+    {}
+
+    bool next(TraceRecord &rec) override { return nextBatch(&rec, 1) == 1; }
+
+    std::size_t
+    nextBatch(TraceRecord *out, std::size_t n) override
+    {
+        const Counter before = pulled_.load(std::memory_order_relaxed);
+        if (before + n > failAt_)
+            throw std::runtime_error("inner source failed");
+        n = inner_->nextBatch(out, n);
+        pulled_.store(before + n, std::memory_order_relaxed);
+        return n;
+    }
+
+  private:
+    std::unique_ptr<TraceSource> inner_;
+    std::atomic<Counter> &pulled_;
+    Counter failAt_;
+};
+
+std::vector<TraceRecord>
+bareRecords(const std::string &workload, std::uint64_t seed, std::size_t n)
+{
+    std::vector<TraceRecord> v(n);
+    makeWorkload(workload, seed)->nextBatch(v.data(), n);
+    return v;
+}
+
+/**
+ * Drain @p src until it reports the end, cycling through the request
+ * sizes and, call by call, through next(), nextBatch() and lendBatch().
+ */
+std::vector<TraceRecord>
+drainMixed(TraceSource &src, const std::vector<std::size_t> &sizes)
+{
+    std::vector<TraceRecord> out;
+    std::vector<TraceRecord> buf;
+    for (std::size_t call = 0;; ++call) {
+        const std::size_t n = sizes[call % sizes.size()];
+        std::size_t got = 0;
+        switch (call % 3) {
+        case 0:
+            for (TraceRecord rec; got < n && src.next(rec); ++got)
+                out.push_back(rec);
+            break;
+        case 1:
+            buf.resize(n);
+            got = src.nextBatch(buf.data(), n);
+            out.insert(out.end(), buf.begin(), buf.begin() + got);
+            break;
+        default: {
+            const TraceRecord *p = src.lendBatch(n, got);
+            EXPECT_NE(p, nullptr);
+            EXPECT_LE(got, n);
+            if (p)
+                out.insert(out.end(), p, p + got);
+        }
+        }
+        if (got == 0)
+            return out;
+    }
+}
+
+TEST(PrefetchedTrace, YieldsTheBareGeneratorsRecords)
+{
+    const std::vector<std::size_t> sizes = {1, 7, 1024, 4096, 5000};
+    const std::size_t total = 6 * kChunk + 17 + 4096 + 5000;
+    for (const char *workload : {"gcc", "vortex", "ijpeg"}) {
+        for (std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{12345}}) {
+            SCOPED_TRACE(std::string(workload) + " seed " +
+                         std::to_string(seed));
+            std::atomic<Counter> pulled{0};
+            PrefetchedTrace src(std::make_unique<CountingSource>(
+                                    makeWorkload(workload, seed), pulled),
+                                total);
+            EXPECT_EQ(drainMixed(src, sizes),
+                      bareRecords(workload, seed, total));
+            // The generator did exactly the work a direct consumer
+            // would have asked of it.
+            EXPECT_EQ(pulled.load(), total);
+        }
+    }
+}
+
+TEST(PrefetchedTrace, EndsAtItsRecordCount)
+{
+    for (std::size_t total : {std::size_t{0}, std::size_t{17},
+                              kChunk, 3 * kChunk + 17}) {
+        for (std::size_t req : {std::size_t{1}, std::size_t{7}, kChunk,
+                                std::size_t{4096}, std::size_t{5000}}) {
+            SCOPED_TRACE("total " + std::to_string(total) + " request " +
+                         std::to_string(req));
+            std::atomic<Counter> pulled{0};
+            PrefetchedTrace src(std::make_unique<CountingSource>(
+                                    makeWorkload("gcc", 1), pulled),
+                                total);
+            EXPECT_EQ(drainMixed(src, {req}), bareRecords("gcc", 1, total));
+            EXPECT_EQ(pulled.load(), total);
+            // The end is sticky on every access path.
+            TraceRecord rec;
+            std::size_t got = 1;
+            EXPECT_FALSE(src.next(rec));
+            EXPECT_EQ(src.nextBatch(&rec, 1), 0u);
+            EXPECT_NE(src.lendBatch(req, got), nullptr);
+            EXPECT_EQ(got, 0u);
+        }
+    }
+}
+
+TEST(PrefetchedTrace, EndsWhereAShortInnerSourceEnds)
+{
+    // A finite inner source: the records of a 100-record trace file.
+    std::vector<TraceRecord> recs = bareRecords("vortex", 7, 100);
+    TempFile tf;
+    {
+        TraceFileWriter w(tf.path());
+        for (const TraceRecord &r : recs)
+            w.write(r);
+    }
+    PrefetchedTrace src(std::make_unique<TraceFileReader>(tf.path()),
+                        10 * kChunk);
+    EXPECT_EQ(drainMixed(src, {7, 4096}), recs);
+}
+
+TEST(PrefetchedTrace, InnerExceptionReachesTheConsumer)
+{
+    // Fail inside the third chunk, and on the very first pull.
+    for (Counter failAt : {Counter{2 * kChunk + 5}, Counter{0}}) {
+        SCOPED_TRACE("fail at " + std::to_string(failAt));
+        std::atomic<Counter> pulled{0};
+        PrefetchedTrace src(std::make_unique<CountingSource>(
+                                makeWorkload("ijpeg", 12345), pulled,
+                                failAt),
+                            10 * kChunk);
+        // Every record of the chunks completed before the failure
+        // arrives, then the inner source's own exception.
+        const std::size_t good = failAt / kChunk * kChunk;
+        std::vector<TraceRecord> out(good);
+        EXPECT_EQ(src.nextBatch(out.data(), good), good);
+        EXPECT_EQ(out, bareRecords("ijpeg", 12345, good));
+        TraceRecord rec;
+        EXPECT_THROW(src.next(rec), std::runtime_error);
+        std::size_t got = 0;
+        EXPECT_THROW(src.lendBatch(4096, got), std::runtime_error);
+        EXPECT_THROW(src.nextBatch(&rec, 1), std::runtime_error);
+    }
+}
+
+/** Wall time of destroying @p src, in seconds. */
+double
+destroySeconds(std::unique_ptr<PrefetchedTrace> src)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    src.reset();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
+
+TEST(PrefetchedTrace, DestructionRightAfterConstructionIsPrompt)
+{
+    for (int i = 0; i < 20; ++i) {
+        auto src = std::make_unique<PrefetchedTrace>(makeWorkload("gcc", 1),
+                                                     Counter{1} << 40);
+        EXPECT_LT(destroySeconds(std::move(src)), 1.0);
+    }
+}
+
+TEST(PrefetchedTrace, DestructionWithAFullRingIsPrompt)
+{
+    std::atomic<Counter> pulled{0};
+    auto src = std::make_unique<PrefetchedTrace>(
+        std::make_unique<CountingSource>(makeWorkload("vortex", 1), pulled),
+        Counter{1} << 40);
+    // Hold one lent chunk; the producer fills the rest and blocks.
+    std::size_t got = 0;
+    ASSERT_NE(src->lendBatch(10, got), nullptr);
+    ASSERT_EQ(got, 10u);
+    const Counter full = PrefetchedTrace::kChunks * kChunk;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (pulled.load() < full &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(pulled.load(), full);
+    // The producer stays blocked: it never runs more than the ring
+    // ahead of the consumer.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(pulled.load(), full);
+    EXPECT_LT(destroySeconds(std::move(src)), 1.0);
+}
+
+TEST(PrefetchedTrace, AffordableWhileEveryRunCanHaveTwoThreads)
+{
+    EXPECT_FALSE(prefetchAffordable(1, 0)); // unknown thread count
+    EXPECT_FALSE(prefetchAffordable(0, 0));
+    EXPECT_FALSE(prefetchAffordable(1, 1));
+    EXPECT_TRUE(prefetchAffordable(1, 2));
+    EXPECT_TRUE(prefetchAffordable(2, 4));
+    EXPECT_FALSE(prefetchAffordable(3, 4));
+    EXPECT_FALSE(prefetchAffordable(2, 3));
+    EXPECT_TRUE(prefetchAffordable(4, 8));
+    EXPECT_FALSE(prefetchAffordable(5, 8));
+    EXPECT_FALSE(prefetchAffordable(UINT_MAX, UINT_MAX));
+    EXPECT_TRUE(prefetchAffordable(UINT_MAX / 2, UINT_MAX));
 }
 
 } // anonymous namespace
