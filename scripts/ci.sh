@@ -1,8 +1,9 @@
 #!/bin/sh
 # The full local gate: the tier-1 build + unit-test suite, a smoke run
 # of every bench binary, the batched-pipeline determinism check, the
-# invariant/fuzz campaigns, the golden replay manifest, the perfbench
-# digest grid, the hot-path kernel lint + perf smoke, then the three sanitizer builds (ASan,
+# invariant/fuzz campaigns, the sharded-sweep and journal crash checks,
+# the golden replay manifest, the perfbench digest grid, the hot-path
+# kernel lint + perf smoke, then the three sanitizer builds (ASan,
 # TSan, UBSan). Run this before merging anything that touches src/.
 # Each stage uses its own build directory, so incremental reruns are
 # cheap.
@@ -235,6 +236,22 @@ build/examples/vmsim_cli --crash-fuzz=50 --seed=12345 \
     > "$SMOKE_DIR/crash_fuzz.json"
 test -s "$SMOKE_DIR/crash_fuzz.json"
 
+echo "== journal kill and resume =="
+# A sweep journal is a one-owner shard log with the same recovery
+# contract: a sweep SIGKILLed mid-run (a torn final record included)
+# and rerun with --resume must print the uninterrupted run's CSV byte
+# for byte. The check holds wherever the kill lands, before the first
+# record, mid-sweep or after the last.
+JOURNAL_ARGS="--csv --instructions=100000 --warmup=20000 --jobs=2"
+build/bench/bench_fig6_vmcpi_gcc $JOURNAL_ARGS \
+    > "$SMOKE_DIR/journal_clean.csv"
+timeout -s KILL 0.25 build/bench/bench_fig6_vmcpi_gcc $JOURNAL_ARGS \
+    --journal="$SMOKE_DIR/fig6.journal" > /dev/null 2>&1 || true
+build/bench/bench_fig6_vmcpi_gcc $JOURNAL_ARGS \
+    --journal="$SMOKE_DIR/fig6.journal" --resume \
+    > "$SMOKE_DIR/journal_resumed.csv" 2> /dev/null
+cmp "$SMOKE_DIR/journal_clean.csv" "$SMOKE_DIR/journal_resumed.csv"
+
 echo "== golden replay manifest =="
 # Counters, event streams and interval series for all nine
 # organizations at 1/2/4 cores must stay byte-identical to the
@@ -396,6 +413,20 @@ if [ -n "$crc_hits" ]; then
     echo "kernel lint: CRC32 kernel, intrinsics or polynomial outside" \
          "src/base/crc.cc, or a detail::crc32 path called from src/" \
          "(call crc32())" >&2
+    exit 1
+fi
+
+# One crash-safe log walker: sweep journals and shard logs are read by
+# one function in src/core/shard.cc. A second file under src/ (outside
+# the CRC primitives in src/base/) calling crcUnframeLine is a second
+# walker with its own torn-tail and corruption rules.
+unframe_files=$(grep -rlE '^[^*/]*crcUnframeLine[[:space:]]*\(' src |
+    grep -v '^src/base/' || true)
+if [ "$(printf '%s' "$unframe_files" | grep -c .)" -gt 1 ]; then
+    printf '%s\n' "$unframe_files" >&2
+    echo "kernel lint: more than one file under src/ calls" \
+         "crcUnframeLine (walk CRC-framed logs through ShardLog," \
+         "src/core/shard.cc)" >&2
     exit 1
 fi
 

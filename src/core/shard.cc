@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -18,7 +19,6 @@
 #include "base/json.hh"
 #include "base/logging.hh"
 #include "base/signals.hh"
-#include "core/journal.hh"
 #include "obs/telemetry.hh"
 #include "trace/recorded.hh"
 
@@ -31,6 +31,17 @@ namespace
 constexpr const char *kShardLogKind = "vmsim-shard-log";
 constexpr const char *kShardMetaKind = "vmsim-shard-meta";
 constexpr std::uint64_t kShardVersion = 1;
+constexpr const char *kJournalKind = "vmsim-sweep-journal";
+// Version 2 added the CRC32 line frame; version-1 (unframed) lines are
+// still accepted by the walker.
+constexpr std::uint64_t kJournalVersion = 2;
+
+/** The "kind" a log's header line carries. */
+const char *
+headerKind(ShardLog::Kind kind)
+{
+    return kind == ShardLog::Kind::Journal ? kJournalKind : kShardLogKind;
+}
 
 std::uint64_t
 unixMs()
@@ -77,18 +88,75 @@ codeFromName(const std::string &name)
     return ErrorCode::Unknown;
 }
 
+/** "%016llx" rendering of a specFingerprint() value. */
 std::string
-shardHeaderPayload(const std::string &owner, const SweepSpec &spec)
+fingerprintHex(std::uint64_t fp)
 {
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(fp));
+    return buf;
+}
+
+/** The {"cell":N,"results":...} payload for one completed cell. */
+std::string
+encodeCellPayload(std::size_t flat, const Results &results)
+{
+    Json line = Json::object();
+    line.set("cell", static_cast<std::uint64_t>(flat));
+    line.set("results", results.serialize());
+    return line.dump();
+}
+
+/**
+ * Inverse of encodeCellPayload(). The log stores only exact integers;
+ * the cost model comes from @p spec so derived doubles reproduce
+ * bit-for-bit. Rejects records whose cell index is outside the grid.
+ */
+Expected<std::pair<std::size_t, Results>>
+decodeCellPayload(const std::string &payload, const SweepSpec &spec)
+{
+    Expected<Json> j = Json::parse(payload);
+    if (!j.ok())
+        return makeError(ErrorCode::ParseError, "journal",
+                         "journal record is not JSON: ",
+                         j.error().message);
+    const Json *cell = j.value().find("cell");
+    const Json *results = j.value().find("results");
+    if (!cell || !cell->isNumber() || !results)
+        return makeError(ErrorCode::ParseError, "journal",
+                         "journal record lacks cell/results fields");
+    std::size_t flat = cell->asUint();
+    if (flat >= spec.numCells())
+        return makeError(ErrorCode::ParseError, "journal",
+                         "journal record cell ", flat,
+                         " is outside the grid (", spec.numCells(),
+                         " cells)");
+    Expected<Results> r =
+        Results::deserialize(*results, spec.cell(flat).config.costs);
+    if (!r.ok())
+        return r.error();
+    return std::make_pair(flat, std::move(r).orThrow());
+}
+
+/** Line 1 of a log of @p kind. */
+std::string
+headerPayload(ShardLog::Kind kind, const std::string &owner,
+              const SweepSpec &spec)
+{
+    const bool journal = kind == ShardLog::Kind::Journal;
     Json header = Json::object();
-    header.set("kind", kShardLogKind);
-    header.set("version", kShardVersion);
-    header.set("owner", owner);
+    header.set("kind", headerKind(kind));
+    header.set("version", journal ? kJournalVersion : kShardVersion);
+    if (!journal)
+        header.set("owner", owner);
     header.set("fingerprint", fingerprintHex(specFingerprint(spec)));
+    if (journal)
+        header.set("cells", static_cast<std::uint64_t>(spec.numCells()));
     return header.dump();
 }
 
-/** Everything one shard log holds, in append order. */
+/** Everything one log holds, in append order. */
 struct ShardLogLoad
 {
     struct Lease
@@ -106,37 +174,52 @@ struct ShardLogLoad
     std::vector<std::pair<std::size_t, Results>> commits;
     std::vector<Fail> fails;
     bool hasHeader = false;
+
+    /** Byte length of the valid prefix (ends on a record boundary). */
     std::uint64_t validBytes = 0;
+
+    /** The final line was torn or checksum-corrupt: the owner cuts the
+     *  file back to validBytes before appending. */
     bool torn = false;
+
+    /** The final record is intact but its newline never hit the disk:
+     *  the owner emits a bare '\n' before the next record. */
     bool repairNewline = false;
 };
 
 /**
- * Walk one shard log with the sweep-journal recovery contract: CRC
- * frame per line, torn final line reported (not fatal), undecodable
- * interior line fatal, fingerprint mismatch fatal.
+ * Walk one log whose header must name @p kind: CRC frame per line
+ * (unframed pre-CRC lines pass through), torn final line reported (not
+ * fatal), undecodable interior line fatal, wrong kind or fingerprint
+ * fatal. A missing file loads as empty.
  */
 Expected<ShardLogLoad>
-loadShardLog(const std::string &path, const SweepSpec &spec)
+loadShardLog(const std::string &path, const SweepSpec &spec,
+             ShardLog::Kind kind)
 {
     ShardLogLoad load;
     std::ifstream is(path, std::ios::binary);
     if (!is.is_open())
-        return load; // fresh worker
+        return load; // fresh log
 
     std::string text((std::istreambuf_iterator<char>(is)),
                      std::istreambuf_iterator<char>());
     const std::size_t size = text.size();
+    const std::string fingerprint = fingerprintHex(specFingerprint(spec));
 
+    // Decode one line: the header first, records after. Returns the
+    // reason a line is unusable; ParseErrors on the *final* line are
+    // downgraded to a torn tail below, InvalidArgument (a well-formed
+    // header of the wrong kind or spec) never is.
     auto interpret = [&](const std::string &line) -> Status {
         std::string payload;
         switch (crcUnframeLine(line, payload)) {
           case FrameCheck::Mismatch:
             return makeError(ErrorCode::ParseError, path,
-                             "shard record checksum mismatch");
+                             "log record checksum mismatch");
           case FrameCheck::Malformed:
             return makeError(ErrorCode::ParseError, path,
-                             "malformed shard checksum frame");
+                             "malformed log checksum frame");
           case FrameCheck::Legacy:
           case FrameCheck::Ok:
             break;
@@ -145,21 +228,21 @@ loadShardLog(const std::string &path, const SweepSpec &spec)
             Expected<Json> header = Json::parse(payload);
             if (!header.ok())
                 return makeError(ErrorCode::ParseError, path,
-                                 "shard log header is not JSON: ",
+                                 "log header is not JSON: ",
                                  header.error().message);
-            const Json *kind = header.value().find("kind");
+            const Json *k = header.value().find("kind");
             const Json *fp = header.value().find("fingerprint");
-            if (!kind || !kind->isString() ||
-                kind->asString() != kShardLogKind || !fp ||
+            if (!k || !k->isString() ||
+                k->asString() != headerKind(kind) || !fp ||
                 !fp->isString())
                 return makeError(ErrorCode::InvalidArgument, path, "'",
-                                 path, "' is not a vmsim shard log");
-            if (fp->asString() != fingerprintHex(specFingerprint(spec)))
+                                 path, "' is not a ", headerKind(kind),
+                                 " file");
+            if (fp->asString() != fingerprint)
                 return makeError(
-                    ErrorCode::InvalidArgument, path, "shard log '",
-                    path, "' was written for a different spec "
-                    "(fingerprint ", fp->asString(), " != ",
-                    fingerprintHex(specFingerprint(spec)),
+                    ErrorCode::InvalidArgument, path, "log '", path,
+                    "' was written for a different spec (fingerprint ",
+                    fp->asString(), " != ", fingerprint,
                     "); refusing to mix results");
             load.hasHeader = true;
             return Status();
@@ -167,7 +250,7 @@ loadShardLog(const std::string &path, const SweepSpec &spec)
         Expected<Json> rec = Json::parse(payload);
         if (!rec.ok())
             return makeError(ErrorCode::ParseError, path,
-                             "shard record is not JSON: ",
+                             "log record is not JSON: ",
                              rec.error().message);
         if (const Json *lease = rec.value().find("lease")) {
             const Json *exp = rec.value().find("expires_ms");
@@ -238,20 +321,26 @@ loadShardLog(const std::string &path, const SweepSpec &spec)
         if (st.error().code == ErrorCode::InvalidArgument)
             return st.error(); // wrong log / wrong spec: never torn
 
+        // Is anything but blank space left after this line? Then the
+        // damage is mid-file, not a torn tail: refuse to load rather
+        // than silently re-running interior cells over corruption.
         bool blankTail = true;
         for (std::size_t i = nextPos; i < size && blankTail; ++i)
             blankTail = text[i] == '\n' || text[i] == '\r' ||
                         text[i] == ' ' || text[i] == '\t';
         if (!blankTail)
-            return makeError(ErrorCode::ParseError, path,
-                             "shard log '", path,
+            return makeError(ErrorCode::ParseError, path, "log '", path,
                              "' is corrupt mid-file at byte ",
                              lineStart, ": ", st.error().message,
                              " (followed by further records)");
 
-        if (!load.hasHeader && (line.empty() || line[0] != '{'))
+        // A torn header on a file that never looked like a log is more
+        // likely a caller mistake than a crash artifact: refuse instead
+        // of truncating someone's file to zero bytes.
+        if (!load.hasHeader && line[0] != '{')
             return makeError(ErrorCode::InvalidArgument, path, "'",
-                             path, "' is not a vmsim shard log");
+                             path, "' is not a ", headerKind(kind),
+                             " file");
 
         load.torn = true;
         load.validBytes = lineStart;
@@ -324,27 +413,40 @@ listShardLogs(const std::string &dir)
 
 } // anonymous namespace
 
-ShardLog::ShardLog(const std::string &dir, const std::string &owner,
-                   const SweepSpec &spec, const CrashPlan &crash)
-    : path_(shardLogPath(dir, owner)), owner_(owner), crash_(crash)
+ShardLog::ShardLog(const std::string &path, Kind kind,
+                   const SweepSpec &spec, bool fresh,
+                   const std::string &owner, const CrashPlan &crash)
+    : path_(path), owner_(owner), crash_(crash)
 {
-    ShardLogLoad load = loadShardLog(path_, spec).orThrow();
+    log_.open(path_, /*durable=*/true).orThrow();
+    ShardLogLoad load;
+    if (fresh)
+        truncateFile(path_, 0).orThrow();
+    else
+        load = loadShardLog(path_, spec, kind).orThrow();
     if (load.torn) {
-        warn("shard log '", path_, "': torn record at byte ",
-             load.validBytes, "; truncating and resuming");
+        warn("log '", path_, "': torn record at byte ", load.validBytes,
+             "; truncating and resuming");
         truncateFile(path_, load.validBytes).orThrow();
     }
-    log_.open(path_, /*durable=*/true).orThrow();
+    recovered_ = std::move(load.commits);
     if (!load.hasHeader)
-        append(shardHeaderPayload(owner_, spec));
+        append(headerPayload(kind, owner_, spec));
     else if (load.repairNewline)
         log_.append("").orThrow(); // terminate the dangling record
 }
+
+ShardLog::ShardLog(const std::string &dir, const std::string &owner,
+                   const SweepSpec &spec, const CrashPlan &crash)
+    : ShardLog(shardLogPath(dir, owner), Kind::Shard, spec,
+               /*fresh=*/false, owner, crash)
+{}
 
 void
 ShardLog::append(const std::string &payload)
 {
     const std::string line = crcFrameLine(payload);
+    std::lock_guard<std::mutex> lock(mutex_);
     if (crash_.armed() && appends_ >= crash_.afterAppends) {
         // The seeded crash point: die exactly like a SIGKILLed worker
         // would, optionally leaving a torn final record behind.
@@ -406,7 +508,8 @@ scanShardDir(const std::string &dir, const SweepSpec &spec)
 
     for (const std::string &name : names.value()) {
         const std::string path = dir + "/" + name;
-        Expected<ShardLogLoad> loaded = loadShardLog(path, spec);
+        Expected<ShardLogLoad> loaded =
+            loadShardLog(path, spec, ShardLog::Kind::Shard);
         if (!loaded.ok())
             return loaded.error();
         ShardLogLoad &load = loaded.value();

@@ -1,33 +1,49 @@
 /**
  * @file
- * Crash-tolerant sharded sweep execution: N independent worker
- * processes cooperatively execute one SweepSpec grid through a shared
- * journal directory, and the merged result is byte-identical to a
- * single-process run no matter how many workers ran, crashed, or were
- * restarted.
+ * Crash-safe cell logs, and sharded sweep execution on top of them.
  *
- * Layout of a shard directory:
+ * A ShardLog is an append-only CRC-framed JSONL log of completed sweep
+ * cells (base/crc.hh framing, one write(2) + fsync per record through
+ * base/fsio.hh AppendLog). Two kinds share the one format and the one
+ * recovery walker:
+ *
+ *  - a sweep journal ("vmsim-sweep-journal", SweepRunner::journal()):
+ *    one log, one owner, commit records only;
+ *  - a shard log ("vmsim-shard-log"): one log per worker process in a
+ *    shard directory, with lease and fail records besides commits.
+ *
+ * Recovery contract, for both kinds: after a kill, even mid-write, a
+ * log is a valid prefix plus at most one detectably torn tail line.
+ * The owner's reopen cuts a torn or checksum-failing final line at the
+ * last record boundary (with a warning) and terminates a final record
+ * whose newline never reached the disk. An undecodable line followed
+ * by more records is mid-file corruption and a ParseError; a header of
+ * the wrong kind or spec fingerprint is an InvalidArgument. Unframed
+ * lines (version-1 journals, written before the frame existed) still
+ * load.
+ *
+ * Sharded execution: N independent worker processes cooperatively
+ * execute one SweepSpec grid through a shared directory, and the
+ * merged result is byte-identical to a single-process run no matter
+ * how many workers ran, crashed, or were restarted. Layout:
  *
  *   meta.json            spec fingerprint + cell count, written
  *                        atomically (base/fsio.hh) by the first worker
- *   shard-<owner>.jsonl  one append-only CRC-framed log per worker
+ *   shard-<owner>.jsonl  one shard log per worker
  *   heartbeat-<owner>.jsonl  telemetry heartbeats (when enabled)
  *
  * Coordination is *advisory leases*, not locks: a worker claims a cell
  * by appending a lease record (owner + absolute expiry) to its own
- * log, runs the cell, then appends the commit record — the same
- * payload bytes the single-process sweep journal uses
- * (core/journal.hh). Every worker appends only to its own log, so no
- * two processes ever write one file; claiming races or reclaims of a
- * slow-but-alive worker's cell at worst duplicate work. Cells are
- * deterministic, so duplicate commits carry identical payloads and
- * the merge keeps the first.
+ * log, runs the cell, then appends the commit record, the same payload
+ * bytes a sweep journal holds. Every worker appends only to its own
+ * log, so no two processes ever write one file; claiming races or
+ * reclaims of a slow-but-alive worker's cell at worst duplicate work.
+ * Cells are deterministic, so duplicate commits carry identical
+ * payloads and the merge keeps the first.
  *
- * Crash tolerance falls out of the journal contract: a SIGKILL tears
- * at most the final line of the dead worker's log (detected by its
- * CRC frame and skipped by scanners, truncated by the owner on
- * restart), and its leases simply expire — any surviving worker
- * reclaims the cell after leaseSeconds of silence. See
+ * A SIGKILLed worker's torn tail is skipped by scanners and truncated
+ * by the owner on restart, and its leases simply expire: any surviving
+ * worker reclaims the cell after leaseSeconds of silence. See
  * docs/robustness.md.
  */
 
@@ -35,7 +51,9 @@
 #define VMSIM_CORE_SHARD_HH
 
 #include <cstdint>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/error.hh"
@@ -77,18 +95,32 @@ struct ShardOptions
 };
 
 /**
- * One worker's append-only CRC-framed JSONL log inside a shard
- * directory. Opening resumes an existing log for the same owner:
- * a torn tail (the expected state after a SIGKILL mid-append) is
- * truncated with a warning, mid-file corruption is refused, and a
- * fingerprint mismatch against @p spec is refused — the same recovery
- * contract as the single-process sweep journal.
+ * One owner's append-only CRC-framed JSONL cell log (see the file
+ * comment for the format and recovery contract). Opening resumes an
+ * existing log; appends are durable once they return and safe to call
+ * from concurrent threads.
  */
 class ShardLog
 {
   public:
-    /** Open (or resume) "<dir>/shard-<owner>.jsonl". Throws VmsimError
-     *  on I/O failure, corruption, or a fingerprint mismatch. */
+    /** The header a log carries; opening refuses any other kind. */
+    enum class Kind
+    {
+        Shard,   ///< "vmsim-shard-log": one worker of a shard directory
+        Journal, ///< "vmsim-sweep-journal": a single-process sweep
+    };
+
+    /**
+     * Open (or resume) the log at @p path. @p fresh discards whatever
+     * the file held and starts over with a header. Throws VmsimError
+     * on I/O failure, corruption, a wrong kind or a fingerprint
+     * mismatch against @p spec.
+     */
+    ShardLog(const std::string &path, Kind kind, const SweepSpec &spec,
+             bool fresh = false, const std::string &owner = {},
+             const CrashPlan &crash = {});
+
+    /** Open (or resume) "<dir>/shard-<owner>.jsonl". */
     ShardLog(const std::string &dir, const std::string &owner,
              const SweepSpec &spec, const CrashPlan &crash = {});
 
@@ -101,6 +133,17 @@ class ShardLog
     /** Record @p cell's terminal failure. */
     void fail(std::size_t cell, const Error &err);
 
+    /**
+     * Hand over the commit records the open recovered, in log order
+     * (a cell committed twice appears twice). Empty after the first
+     * call and for a fresh log.
+     */
+    std::vector<std::pair<std::size_t, Results>>
+    takeRecovered()
+    {
+        return std::exchange(recovered_, {});
+    }
+
     const std::string &path() const { return path_; }
     const std::string &owner() const { return owner_; }
 
@@ -111,7 +154,9 @@ class ShardLog
     std::string path_;
     std::string owner_;
     CrashPlan crash_;
+    std::mutex mutex_; ///< serializes append() across sweep workers
     std::int64_t appends_ = 0;
+    std::vector<std::pair<std::size_t, Results>> recovered_;
 };
 
 /** Per-cell state a scan of every shard log reconstructs. */

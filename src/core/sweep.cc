@@ -12,16 +12,14 @@
 #include <sstream>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
-#include "base/fsio.hh"
 #include "base/json.hh"
 #include "base/logging.hh"
 #include "base/parse.hh"
 #include "base/signals.hh"
 #include "base/stats.hh"
 #include "check/invariants.hh"
-#include "core/journal.hh"
+#include "core/shard.hh"
 #include "core/simulator.hh"
 #include "obs/exporters.hh"
 #include "obs/interval.hh"
@@ -237,7 +235,7 @@ std::size_t
 SweepSpec::numCells() const
 {
     return systemDim() * workloadDim() * l1Dim() * l2Dim() * lineDim() *
-           interruptDim() * variantDim() * seedDim();
+           variantDim() * seedDim();
 }
 
 std::size_t
@@ -245,15 +243,14 @@ SweepSpec::flatIndex(const CellIndex &idx) const
 {
     panicIf(idx.system >= systemDim() || idx.workload >= workloadDim() ||
                 idx.l1 >= l1Dim() || idx.l2 >= l2Dim() ||
-                idx.line >= lineDim() || idx.interrupt >= interruptDim() ||
-                idx.variant >= variantDim() || idx.seed >= seedDim(),
+                idx.line >= lineDim() || idx.variant >= variantDim() ||
+                idx.seed >= seedDim(),
             "CellIndex out of range for this SweepSpec");
     std::size_t flat = idx.system;
     flat = flat * workloadDim() + idx.workload;
     flat = flat * l1Dim() + idx.l1;
     flat = flat * l2Dim() + idx.l2;
     flat = flat * lineDim() + idx.line;
-    flat = flat * interruptDim() + idx.interrupt;
     flat = flat * variantDim() + idx.variant;
     flat = flat * seedDim() + idx.seed;
     return flat;
@@ -268,8 +265,6 @@ SweepSpec::unflatten(std::size_t flat) const
     flat /= seedDim();
     idx.variant = flat % variantDim();
     flat /= variantDim();
-    idx.interrupt = flat % interruptDim();
-    flat /= interruptDim();
     idx.line = flat % lineDim();
     flat /= lineDim();
     idx.l2 = flat % l2Dim();
@@ -301,8 +296,6 @@ SweepSpec::cell(std::size_t flat) const
         cfg.l1.lineSize = lineSizes_[i.line].first;
         cfg.l2.lineSize = lineSizes_[i.line].second;
     }
-    if (!interruptCosts_.empty())
-        cfg.costs.interruptCycles = interruptCosts_[i.interrupt];
     if (!variants_.empty() && variants_[i.variant].apply)
         variants_[i.variant].apply(cfg);
     // Seed offset last so replications differ even if a variant
@@ -756,45 +749,26 @@ SweepRunner::run(const SweepSpec &spec) const
     std::vector<std::unique_ptr<LatencyCollector>> lats(
         wantLatency ? n : 0);
 
-    // Checkpoint/resume: reload completed cells, then re-run only the
-    // rest. Failed cells are never journaled, so they retry on resume.
-    std::unique_ptr<SweepJournal> journal;
-    std::vector<std::size_t> pending;
-    {
-        std::unordered_set<std::size_t> done;
-        bool repairNewline = false;
-        if (resume_ && !journalPath_.empty()) {
-            JournalLoad load =
-                loadSweepJournal(journalPath_, spec).orThrow();
-            if (load.torn) {
-                // The expected state after a kill mid-append: cut the
-                // tail at the last record boundary and carry on.
-                warn("sweep journal '", journalPath_,
-                     "': torn record at byte ", load.validBytes,
-                     "; truncating and resuming");
-                truncateFile(journalPath_, load.validBytes).orThrow();
-            }
-            repairNewline = load.repairNewline;
-            for (auto &[flat, r] : load.cells) {
-                if (!done.insert(flat).second)
-                    continue;
-                results[flat] = std::move(r);
-                outcomes[flat].ok = true;
-                outcomes[flat].attempts = 0;
-                outcomes[flat].fromJournal = true;
-            }
+    // Checkpoint/resume: the journal's open reloads completed cells
+    // (repairing a torn tail), then only the rest re-run. Failed cells
+    // are never journaled, so they retry on resume.
+    std::unique_ptr<ShardLog> journal;
+    if (!journalPath_.empty()) {
+        journal = std::make_unique<ShardLog>(journalPath_,
+                                             ShardLog::Kind::Journal, spec,
+                                             /*fresh=*/!resume_);
+        for (auto &[flat, r] : journal->takeRecovered()) {
+            if (outcomes[flat].fromJournal)
+                continue; // duplicate commit: identical bytes, keep #1
+            results[flat] = std::move(r);
+            outcomes[flat].attempts = 0;
+            outcomes[flat].fromJournal = true;
         }
-        if (!journalPath_.empty()) {
-            // Append when resuming onto a journal we just loaded from;
-            // start fresh (header line) otherwise.
-            bool append = resume_ && !done.empty();
-            journal = std::make_unique<SweepJournal>(
-                journalPath_, spec, append, append && repairNewline);
-        }
-        for (std::size_t i = 0; i < n; ++i)
-            if (!done.count(i))
-                pending.push_back(i);
     }
+    std::vector<std::size_t> pending;
+    for (std::size_t i = 0; i < n; ++i)
+        if (!outcomes[i].fromJournal)
+            pending.push_back(i);
 
     // Live telemetry: journal-resumed cells are already done before
     // the first heartbeat fires.
@@ -933,7 +907,7 @@ SweepRunner::run(const SweepSpec &spec) const
         results[i] = std::move(exec.results);
         outcomes[i] = std::move(exec.outcome);
         if (outcomes[i].ok && journal)
-            journal->record(i, results[i]);
+            journal->commit(i, results[i]);
 
         if (telemetry)
             telemetry->endCell(worker, outcomes[i].ok);

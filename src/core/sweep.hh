@@ -253,7 +253,6 @@ struct CellIndex
     std::size_t l1 = 0;
     std::size_t l2 = 0;
     std::size_t line = 0;
-    std::size_t interrupt = 0;
     std::size_t variant = 0;
     std::size_t seed = 0;
 
@@ -262,8 +261,7 @@ struct CellIndex
     {
         return system == o.system && workload == o.workload &&
                l1 == o.l1 && l2 == o.l2 && line == o.line &&
-               interrupt == o.interrupt && variant == o.variant &&
-               seed == o.seed;
+               variant == o.variant && seed == o.seed;
     }
 };
 
@@ -284,8 +282,8 @@ struct SweepCell
  * paperL1Sizes()/paperL2Sizes()/paperLineSizes() helpers naturally.
  *
  * Grid order (outermost to innermost): system, workload, L1 size,
- * L2 size, line combo, interrupt cost, variant, seed. SweepResults
- * iteration and CSV emission follow this order deterministically.
+ * L2 size, line combo, variant, seed. SweepResults iteration and CSV
+ * emission follow this order deterministically.
  */
 class SweepSpec
 {
@@ -331,13 +329,6 @@ class SweepSpec
     lineSizes(std::vector<std::pair<unsigned, unsigned>> combos)
     {
         lineSizes_ = std::move(combos);
-        return *this;
-    }
-
-    SweepSpec &
-    interruptCosts(std::vector<Cycles> cycles)
-    {
-        interruptCosts_ = std::move(cycles);
         return *this;
     }
 
@@ -387,10 +378,6 @@ class SweepSpec
     {
         return lineSizes_;
     }
-    const std::vector<Cycles> &interruptAxis() const
-    {
-        return interruptCosts_;
-    }
     const std::vector<ConfigVariant> &variantAxis() const
     {
         return variants_;
@@ -405,7 +392,6 @@ class SweepSpec
     std::size_t l1Dim() const { return dim(l1Sizes_.size()); }
     std::size_t l2Dim() const { return dim(l2Sizes_.size()); }
     std::size_t lineDim() const { return dim(lineSizes_.size()); }
-    std::size_t interruptDim() const { return dim(interruptCosts_.size()); }
     std::size_t variantDim() const { return dim(variants_.size()); }
     std::size_t seedDim() const { return seeds_; }
 
@@ -435,7 +421,6 @@ class SweepSpec
     std::vector<std::uint64_t> l1Sizes_;
     std::vector<std::uint64_t> l2Sizes_;
     std::vector<std::pair<unsigned, unsigned>> lineSizes_;
-    std::vector<Cycles> interruptCosts_;
     std::vector<ConfigVariant> variants_;
     unsigned seeds_ = 1;
     Counter instructions_ = 2'000'000;
@@ -722,11 +707,11 @@ class SweepRunner
     }
 
     /**
-     * Checkpoint each completed cell to the JSONL journal at @p path.
-     * With resume() set, cells already recorded there (for the same
-     * spec — a fingerprint guards against mixups) are loaded instead
-     * of re-run, and the final results are byte-identical to an
-     * uninterrupted sweep's.
+     * Checkpoint each completed cell to the JSONL journal at @p path,
+     * a one-owner ShardLog (core/shard.hh). With resume() set, cells
+     * already recorded there (for the same spec — a fingerprint guards
+     * against mixups) are loaded instead of re-run, and the final
+     * results are byte-identical to an uninterrupted sweep's.
      */
     SweepRunner &
     journal(std::string path)

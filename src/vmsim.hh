@@ -36,7 +36,6 @@
 #include "check/invariants.hh"
 #include "core/factory.hh"
 #include "fault/fault.hh"
-#include "core/journal.hh"
 #include "core/results.hh"
 #include "core/shard.hh"
 #include "core/sim_config.hh"
@@ -69,7 +68,6 @@
 #include "pt/page_table.hh"
 #include "pt/ultrix_page_table.hh"
 #include "tlb/tlb.hh"
-#include "trace/interleaved.hh"
 #include "trace/recorded.hh"
 #include "trace/trace.hh"
 #include "trace/trace_file.hh"

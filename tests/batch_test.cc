@@ -22,7 +22,6 @@
 #include "core/sweep.hh"
 #include "obs/event.hh"
 #include "obs/interval.hh"
-#include "trace/interleaved.hh"
 #include "trace/recorded.hh"
 #include "trace/synthetic/workloads.hh"
 #include "trace/trace_file.hh"
@@ -207,29 +206,6 @@ TEST(NextBatch, TraceFileReaderCorruptOpThrowsAtExactRecord)
     EXPECT_EQ(reader.recordsRead(), 60u);
 }
 
-TEST(NextBatch, InterleavedMatchesScalarIncludingExhaustion)
-{
-    // Shared recordings so both instances see identical streams; the
-    // shorter source exercises mid-quantum exhaustion and the rotation
-    // over a dry source.
-    auto gcc = makeWorkload("gcc", 7);
-    auto ijpeg = makeWorkload("ijpeg", 7);
-    auto recA = std::make_shared<const RecordedTrace>(
-        RecordedTrace::record(*gcc, 500, "a"));
-    auto recB = std::make_shared<const RecordedTrace>(
-        RecordedTrace::record(*ijpeg, 213, "b"));
-
-    ReplayCursor sa(recA), sb(recB);
-    InterleavedTrace scalarMix({&sa, &sb}, 17);
-    std::vector<TraceRecord> scalar = drainScalar(scalarMix);
-    EXPECT_EQ(scalar.size(), 713u);
-
-    ReplayCursor ba(recA), bb(recB);
-    InterleavedTrace batchMix({&ba, &bb}, 17);
-    std::vector<TraceRecord> batched = drainBatched(batchMix, 23);
-    EXPECT_EQ(scalar, batched);
-}
-
 TEST(RecordedTrace, RecordReplayRewind)
 {
     auto src = makeWorkload("gcc", 3);
@@ -255,6 +231,16 @@ TEST(RecordedTrace, RecordReplayRewind)
     cursor.rewind();
     ASSERT_TRUE(cursor.next(b));
     EXPECT_EQ(b, cursor.trace().at(0));
+
+    // Running dry mid-batch returns the short remainder, then nothing.
+    cursor.rewind();
+    std::vector<TraceRecord> buf(1000);
+    EXPECT_EQ(cursor.nextBatch(buf.data(), 1000), 1000u);
+    EXPECT_EQ(cursor.nextBatch(buf.data(), 1000), 234u);
+    EXPECT_EQ(buf[0], cursor.trace().at(1000));
+    EXPECT_EQ(buf[233], cursor.trace().at(1233));
+    EXPECT_EQ(cursor.nextBatch(buf.data(), 1000), 0u);
+    EXPECT_FALSE(cursor.next(b));
 
     // A bounded source yields a short recording, not an error.
     CountedSource short_src(10);

@@ -2,7 +2,7 @@
  * @file
  * Tests for the extension features beyond the paper's core study:
  * unified L2, Pentium-Pro-style walk overlap, context-switch flushes,
- * the interleaved-trace combinator, and the user TLB-miss counters.
+ * and the user TLB-miss counters.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "os/intel_vm.hh"
 #include "os/notlb_vm.hh"
 #include "os/ultrix_vm.hh"
-#include "trace/interleaved.hh"
 #include "trace/synthetic/workloads.hh"
 
 namespace vmsim
@@ -194,112 +193,6 @@ TEST(ContextSwitch, NotlbImmuneEndToEnd)
     Results churned = runOnce(cfg, "gcc", 100000, 50000);
     EXPECT_EQ(churned.vmStats().uhandlerCalls,
               calm.vmStats().uhandlerCalls);
-}
-
-// ------------------------------------------------------ interleaved trace
-
-/** Fixed-length source emitting its id as the PC. */
-class StubTrace : public TraceSource
-{
-  public:
-    StubTrace(std::uint32_t id, Counter len)
-        : id_(id), left_(len)
-    {}
-
-    bool
-    next(TraceRecord &rec) override
-    {
-        if (left_ == 0)
-            return false;
-        --left_;
-        rec = TraceRecord{id_, 0, MemOp::None};
-        return true;
-    }
-
-  private:
-    std::uint32_t id_;
-    Counter left_;
-};
-
-TEST(InterleavedTrace, RoundRobinsWithQuantum)
-{
-    StubTrace a(1, 100), b(2, 100);
-    InterleavedTrace mix({&a, &b}, 3);
-    TraceRecord rec;
-    std::vector<std::uint32_t> pcs;
-    for (int i = 0; i < 12; ++i) {
-        ASSERT_TRUE(mix.next(rec));
-        pcs.push_back(rec.pc);
-    }
-    std::vector<std::uint32_t> expect = {1, 1, 1, 2, 2, 2,
-                                         1, 1, 1, 2, 2, 2};
-    EXPECT_EQ(pcs, expect);
-}
-
-TEST(InterleavedTrace, SkipsExhaustedSources)
-{
-    StubTrace a(1, 2), b(2, 10);
-    InterleavedTrace mix({&a, &b}, 4);
-    TraceRecord rec;
-    std::vector<std::uint32_t> pcs;
-    while (mix.next(rec))
-        pcs.push_back(rec.pc);
-    // a contributes its 2 records; b contributes all 10.
-    EXPECT_EQ(pcs.size(), 12u);
-    EXPECT_EQ(std::count(pcs.begin(), pcs.end(), 1u), 2);
-    EXPECT_EQ(std::count(pcs.begin(), pcs.end(), 2u), 10);
-}
-
-TEST(InterleavedTrace, EndsWhenAllDry)
-{
-    StubTrace a(1, 1), b(2, 1);
-    InterleavedTrace mix({&a, &b}, 5);
-    TraceRecord rec;
-    EXPECT_TRUE(mix.next(rec));
-    EXPECT_TRUE(mix.next(rec));
-    EXPECT_FALSE(mix.next(rec));
-    EXPECT_FALSE(mix.next(rec)); // stays dry
-}
-
-TEST(InterleavedTrace, SingleSourcePassesThrough)
-{
-    StubTrace a(7, 5);
-    InterleavedTrace mix({&a}, 2);
-    TraceRecord rec;
-    int n = 0;
-    while (mix.next(rec)) {
-        EXPECT_EQ(rec.pc, 7u);
-        ++n;
-    }
-    EXPECT_EQ(n, 5);
-}
-
-TEST(InterleavedTrace, InvalidConfigs)
-{
-    setQuiet(true);
-    StubTrace a(1, 1);
-    EXPECT_THROW(InterleavedTrace({}, 1), FatalError);
-    EXPECT_THROW(InterleavedTrace({&a}, 0), FatalError);
-    EXPECT_THROW(InterleavedTrace({&a, nullptr}, 1), FatalError);
-    setQuiet(false);
-}
-
-TEST(InterleavedTrace, DrivesSimulatorMultiprogrammed)
-{
-    GccLikeWorkload gcc_proc(1);
-    IjpegLikeWorkload ijpeg_proc(2);
-    InterleavedTrace mix({&gcc_proc, &ijpeg_proc}, 10000);
-
-    SimConfig cfg;
-    cfg.kind = SystemKind::Ultrix;
-    cfg.l1 = l1();
-    cfg.l2 = l2();
-    cfg.ctxSwitchInterval = 10000; // flush at each quantum boundary
-    System sys(cfg);
-    Results r = sys.run(mix, 100000, "gcc+ijpeg");
-    EXPECT_EQ(r.userInstrs(), 100000u);
-    EXPECT_GE(r.vmStats().ctxSwitches, 9u);
-    EXPECT_GT(r.vmcpi(), 0.0);
 }
 
 // ------------------------------------------------------ TLB miss counters

@@ -10,11 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -26,6 +28,7 @@
 #include "core/shard.hh"
 #include "core/sweep.hh"
 #include "fault/fault.hh"
+#include "log_mutants.hh"
 
 namespace vmsim
 {
@@ -249,6 +252,21 @@ TEST(Shard, TwoLiveWorkersOneCrashesMidSweep)
                   runShardWorker(spec, aOpts);
                   return 0;
               }).orThrow();
+    // Start B only once A holds a lease, so A's next append (the
+    // crashing commit) is certain: a B started first could finish the
+    // 3-cell grid before A's first scan, and A would exit cleanly.
+    bool aLeased = false;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!aLeased && std::chrono::steady_clock::now() < deadline) {
+        Expected<ShardScan> scan = scanShardDir(dir.path(), spec);
+        if (scan.ok())
+            for (const std::string &owner : scan.value().leaseOwner)
+                aLeased = aLeased || owner == "a";
+        if (!aLeased)
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    EXPECT_TRUE(aLeased);
     pid_t b = spawnFunction([&] {
                   runShardWorker(spec, bOpts);
                   return 0;
@@ -346,6 +364,21 @@ TEST(Shard, MidFileCorruptionIsAnIntegrityError)
     Expected<ShardScan> scan = scanShardDir(dir.path(), spec);
     ASSERT_FALSE(scan.ok());
     EXPECT_EQ(scan.error().code, ErrorCode::ParseError);
+
+    // Seeded damage past the frame check, in both log kinds: a resume
+    // reproduces the clean CSV (damage on the final line is a torn
+    // tail) or refuses with a typed error, and some of each happens.
+    const mutants::CommittedLogs committed;
+    for (const mutants::CommittedLogs::Log &log : committed.logs()) {
+        const std::vector<mutants::Mutant> set = mutants::corruptions(
+            log.bytes, log.ownKind, log.foreignKind, 12345);
+        const std::size_t refused = mutants::expectResumeOrTypedError(
+            set, committed.cleanCsv(), [&](const std::string &bytes) {
+                return committed.resume(log, bytes);
+            });
+        EXPECT_GT(refused, 0u) << log.ownKind;
+        EXPECT_LT(refused, set.size()) << log.ownKind;
+    }
 }
 
 TEST(Shard, RefusesAForeignSpecFingerprint)

@@ -16,10 +16,13 @@
 #include <string>
 #include <vector>
 
+#include "base/crc.hh"
 #include "base/error.hh"
+#include "base/json.hh"
 #include "base/logging.hh"
 #include "base/units.hh"
 #include "core/sweep.hh"
+#include "log_mutants.hh"
 
 namespace vmsim
 {
@@ -187,6 +190,62 @@ TEST(SweepResume, ToleratesAKillMidLine)
         SweepRunner(2).journal(journal.path()).resume().run(spec);
     ASSERT_TRUE(resumed.allOk());
     EXPECT_EQ(csvOf(resumed), cleanCsv);
+
+    // Every torn tail a kill can leave, in both log kinds: each byte
+    // offset reopens at a record boundary, and a cut on or between
+    // boundaries resumes to the uninterrupted CSV, never refused.
+    const mutants::CommittedLogs committed;
+    for (const mutants::CommittedLogs::Log &log : committed.logs()) {
+        committed.expectEveryCutReopensAtARecord(log);
+        EXPECT_EQ(mutants::expectResumeOrTypedError(
+                      mutants::lineCuts(log.bytes), committed.cleanCsv(),
+                      [&](const std::string &bytes) {
+                          return committed.resume(log, bytes);
+                      }),
+                  0u)
+            << log.ownKind;
+    }
+}
+
+TEST(SweepResume, HandWrittenVersion1And2JournalsResume)
+{
+    // Journals in both formats earlier releases wrote, built by hand:
+    // version 1 with unframed lines, version 2 with every line
+    // CRC-framed. Both must still resume.
+    SweepSpec spec = smallSpec();
+    SweepResults clean = SweepRunner(2).run(spec);
+    char fp[17];
+    std::snprintf(fp, sizeof(fp), "%016llx",
+                  static_cast<unsigned long long>(specFingerprint(spec)));
+    for (int version : {1, 2}) {
+        auto frame = [version](const std::string &payload) {
+            return version == 1 ? payload : crcFrameLine(payload);
+        };
+        std::vector<std::string> lines = {frame(
+            "{\"kind\":\"vmsim-sweep-journal\",\"version\":" +
+            std::to_string(version) + ",\"fingerprint\":\"" + fp +
+            "\",\"cells\":" + std::to_string(spec.numCells()) + "}")};
+        for (std::size_t cell : {1u, 4u, 6u})
+            lines.push_back(frame("{\"cell\":" + std::to_string(cell) +
+                                  ",\"results\":" +
+                                  clean.at(cell).serialize().dump() + "}"));
+        TempFile journal;
+        writeLines(journal.path(), lines);
+
+        SweepResults resumed =
+            SweepRunner(2).journal(journal.path()).resume().run(spec);
+        ASSERT_TRUE(resumed.allOk()) << "version " << version;
+        EXPECT_EQ(csvOf(resumed), csvOf(clean)) << "version " << version;
+        for (std::size_t i = 0; i < resumed.size(); ++i)
+            EXPECT_EQ(resumed.outcomeAt(i).fromJournal,
+                      i == 1 || i == 4 || i == 6)
+                << "version " << version << " cell " << i;
+        // New records append after the old ones, CRC-framed.
+        auto after = readLines(journal.path());
+        ASSERT_EQ(after.size(), 1 + spec.numCells());
+        EXPECT_EQ(after[1], lines[1]);
+        EXPECT_EQ(after.back().rfind("{\"crc\":", 0), 0u);
+    }
 }
 
 TEST(SweepResume, MidFileCorruptionIsRejected)

@@ -11,8 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "base/json.hh"
 #include "base/logging.hh"
 #include "core/sim_config.hh"
+#include "core/simulator.hh"
 #include "core/sweep.hh"
 
 namespace vmsim
@@ -84,15 +86,12 @@ TEST(SweepSpec, CellAppliesAxesVariantsAndSeedOffset)
         {"wide", [](SimConfig &cfg) { cfg.tlbEntries = 512; }},
     };
     SweepSpec spec = smallSpec();
-    spec.lineSizes({{16, 32}, {64, 128}})
-        .interruptCosts({10, 200})
-        .variants(variants);
+    spec.lineSizes({{16, 32}, {64, 128}}).variants(variants);
 
     SweepCell cell = spec.cell(spec.flatIndex({.system = 1,
                                                .workload = 1,
                                                .l1 = 1,
                                                .line = 1,
-                                               .interrupt = 1,
                                                .variant = 0,
                                                .seed = 1}));
     EXPECT_EQ(cell.config.kind, SystemKind::Intel);
@@ -100,9 +99,33 @@ TEST(SweepSpec, CellAppliesAxesVariantsAndSeedOffset)
     EXPECT_EQ(cell.config.l1.sizeBytes, 16_KiB);
     EXPECT_EQ(cell.config.l1.lineSize, 64u);
     EXPECT_EQ(cell.config.l2.lineSize, 128u);
-    EXPECT_EQ(cell.config.costs.interruptCycles, 200u);
     EXPECT_EQ(cell.config.tlbEntries, 16u);
     EXPECT_EQ(cell.config.seed, 8u); // base 7 + seed index 1
+}
+
+TEST(SweepSpec, InterruptCostRepricesOneRun)
+{
+    // Interrupt cost is a pure price: no event count depends on it, so
+    // one run re-priced through interruptCpiAt() stands in for a run
+    // at every cost, and a sweep needs no interrupt-cost axis.
+    for (SystemKind kind :
+         {SystemKind::Ultrix, SystemKind::Mach, SystemKind::Intel,
+          SystemKind::Parisc, SystemKind::Notlb, SystemKind::Base,
+          SystemKind::HwInverted, SystemKind::HwMips, SystemKind::Spur}) {
+        SimConfig cfg;
+        cfg.kind = kind;
+        cfg.l1 = CacheParams{4_KiB, 32};
+        cfg.l2 = CacheParams{256_KiB, 64};
+        cfg.costs.interruptCycles = 10;
+        Results cheap = runOnce(cfg, "vortex", 30'000, 5'000);
+        cfg.costs.interruptCycles = 200;
+        Results dear = runOnce(cfg, "vortex", 30'000, 5'000);
+
+        EXPECT_EQ(cheap.serialize().dump(), dear.serialize().dump())
+            << kindName(kind);
+        EXPECT_EQ(cheap.interruptCpiAt(200), dear.interruptCpi())
+            << kindName(kind);
+    }
 }
 
 TEST(SweepSpec, UnsetAxesKeepBaseConfig)
