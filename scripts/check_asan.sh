@@ -16,7 +16,7 @@ cmake -B "$BUILD_DIR" -S . -DVMSIM_SANITIZE=address \
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
     --target base_test obs_test simulator_test trace_test error_test \
     fault_test sweep_resume_test shard_test batch_test check_test \
-    check_fuzz multicore_test pressure_test vmsim_cli
+    check_fuzz multicore_test pressure_test synthetic_test vmsim_cli
 
 "$BUILD_DIR"/tests/base_test
 "$BUILD_DIR"/tests/obs_test
@@ -31,8 +31,14 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 # (fork + threads is a known TSan blind spot) but is ASan-clean.
 "$BUILD_DIR"/tests/shard_test
 # Lifetime checks on the zero-copy replay path: lent record
-# pointers must stay inside the shared recording.
+# pointers must stay inside the shared recording. Its SpanKernels
+# suite indexes the span passes' memory-op list and replays deferred
+# handler fetches by record index.
 "$BUILD_DIR"/tests/batch_test
+# The Zipf guide table is built by a cursor that walks the CDF without
+# a bounds check of its own.
+"$BUILD_DIR"/tests/synthetic_test \
+    --gtest_filter='ZipfSampler.GuideMatchesBinarySearchConstruction'
 # The checker walks event/interval vectors owned by the run's sinks
 # and the fuzzer churns trace-cache recordings across four legs per
 # tuple — prime heap-lifetime territory.

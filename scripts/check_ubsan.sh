@@ -15,7 +15,8 @@ cmake -B "$BUILD_DIR" -S . -DVMSIM_SANITIZE=undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
     --target error_test fault_test sweep_resume_test trace_test \
-    sim_config_test check_fuzz base_test batch_test vmsim_cli
+    sim_config_test check_fuzz base_test batch_test check_test \
+    shard_test synthetic_test vmsim_cli
 
 # halt_on_error turns any UB report into a nonzero exit so set -eu
 # fails the script instead of scrolling past a diagnostic.
@@ -34,6 +35,14 @@ export UBSAN_OPTIONS
 # table loop's shifts), and chunk verification of shared recordings.
 "$BUILD_DIR"/tests/base_test
 "$BUILD_DIR"/tests/batch_test
+# Cross-cell VM law over a cache-geometry grid; the damaged-log set
+# (per-core sums checked on decode, header fields checked on open);
+# the Zipf guide cursor.
+"$BUILD_DIR"/tests/check_test --gtest_filter='CacheIndependence.*'
+"$BUILD_DIR"/tests/shard_test \
+    --gtest_filter='Shard.MidFileCorruptionIsAnIntegrityError'
+"$BUILD_DIR"/tests/synthetic_test \
+    --gtest_filter='ZipfSampler.GuideMatchesBinarySearchConstruction'
 
 # Smoke test: a fault-injected CLI run must fail cleanly (exit 1 with
 # a structured diagnostic), not trip UBSan or abort.

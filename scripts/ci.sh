@@ -309,6 +309,29 @@ for hot_hdr in src/os/vm_system.hh src/os/tlb_vm.hh; do
         exit 1
     fi
 done
+# The span passes (VmSystem::runSpan) sit inside the vm_system region
+# and build their memory-op list without a branch (`nops +=
+# isMemOp()`); MemSystem::dataAccess counts stores by adding the flag.
+# A data-dependent `if` on either mispredicts on a third or more of
+# the records it sees and still passes every identity test.
+span=$(awk '/LINT-KERNEL-BEGIN/,/LINT-KERNEL-END/' src/os/vm_system.hh |
+    awk '/^VmSystem::runSpan\(/,/^}/')
+if [ -z "$span" ]; then
+    echo "kernel lint: VmSystem::runSpan is not defined inside the" \
+         "LINT-KERNEL region of src/os/vm_system.hh" >&2
+    exit 1
+fi
+if printf '%s\n' "$span" | grep -nE '(if|while)[[:space:]]*\(.*isMemOp'; then
+    echo "kernel lint: a branch on isMemOp() inside VmSystem::runSpan" \
+         "(compact the memory ops without one)" >&2
+    exit 1
+fi
+if grep -nE 'if[[:space:]]*\([[:space:]]*store[[:space:]]*\)' \
+        src/mem/mem_system.hh; then
+    echo "kernel lint: a branch on the store flag in" \
+         "src/mem/mem_system.hh (count stores as stores_ += store)" >&2
+    exit 1
+fi
 # The flat data-layout files must never regrow a node-based map
 # (matching real uses — instantiations and includes — not prose in
 # comments that explains what the flat layout replaced).

@@ -52,25 +52,6 @@ constexpr VmFieldDef kVmFieldDefs[] = {
     {"faultCycles", &VmStats::faultCycles},
 };
 
-/** CoreStats counters by name, for the per-core conservation laws. */
-struct CoreFieldDef
-{
-    const char *name;
-    Counter CoreStats::*coreField;
-    Counter VmStats::*aggField;
-};
-
-constexpr CoreFieldDef kCoreFieldDefs[] = {
-    {"itlbMisses", &CoreStats::itlbMisses, &VmStats::itlbMisses},
-    {"dtlbMisses", &CoreStats::dtlbMisses, &VmStats::dtlbMisses},
-    {"ctxSwitches", &CoreStats::ctxSwitches, &VmStats::ctxSwitches},
-    {"shootdownsSent", &CoreStats::shootdownsSent,
-     &VmStats::shootdownsSent},
-    {"shootdownsRecv", &CoreStats::shootdownsRecv,
-     &VmStats::shootdownsRecv},
-    {"majorFaults", &CoreStats::majorFaults, &VmStats::majorFaults},
-};
-
 /** |a - b| within a relative epsilon (both derived from the same
  *  counters, so only summation-order noise is tolerated). */
 bool
@@ -540,9 +521,16 @@ checkTelemetry(const TelemetrySnapshot &snap, bool final,
     }
 }
 
+namespace
+{
+
+/**
+ * diffResults() minus the cache counters: labels, instruction count,
+ * every VmStats counter and every per-core slice.
+ */
 CheckReport
-diffResults(const Results &a, const Results &b,
-            const std::string &label_a, const std::string &label_b)
+diffVmSide(const Results &a, const Results &b, const std::string &label_a,
+           const std::string &label_b)
 {
     CheckReport rep;
     rep.check(a.system() == b.system() && a.workload() == b.workload(),
@@ -583,6 +571,16 @@ diffResults(const Results &a, const Results &b,
                       cb.majorFaults, ")");
         }
     }
+    return rep;
+}
+
+} // anonymous namespace
+
+CheckReport
+diffResults(const Results &a, const Results &b,
+            const std::string &label_a, const std::string &label_b)
+{
+    CheckReport rep = diffVmSide(a, b, label_a, label_b);
     for (unsigned c = 0; c < kNumAccessClasses; ++c) {
         for (int side = 0; side < 2; ++side) {
             const ClassCounters &ca =
@@ -599,6 +597,26 @@ diffResults(const Results &a, const Results &b,
                       cb.l1Misses, ", ", cb.l2Misses, ")");
         }
     }
+    return rep;
+}
+
+bool
+cacheBlindVm(SystemKind kind)
+{
+    return kind != SystemKind::Notlb && kind != SystemKind::Spur;
+}
+
+CheckReport
+checkCacheIndependence(const std::vector<Results> &cells,
+                       const std::vector<std::string> &labels)
+{
+    CheckReport rep;
+    rep.check(cells.size() == labels.size(), "cache-independence.labels",
+              cells.size(), " cells but ", labels.size(), " labels");
+    for (std::size_t i = 1; i < cells.size() && i < labels.size(); ++i)
+        rep.mergePrefixed(diffVmSide(cells[0], cells[i], labels[0],
+                                     labels[i]),
+                          "cache-independence.");
     return rep;
 }
 

@@ -153,6 +153,27 @@ CheckReport diffResults(const Results &a, const Results &b,
                         const std::string &label_b);
 
 /**
+ * True when @p kind's VM never reads a cache outcome, so that
+ * checkCacheIndependence() applies: the six TLB organizations and
+ * BASE. NOTLB and SPUR are excluded because their refills fire on user
+ * L2-cache misses, so their VmStats move with the cache geometry.
+ */
+bool cacheBlindVm(SystemKind kind);
+
+/**
+ * Cross-cell law "cache independence of the VM": @p cells, runs of one
+ * cacheBlindVm() organization on one input that differ only in cache
+ * geometry, must agree on every VmStats counter and every per-core
+ * slice, since nothing in the cache model feeds back into a TLB, a
+ * page table or a refill decision. The bare kernels' I/D span passes
+ * (VmSystem::runSpan) rest on the same fact. @p labels name the cells
+ * (one per cell) in violations, which are tagged
+ * "cache-independence.".
+ */
+CheckReport checkCacheIndependence(const std::vector<Results> &cells,
+                                   const std::vector<std::string> &labels);
+
+/**
  * Conservation law for partial (canceled) runs: the simulator's
  * executed-instruction count must equal the user instruction fetches
  * the memory system actually saw — no instruction half-retired.

@@ -320,7 +320,8 @@ Results::serialize() const
 }
 
 Expected<Results>
-Results::deserialize(const Json &j, const CostModel &costs)
+Results::deserialize(const Json &j, const CostModel &costs,
+                     bool require_per_core)
 {
     auto bad = [](auto &&...msg) {
         return makeError(ErrorCode::ParseError, "results",
@@ -363,8 +364,8 @@ Results::deserialize(const Json &j, const CostModel &costs)
                        "'");
         *vmField(vm, i) = f->asUint();
     }
-    // Optional for compatibility with pre-multicore journals, which
-    // have no per-core slices.
+    // Optional only for pre-multicore journals, which have no
+    // per-core slices.
     if (const Json *cores_j = vmj->find("per_core")) {
         if (!cores_j->isArray() || cores_j->size() == 0)
             return bad("'per_core' must be a nonempty array");
@@ -374,6 +375,16 @@ Results::deserialize(const Json &j, const CostModel &costs)
                                              vm.perCore[c]);
                 !s.ok())
                 return s.error();
+        for (const CoreFieldDef &def : kCoreFieldDefs) {
+            Counter sum = 0;
+            for (const CoreStats &cs : vm.perCore)
+                sum += cs.*def.coreField;
+            if (sum != vm.*def.aggField)
+                return bad("per-core ", def.name, " sum to ", sum,
+                           ", not the aggregate ", vm.*def.aggField);
+        }
+    } else if (require_per_core) {
+        return bad("missing 'vm.per_core'");
     }
 
     return Results(system->asString(), workload->asString(),

@@ -159,10 +159,15 @@ class Results
 
     /**
      * Inverse of serialize(). @p costs supplies the cost model the
-     * journal omits. Malformed input yields ParseError.
+     * journal omits. Malformed input yields ParseError, and so do
+     * per-core slices whose sums disagree with their aggregates.
+     * @p require_per_core makes a missing `vm.per_core` malformed too:
+     * only records from before per-core counters existed (unframed,
+     * version-1 journal lines) may lack it.
      */
     static Expected<Results> deserialize(const Json &j,
-                                         const CostModel &costs);
+                                         const CostModel &costs,
+                                         bool require_per_core = false);
 
   private:
     double perInstr(Counter n) const;

@@ -112,9 +112,12 @@ encodeCellPayload(std::size_t flat, const Results &results)
  * Inverse of encodeCellPayload(). The log stores only exact integers;
  * the cost model comes from @p spec so derived doubles reproduce
  * bit-for-bit. Rejects records whose cell index is outside the grid.
+ * A @p framed record was written after per-core counters existed, so
+ * it must carry them.
  */
 Expected<std::pair<std::size_t, Results>>
-decodeCellPayload(const std::string &payload, const SweepSpec &spec)
+decodeCellPayload(const std::string &payload, const SweepSpec &spec,
+                  bool framed)
 {
     Expected<Json> j = Json::parse(payload);
     if (!j.ok())
@@ -133,7 +136,8 @@ decodeCellPayload(const std::string &payload, const SweepSpec &spec)
                          " is outside the grid (", spec.numCells(),
                          " cells)");
     Expected<Results> r =
-        Results::deserialize(*results, spec.cell(flat).config.costs);
+        Results::deserialize(*results, spec.cell(flat).config.costs,
+                             framed);
     if (!r.ok())
         return r.error();
     return std::make_pair(flat, std::move(r).orThrow());
@@ -154,6 +158,45 @@ headerPayload(ShardLog::Kind kind, const std::string &owner,
     if (journal)
         header.set("cells", static_cast<std::uint64_t>(spec.numCells()));
     return header.dump();
+}
+
+/**
+ * The header keys besides kind and fingerprint: a journal carries a
+ * version it was written at (1: unframed lines, 2: CRC-framed) and the
+ * grid's cell count and no owner; a shard log carries kShardVersion
+ * and @p owner, the owner its file name names, and no cell count.
+ */
+Status
+checkHeaderFields(const Json &header, ShardLog::Kind kind,
+                  const SweepSpec &spec, const std::string &owner)
+{
+    auto bad = [](auto &&...msg) {
+        return Status(makeError(ErrorCode::InvalidArgument, "log header",
+                                std::forward<decltype(msg)>(msg)...));
+    };
+    const bool journal = kind == ShardLog::Kind::Journal;
+    const Json *version = header.find("version");
+    const Json *cells = header.find("cells");
+    const Json *who = header.find("owner");
+    if (!version || !version->isNumber())
+        return bad("missing or mistyped 'version'");
+    const std::uint64_t v = version->asUint();
+    if (journal ? (v != 1 && v != kJournalVersion) : v != kShardVersion)
+        return bad("unsupported version ", v);
+    if (journal) {
+        if (!cells || !cells->isNumber() ||
+            cells->asUint() != spec.numCells())
+            return bad("'cells' does not match the grid's ",
+                       spec.numCells(), " cells");
+        if (who)
+            return bad("a journal names no owner");
+        return Status();
+    }
+    if (!who || !who->isString() || who->asString() != owner)
+        return bad("'owner' is not '", owner, "'");
+    if (cells)
+        return bad("a shard log carries no cell count");
+    return Status();
 }
 
 /** Everything one log holds, in append order. */
@@ -190,12 +233,13 @@ struct ShardLogLoad
 /**
  * Walk one log whose header must name @p kind: CRC frame per line
  * (unframed pre-CRC lines pass through), torn final line reported (not
- * fatal), undecodable interior line fatal, wrong kind or fingerprint
- * fatal. A missing file loads as empty.
+ * fatal), undecodable interior line fatal, a header of the wrong kind,
+ * version, fingerprint, cell count (journals) or @p owner (shard
+ * logs) fatal. A missing file loads as empty.
  */
 Expected<ShardLogLoad>
 loadShardLog(const std::string &path, const SweepSpec &spec,
-             ShardLog::Kind kind)
+             ShardLog::Kind kind, const std::string &owner)
 {
     ShardLogLoad load;
     std::ifstream is(path, std::ios::binary);
@@ -213,7 +257,8 @@ loadShardLog(const std::string &path, const SweepSpec &spec,
     // header of the wrong kind or spec) never is.
     auto interpret = [&](const std::string &line) -> Status {
         std::string payload;
-        switch (crcUnframeLine(line, payload)) {
+        const FrameCheck frame = crcUnframeLine(line, payload);
+        switch (frame) {
           case FrameCheck::Mismatch:
             return makeError(ErrorCode::ParseError, path,
                              "log record checksum mismatch");
@@ -244,6 +289,11 @@ loadShardLog(const std::string &path, const SweepSpec &spec,
                     "' was written for a different spec (fingerprint ",
                     fp->asString(), " != ", fingerprint,
                     "); refusing to mix results");
+            if (Status st = checkHeaderFields(header.value(), kind, spec,
+                                              owner);
+                !st.ok())
+                return makeError(ErrorCode::InvalidArgument, path, "log '",
+                                 path, "' header: ", st.error().message);
             load.hasHeader = true;
             return Status();
         }
@@ -289,7 +339,7 @@ loadShardLog(const std::string &path, const SweepSpec &spec,
             return Status();
         }
         Expected<std::pair<std::size_t, Results>> cell =
-            decodeCellPayload(payload, spec);
+            decodeCellPayload(payload, spec, frame == FrameCheck::Ok);
         if (!cell.ok())
             return cell.error();
         load.commits.push_back(std::move(cell).orThrow());
@@ -423,7 +473,7 @@ ShardLog::ShardLog(const std::string &path, Kind kind,
     if (fresh)
         truncateFile(path_, 0).orThrow();
     else
-        load = loadShardLog(path_, spec, kind).orThrow();
+        load = loadShardLog(path_, spec, kind, owner_).orThrow();
     if (load.torn) {
         warn("log '", path_, "': torn record at byte ", load.validBytes,
              "; truncating and resuming");
@@ -508,13 +558,13 @@ scanShardDir(const std::string &dir, const SweepSpec &spec)
 
     for (const std::string &name : names.value()) {
         const std::string path = dir + "/" + name;
+        // "shard-<owner>.jsonl" — the owner the leases belong to.
+        const std::string owner = name.substr(6, name.size() - 12);
         Expected<ShardLogLoad> loaded =
-            loadShardLog(path, spec, ShardLog::Kind::Shard);
+            loadShardLog(path, spec, ShardLog::Kind::Shard, owner);
         if (!loaded.ok())
             return loaded.error();
         ShardLogLoad &load = loaded.value();
-        // "shard-<owner>.jsonl" — the owner the leases belong to.
-        const std::string owner = name.substr(6, name.size() - 12);
         for (const ShardLogLoad::Lease &l : load.leases) {
             if (l.expiresMs > scan.leaseMs[l.cell]) {
                 scan.leaseMs[l.cell] = l.expiresMs;

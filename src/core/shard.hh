@@ -113,8 +113,9 @@ class ShardLog
     /**
      * Open (or resume) the log at @p path. @p fresh discards whatever
      * the file held and starts over with a header. Throws VmsimError
-     * on I/O failure, corruption, a wrong kind or a fingerprint
-     * mismatch against @p spec.
+     * on I/O failure, corruption, a wrong kind, a fingerprint mismatch
+     * against @p spec, or header fields that do not fit the log
+     * (version, a journal's cell count, a shard log's @p owner).
      */
     ShardLog(const std::string &path, Kind kind, const SweepSpec &spec,
              bool fresh = false, const std::string &owner = {},

@@ -10,7 +10,10 @@ BaseVm::BaseVm(MemSystem &mem)
 void
 BaseVm::refBlock(const AccessBlock &blk)
 {
-    refBlockFor(*this, blk);
+    if (spansLegal())
+        refBlockKernel<KernelBody::Spans>(*this, blk);
+    else
+        refBlockFor(*this, blk);
 }
 
 } // namespace vmsim

@@ -15,13 +15,14 @@
  * `static_cast<Derived *>(this)` — resolved at compile time, inlined
  * into the batch loop.
  *
- * Each kernel instantiates twice (kObs true/false): the observed body
- * keeps every event-sink and latency-collector test, the bare body
- * compiles them out. refBlock() selects once per batch via
- * VmSystem::observedRefs() — the per-batch prologue that hoists the
- * observer null tests, the per-core TLB pair, and (inside
- * noteItlbMiss/noteDtlbMiss, which only run on the miss path) the
- * per-core stats lookup out of the per-record loop.
+ * Each block kernel instantiates three times (KernelBody): the
+ * observed body keeps every event-sink and latency-collector test, the
+ * bare body compiles them out, and the spans body is the bare one run
+ * as I/D passes between TLB misses. refBlock() selects once per batch
+ * via VmSystem::observedRefs() and spansLegal() — the per-batch
+ * prologue that hoists the observer null tests, the per-core TLB
+ * pair, and (inside noteItlbMiss/noteDtlbMiss, which only run on the
+ * miss path) the per-core stats lookup out of the per-record loop.
  */
 
 #ifndef VMSIM_OS_TLB_VM_HH
@@ -63,9 +64,13 @@ class TlbVm : public VmSystem
      * Monomorphized instruction-fetch kernel: probe @p itlb (the
      * issuing core's I-TLB, hoisted by the caller), refill via
      * Derived::walk on a miss, then fetch through the I-side caches.
+     * Both kernels are forced inline: each has several callers (the
+     * block bodies, the span pass, the scalar entry points), and
+     * left to itself the compiler then calls them out of line, a
+     * call per reference.
      */
     template <bool kObs>
-    void
+    [[gnu::always_inline]] void
     instRefK(const Access &a, Tlb &itlb)
     {
         const Addr pc = a.addr;
@@ -80,7 +85,7 @@ class TlbVm : public VmSystem
 
     /** The data-side twin of instRefK(). */
     template <bool kObs>
-    void
+    [[gnu::always_inline]] void
     dataRefK(const Access &a, Tlb &dtlb)
     {
         const Addr addr = a.addr;
@@ -115,9 +120,11 @@ class TlbVm : public VmSystem
     refBlock(const AccessBlock &blk) override
     {
         if (observedRefs())
-            refBlockT<true>(blk);
+            refBlockT<KernelBody::Observed>(blk);
+        else if (spansLegal())
+            refBlockT<KernelBody::Spans>(blk);
         else
-            refBlockT<false>(blk);
+            refBlockT<KernelBody::Bare>(blk);
     }
 
     const Tlb *itlb(CoreId core) const override { return &tlbs_.itlb(core); }
@@ -150,15 +157,37 @@ class TlbVm : public VmSystem
     Derived &self() { return static_cast<Derived &>(*this); }
 
     // LINT-KERNEL-BEGIN (tlb_vm)
-    template <bool kObs>
+    /**
+     * The Spans body splits the block at its I-TLB misses: the I-TLB
+     * hits from record i on are counted up to the first miss k, records
+     * [i, k) run as VmSystem::runSpan's two passes, and record k takes
+     * the per-record body. Exact because no organization's walk touches
+     * the I-TLB except to fill its own target, so the I-TLB sees its
+     * own probes in scalar order, and the D pass runs every walk in
+     * scalar order before k's.
+     */
+    template <KernelBody K>
     void
     refBlockT(const AccessBlock &blk)
     {
+        constexpr bool kObs = K == KernelBody::Observed;
         Tlb &itlb = tlbs_.itlb(blk.core);
         Tlb &dtlb = tlbs_.dtlb(blk.core);
         Access a;
         a.core = blk.core;
         for (std::size_t i = 0; i < blk.n; ++i) {
+            if constexpr (K == KernelBody::Spans) {
+                std::size_t k = i;
+                while (k < blk.n &&
+                       itlb.lookupHit(blk.recs[k].pc >> pageBits_))
+                    ++k;
+                runSpan(blk, i, k, [this, &dtlb](const Access &d) {
+                    dataRefK<false>(d, dtlb);
+                });
+                if (k == blk.n)
+                    break;
+                i = k;
+            }
             const TraceRecord &r = blk.recs[i];
             if constexpr (kObs)
                 setCurrentInstr(blk.firstInstr + i);

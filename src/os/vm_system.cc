@@ -295,10 +295,12 @@ VmSystem::fetchHandler(EventLevel level, Addr base, unsigned n, Vpn v)
                 mem_.instFetch(base + std::uint64_t{k} * kInstrBytes,
                                AccessClass::HandlerFetch));
         svcAcc_ += cyc;
+    } else if (deferFetches_) {
+        // A span's D pass: the I caches see this code after the user
+        // fetch of the record whose data ref missed (runSpan()).
+        deferred_.push_back({deferRec_, base, n});
     } else {
-        for (unsigned k = 0; k < n; ++k)
-            mem_.instFetch(base + std::uint64_t{k} * kInstrBytes,
-                           AccessClass::HandlerFetch);
+        fetchHandlerCode(base, n);
     }
     emitEvent(EventKind::HandlerExit, level, base, v, n);
 }

@@ -25,6 +25,13 @@
  *         }
  *     }
  *
+ * The bare batched kernels keep that loop's counters but not its
+ * interleaving: between two TLB misses the I side (I-TLB, L1i, L2i)
+ * and the D side (D-TLB, L1d, L2d) share no state, so inside such a
+ * miss-free span the two sides run as passes, D then I, and the
+ * record that ends the span takes the loop above (runSpan(),
+ * spansLegal()).
+ *
  * The access API is core-indexed: every Access carries the id of the
  * core issuing it, organizations keep one I/D TLB pair per core
  * (CoreTlbs), and an address-space switch on one core broadcasts TLB
@@ -107,6 +114,14 @@ struct AccessBlock
 };
 
 /**
+ * The body a batched kernel instantiates, chosen once per block:
+ * Observed keeps every observer test; Bare compiles them out; Spans
+ * is Bare plus the two-pass span split (VmSystem::runSpan), taken
+ * only while VmSystem::spansLegal() holds.
+ */
+enum class KernelBody : std::uint8_t { Observed, Bare, Spans };
+
+/**
  * Handler lengths and hardware-walk costs (paper Table 4).
  * All instruction counts double as base cycle counts on the 1-CPI core.
  */
@@ -182,6 +197,30 @@ struct VmStats
     std::vector<CoreStats> perCore;
 
     void reset() { *this = VmStats{}; }
+};
+
+/** A CoreStats counter and the VmStats aggregate its slices sum to. */
+struct CoreFieldDef
+{
+    const char *name;
+    Counter CoreStats::*coreField;
+    Counter VmStats::*aggField;
+};
+
+/**
+ * Every per-core counter that has a VmStats aggregate, for the
+ * per-core conservation law (CoreStats::instrs has none: single-core
+ * loops never credit it).
+ */
+inline constexpr CoreFieldDef kCoreFieldDefs[] = {
+    {"itlbMisses", &CoreStats::itlbMisses, &VmStats::itlbMisses},
+    {"dtlbMisses", &CoreStats::dtlbMisses, &VmStats::dtlbMisses},
+    {"ctxSwitches", &CoreStats::ctxSwitches, &VmStats::ctxSwitches},
+    {"shootdownsSent", &CoreStats::shootdownsSent,
+     &VmStats::shootdownsSent},
+    {"shootdownsRecv", &CoreStats::shootdownsRecv,
+     &VmStats::shootdownsRecv},
+    {"majorFaults", &CoreStats::majorFaults, &VmStats::majorFaults},
 };
 
 /**
@@ -339,6 +378,36 @@ class VmSystem
      * block.
      */
     bool observedRefs() const { return sink_ != nullptr || lat_ != nullptr; }
+
+    /**
+     * True while a bare block may run its TLB-miss-free spans as two
+     * passes (KernelBody::Spans). The passes reorder the I side against
+     * the D side, which no counter sees only if: no observer is
+     * attached (events and latency episodes carry the interleaving);
+     * the L2 is split (a unified L2 is state both sides share); and no
+     * frame budget is set (a D-side refill could evict a page whose
+     * I-TLB hit the span already counted).
+     */
+    bool
+    spansLegal() const
+    {
+        return !observedRefs() && !mem_.unifiedL2() && !pressureOn();
+    }
+
+    /**
+     * Run records [@p lo, @p hi) of @p blk as a TLB-miss-free span:
+     * first every load/store, through @p data_ref (the organization's
+     * bare data kernel), over a branch-free list of the span's memory
+     * ops; then every user instruction fetch through the I caches. The
+     * caller has already counted the span's I-TLB hits. D-TLB misses
+     * walk inline, but the handler instruction fetches of those walks
+     * are deferred and replayed right after the fetch of the record
+     * that took the miss, so the I caches see the scalar loop's order.
+     * @pre spansLegal()
+     */
+    template <class DataRef>
+    void runSpan(const AccessBlock &blk, std::size_t lo, std::size_t hi,
+                 DataRef &&data_ref);
 
     /**
      * Attach a latency collector (not owned; nullptr detaches). While
@@ -721,6 +790,15 @@ class VmSystem
     void doEmit(EventKind kind, EventLevel level, Addr vaddr, Vpn vpn,
                 Cycles cycles);
 
+    /** Fetch @p n handler instructions from @p base (no latency). */
+    void
+    fetchHandlerCode(Addr base, unsigned n)
+    {
+        for (unsigned k = 0; k < n; ++k)
+            mem_.instFetch(base + std::uint64_t{k} * kInstrBytes,
+                           AccessClass::HandlerFetch);
+    }
+
     /**
      * Cycle penalty the cost model implies for a VM-service access
      * resolved at @p lvl (only called while a collector is attached).
@@ -795,6 +873,20 @@ class VmSystem
     Cycles missStart_ = 0;
     Cycles walkStart_ = 0;
     /** @} */
+
+    /** @name runSpan() scratch (empty outside a span's D pass). @{ */
+    /** A handler's code fetch, held back until record `rec`'s fetch. */
+    struct DeferredFetch
+    {
+        std::size_t rec;
+        Addr base;
+        unsigned n;
+    };
+    bool deferFetches_ = false;  ///< fetchHandler() appends to deferred_
+    std::size_t deferRec_ = 0;   ///< record whose data ref is walking
+    std::vector<DeferredFetch> deferred_;
+    std::vector<std::size_t> spanOps_; ///< the span's memory-op records
+    /** @} */
 };
 
 /**
@@ -807,13 +899,57 @@ class VmSystem
  *
  * The LINT-KERNEL markers fence the per-record dispatch region that
  * scripts/ci.sh greps: no virtual call, no raw instRef/dataRef
- * dispatch, and no std::unordered_map probe may reappear inside it.
+ * dispatch, no std::unordered_map probe, and no branch on isMemOp()
+ * in the span passes may reappear inside it.
  */
 // LINT-KERNEL-BEGIN (vm_system)
-template <bool kObs, class VM>
+template <class DataRef>
+inline void
+VmSystem::runSpan(const AccessBlock &blk, std::size_t lo, std::size_t hi,
+                  DataRef &&data_ref)
+{
+    if (spanOps_.size() < blk.n)
+        spanOps_.resize(blk.n);
+    std::size_t *ops = spanOps_.data();
+    std::size_t nops = 0;
+    for (std::size_t i = lo; i < hi; ++i) {
+        ops[nops] = i;
+        nops += blk.recs[i].isMemOp();
+    }
+    Access a;
+    a.core = blk.core;
+    deferFetches_ = true;
+    for (std::size_t j = 0; j < nops; ++j) {
+        const TraceRecord &r = blk.recs[ops[j]];
+        deferRec_ = ops[j];
+        a.addr = r.daddr;
+        a.store = r.isStore();
+        data_ref(a);
+    }
+    deferFetches_ = false;
+    std::size_t i = lo;
+    for (const DeferredFetch &d : deferred_) {
+        for (; i <= d.rec; ++i)
+            mem_.instFetch(blk.recs[i].pc, AccessClass::User);
+        fetchHandlerCode(d.base, d.n);
+    }
+    for (; i < hi; ++i)
+        mem_.instFetch(blk.recs[i].pc, AccessClass::User);
+    deferred_.clear();
+}
+
+template <KernelBody K, class VM>
 inline void
 refBlockKernel(VM &vm, const AccessBlock &blk)
 {
+    constexpr bool kObs = K == KernelBody::Observed;
+    if constexpr (K == KernelBody::Spans) {
+        // BASE: no TLB, so the whole block is one miss-free span.
+        vm.runSpan(blk, 0, blk.n, [&vm](const Access &d) {
+            vm.template dataRefK<false>(d);
+        });
+        return;
+    }
     Access a;
     a.core = blk.core;
     for (std::size_t i = 0; i < blk.n; ++i) {
@@ -835,17 +971,19 @@ refBlockKernel(VM &vm, const AccessBlock &blk)
 /**
  * Per-batch prologue: test the observers once, then run the whole
  * block through the matching monomorphized kernel. Each organization's
- * refBlock() override is a one-line call to this helper from its own
- * translation unit, where the reference kernels are visible.
+ * refBlock() override is a call to this helper from its own
+ * translation unit, where the reference kernels are visible. NOTLB
+ * and SPUR never take KernelBody::Spans: they refill on user L2
+ * misses, so a cache outcome on one side feeds the other.
  */
 template <class VM>
 inline void
 refBlockFor(VM &vm, const AccessBlock &blk)
 {
     if (vm.observedRefs())
-        refBlockKernel<true>(vm, blk);
+        refBlockKernel<KernelBody::Observed>(vm, blk);
     else
-        refBlockKernel<false>(vm, blk);
+        refBlockKernel<KernelBody::Bare>(vm, blk);
 }
 
 } // namespace vmsim

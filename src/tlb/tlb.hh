@@ -146,6 +146,25 @@ class Tlb
     /** Fully-observed probe (safe whether or not histograms attach). */
     bool lookup(Vpn vpn) { return lookupT<true>(vpn); }
 
+    /**
+     * Hit-only probe of the span kernels (VmSystem::runSpan): a hit
+     * has lookupT<false>'s full effect (hit counted, LRU stamp
+     * refreshed); a miss has no effect at all, because the caller
+     * re-probes that VPN through lookupT, which counts it. Same
+     * legality as lookupT<false>.
+     */
+    bool
+    lookupHit(Vpn vpn)
+    {
+        unsigned s = findSlot(vpn);
+        if (s == kNoSlot)
+            return false;
+        ++hits_;
+        if (params_.repl == TlbRepl::LRU)
+            stamps_[s] = ++stamp_;
+        return true;
+    }
+
     /** Probe without touching statistics or LRU state. */
     bool contains(Vpn vpn) const { return findSlot(vpn) != kNoSlot; }
 

@@ -50,16 +50,20 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double s)
     // Guide entry b is the lower bound of the smallest double in bucket
     // b. bucket() and the lower bound are both monotone in u, so the
     // entry is <= the answer for every u in the bucket, and lookup()'s
-    // scan from it lands on exactly std::lower_bound's index.
+    // scan from it lands on exactly std::lower_bound's index. Those
+    // smallest doubles ascend with b, so one cursor that only moves
+    // forward finds every lower bound: n + n steps in all.
     guide_.resize(n);
+    std::uint64_t at = 0;
     for (std::uint64_t b = 0; b < n; ++b) {
         double u = static_cast<double>(b) / scale_;
         while (u > 0.0 && bucket(std::nextafter(u, 0.0)) >= b)
             u = std::nextafter(u, 0.0);
         while (bucket(u) < b)
             u = std::nextafter(u, 1.0);
-        guide_[b] = static_cast<std::uint32_t>(
-            std::lower_bound(cdf_.begin(), cdf_.end(), u) - cdf_.begin());
+        while (cdf_[at] < u)
+            ++at;
+        guide_[b] = static_cast<std::uint32_t>(at);
     }
 }
 

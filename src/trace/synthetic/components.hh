@@ -82,6 +82,9 @@ class ZipfSampler
 
     std::uint64_t numItems() const { return cdf_.size(); }
 
+    /** Guide-table entry @p b: lookup()'s first candidate in bucket b. */
+    std::uint32_t guideEntry(std::uint64_t b) const { return guide_[b]; }
+
   private:
     std::uint64_t
     bucket(double u) const

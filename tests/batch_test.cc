@@ -18,10 +18,19 @@
 
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
+#include "core/factory.hh"
 #include "core/simulator.hh"
 #include "core/sweep.hh"
 #include "obs/event.hh"
 #include "obs/interval.hh"
+#include "obs/latency.hh"
+#include "os/base_vm.hh"
+#include "os/hw_inverted_vm.hh"
+#include "os/hw_mips_vm.hh"
+#include "os/intel_vm.hh"
+#include "os/mach_vm.hh"
+#include "os/parisc_vm.hh"
+#include "os/ultrix_vm.hh"
 #include "trace/recorded.hh"
 #include "trace/synthetic/workloads.hh"
 #include "trace/trace_file.hh"
@@ -689,6 +698,200 @@ TEST(SweepTraceCache, ComposesWithFaultInjection)
     b.traceCache(0).injectFaults(faults);
     b.run(spec).writeCsv(uncached);
     EXPECT_EQ(cached.str(), uncached.str());
+}
+
+/**
+ * The six TLB organizations and BASE: the organizations whose bare
+ * blocks run their TLB-miss-free spans as an I pass and a D pass
+ * (VmSystem::runSpan). NOTLB and SPUR keep the per-record order.
+ */
+constexpr SystemKind kSpanKinds[] = {
+    SystemKind::Ultrix, SystemKind::Mach,       SystemKind::Intel,
+    SystemKind::Parisc, SystemKind::HwInverted, SystemKind::HwMips,
+    SystemKind::Base};
+
+/** Hit and miss counts of every core's I- and D-TLB, in core order. */
+std::string
+tlbCounts(const VmSystem &vm)
+{
+    std::ostringstream out;
+    for (CoreId c = 0; c < vm.cores(); ++c)
+        for (const Tlb *t : {vm.itlb(c), vm.dtlb(c)})
+            if (t)
+                out << ' ' << t->hits() << '/' << t->misses();
+    return out.str();
+}
+
+/**
+ * Results::serialize() plus the TLB counts of one unobserved run of
+ * @p cfg at @p batch (1 = the scalar loop), optionally with a latency
+ * collector attached.
+ */
+std::string
+bareRun(const SimConfig &cfg, const std::string &workload,
+        std::size_t batch, LatencyCollector *lat = nullptr)
+{
+    System sys(cfg);
+    sys.setBatchSize(batch);
+    sys.attachLatency(lat);
+    auto trace = makeWorkload(workload, cfg.seed);
+    Results r = sys.run(*trace, 20000, trace->name(), 5000);
+    return r.serialize().dump() + tlbCounts(sys.vm());
+}
+
+/** Every batched run of @p cfg equals its scalar run. */
+void
+expectSpanIdentity(const SimConfig &cfg, const std::string &workload,
+                   const std::string &what)
+{
+    const std::string scalar = bareRun(cfg, workload, 1);
+    for (std::size_t batch : {std::size_t{7}, Simulator::kDefaultBatch})
+        EXPECT_EQ(scalar, bareRun(cfg, workload, batch))
+            << kindName(cfg.kind) << ' ' << workload << ' ' << what
+            << " batch " << batch;
+}
+
+SimConfig
+spanConfig(SystemKind kind)
+{
+    SimConfig cfg = batchTestConfig(kind);
+    cfg.ctxSwitchInterval = 0;
+    return cfg;
+}
+
+TEST(SpanKernels, IdenticalToScalarOnEveryWorkload)
+{
+    for (SystemKind kind : kSpanKinds)
+        for (const char *wl : {"gcc", "vortex", "ijpeg"})
+            expectSpanIdentity(spanConfig(kind), wl, "");
+}
+
+TEST(SpanKernels, IdenticalToScalarUnderEveryTlbReplacement)
+{
+    for (SystemKind kind : kSpanKinds)
+        for (TlbRepl repl : {TlbRepl::Random, TlbRepl::LRU, TlbRepl::FIFO}) {
+            SimConfig cfg = spanConfig(kind);
+            cfg.tlbRepl = repl;
+            expectSpanIdentity(cfg, "gcc",
+                               "repl " + std::to_string(int(repl)));
+        }
+}
+
+TEST(SpanKernels, IdenticalToScalarAcrossContextSwitches)
+{
+    for (SystemKind kind : kSpanKinds)
+        for (unsigned asid : {0u, 8u}) {
+            SimConfig cfg = spanConfig(kind);
+            cfg.tlbAsidBits = asid;
+            cfg.ctxSwitchInterval = 997;
+            expectSpanIdentity(cfg, "vortex",
+                               "asid " + std::to_string(asid));
+        }
+}
+
+TEST(SpanKernels, IdenticalToScalarWithASharedL2Tlb)
+{
+    for (SystemKind kind : kSpanKinds)
+        for (unsigned cores : {1u, 2u, 4u}) {
+            SimConfig cfg = spanConfig(kind);
+            cfg.l2TlbEntries = 64;
+            cfg.cores = cores;
+            cfg.coreQuantum = 1500;
+            cfg.ctxSwitchInterval = 997;
+            expectSpanIdentity(cfg, "gcc",
+                               "cores " + std::to_string(cores));
+        }
+}
+
+/**
+ * An 8-entry D-TLB behind a 128-entry I-TLB, with a 200-instruction
+ * user handler: D-TLB misses are frequent inside long I-TLB-hit runs,
+ * so many walks' handler fetches are deferred and replayed mid-span.
+ */
+std::unique_ptr<VmSystem>
+smallDtlbVm(SystemKind kind, MemSystem &mem, PhysMem &pm)
+{
+    const bool partitioned = kind == SystemKind::Ultrix ||
+                             kind == SystemKind::Mach ||
+                             kind == SystemKind::HwMips;
+    TlbParams i;
+    i.protectedSlots = partitioned ? 16 : 0;
+    TlbParams d;
+    d.entries = 8;
+    d.protectedSlots = partitioned ? 2 : 0;
+    HandlerCosts costs = defaultHandlerCosts(kind);
+    costs.userInstrs = 200;
+    switch (kind) {
+      case SystemKind::Ultrix:
+        return std::make_unique<UltrixVm>(mem, pm, i, d, costs, 12, 5);
+      case SystemKind::Mach:
+        return std::make_unique<MachVm>(mem, pm, i, d, costs, 12, 5);
+      case SystemKind::Intel:
+        return std::make_unique<IntelVm>(mem, pm, i, d, costs, 12, 5);
+      case SystemKind::Parisc:
+        return std::make_unique<PariscVm>(mem, pm, i, d, costs, 12, 5);
+      case SystemKind::HwInverted:
+        return std::make_unique<HwInvertedVm>(mem, pm, i, d, costs, 12, 5);
+      case SystemKind::HwMips:
+        return std::make_unique<HwMipsVm>(mem, pm, i, d, costs, 12, 5);
+      default:
+        return std::make_unique<BaseVm>(mem);
+    }
+}
+
+std::string
+smallDtlbRun(SystemKind kind, std::size_t batch)
+{
+    MemSystem mem(CacheParams{16_KiB, 32}, CacheParams{1_MiB, 64}, 5);
+    PhysMem pm(8_MiB, 12);
+    auto vm = smallDtlbVm(kind, mem, pm);
+    auto trace = makeWorkload("vortex", 5);
+    Simulator sim(*vm, *trace);
+    sim.setBatchSize(batch);
+    sim.run(30000);
+    return Results(vm->name(), "vortex", 30000, mem.stats(),
+                   vm->vmStats(), CostModel{})
+               .serialize()
+               .dump() +
+           tlbCounts(*vm);
+}
+
+TEST(SpanKernels, DeferredHandlerFetchesReplayInScalarOrder)
+{
+    for (SystemKind kind : kSpanKinds) {
+        const std::string scalar = smallDtlbRun(kind, 1);
+        for (std::size_t batch : {std::size_t{7}, Simulator::kDefaultBatch})
+            EXPECT_EQ(scalar, smallDtlbRun(kind, batch))
+                << kindName(kind) << " batch " << batch;
+    }
+}
+
+/**
+ * Where spansLegal() is false the bare kernel keeps the per-record
+ * order: a unified L2, a frame budget and a latency collector must
+ * each still match the scalar loop.
+ */
+TEST(SpanKernels, FallbacksMatchScalar)
+{
+    for (SystemKind kind : kSpanKinds) {
+        SimConfig unified = spanConfig(kind);
+        unified.unifiedL2 = true;
+        unified.l1 = CacheParams{8_KiB, 32};
+        unified.l2 = CacheParams{32_KiB, 64};
+        expectSpanIdentity(unified, "gcc", "unified L2");
+
+        SimConfig budget = spanConfig(kind);
+        budget.physFrames = 64;
+        budget.tlbEntries = 32;
+        budget.tlbProtectedSlots = 8;
+        expectSpanIdentity(budget, "vortex", "frame budget");
+
+        SimConfig cfg = spanConfig(kind);
+        LatencyCollector lat;
+        EXPECT_EQ(bareRun(cfg, "gcc", 1),
+                  bareRun(cfg, "gcc", Simulator::kDefaultBatch, &lat))
+            << kindName(kind) << " latency";
+    }
 }
 
 } // anonymous namespace

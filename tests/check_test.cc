@@ -156,6 +156,55 @@ TEST(DiffResults, DetectsDivergence)
     EXPECT_FALSE(diffResults(a, b, "first", "second").ok());
 }
 
+// ------------------------------------------------------ cross-cell laws
+
+/**
+ * checkCacheIndependence() over one run of @p kind on @p workload per
+ * cache geometry: L1 {4K, 64K} x L2 {256K, 1M}.
+ */
+CheckReport
+cacheGridReport(SystemKind kind, const std::string &workload)
+{
+    std::vector<Results> cells;
+    std::vector<std::string> labels;
+    for (std::uint64_t l1 : {4_KiB, 64_KiB}) {
+        for (std::uint64_t l2 : {256_KiB, 1_MiB}) {
+            SimConfig c = cfg(kind);
+            c.l1 = CacheParams{l1, 32};
+            c.l2 = CacheParams{l2, 64};
+            cells.push_back(runOnce(c, workload, 100000, 20000));
+            labels.push_back("L1 " + std::to_string(l1) + " L2 " +
+                             std::to_string(l2));
+        }
+    }
+    return checkCacheIndependence(cells, labels);
+}
+
+TEST(CacheIndependence, VmCountersIgnoreCacheGeometry)
+{
+    for (SystemKind kind : kAllKinds) {
+        if (!cacheBlindVm(kind))
+            continue;
+        for (const char *wl : {"gcc", "vortex"}) {
+            CheckReport rep = cacheGridReport(kind, wl);
+            EXPECT_TRUE(rep.ok()) << kindName(kind) << ' ' << wl << ": "
+                                  << rep.toString();
+            EXPECT_GT(rep.lawsChecked(), 0u);
+        }
+    }
+}
+
+TEST(CacheIndependence, NotlbAndSpurRefillOnCacheMisses)
+{
+    // The two excluded organizations really do break the law, so the
+    // law can fail and the exclusion is needed.
+    for (SystemKind kind : {SystemKind::Notlb, SystemKind::Spur}) {
+        EXPECT_FALSE(cacheBlindVm(kind)) << kindName(kind);
+        EXPECT_FALSE(cacheGridReport(kind, "vortex").ok())
+            << kindName(kind);
+    }
+}
+
 // ------------------------------------- cancellation conservation (partial)
 
 /**

@@ -88,8 +88,10 @@ lineCuts(const std::string &log)
 /**
  * Damage that survives the CRC frame or sits outside it: a payload
  * byte flipped and the line re-framed (so the mutant reaches the
- * decoder), a header naming @p foreignKind instead of @p ownKind, and
- * garbage lines between records; the last two must be refused. A flip
+ * decoder), a header naming @p foreignKind instead of @p ownKind or
+ * carrying another version, owner or cell count, a cell record whose
+ * per-core counters are missing or do not sum to its aggregates, and
+ * garbage lines between records; all but the flips must be refused. A flip
  * sets a byte's high bit, so it never turns one counter value into
  * another valid one: under a valid CRC such a change is
  * indistinguishable from real data.
@@ -140,6 +142,39 @@ corruptions(const std::string &log, const std::string &ownKind,
     header.replace(at, own.size(), "\"kind\":\"" + foreignKind + "\"");
     out.push_back({"header kind " + foreignKind,
                    with(0, crcFrameLine(header), false), true});
+
+    // Damage a random flip reaches only by luck, made certain: each
+    // header field changed to another well-formed value, and the first
+    // cell record's per-core block dropped (its key misspelt) or out of
+    // step with the aggregates (one per-core count given a leading 1).
+    // A framed record always carries per-core counters, so all of
+    // these must be refused.
+    auto edited = [&](std::size_t i, const std::string &key,
+                      const std::string &what, auto edit) {
+        std::string p = payloads[i];
+        const std::size_t at = p.find(key);
+        if (at == std::string::npos)
+            return; // not a field this log kind carries
+        edit(p, at + key.size());
+        out.push_back({what, with(i, crcFrameLine(p), false), true});
+    };
+    auto bump = [](std::string &p, std::size_t at) {
+        p[at] = p[at] == '9' ? '8' : static_cast<char>(p[at] + 1);
+    };
+    edited(0, "\"version\":", "header version changed", bump);
+    edited(0, "\"cells\":", "header cell count changed", bump);
+    edited(0, "\"owner\":\"", "header owner changed", bump);
+    std::size_t rec = 1;
+    while (rec + 1 < lines.size() &&
+           payloads[rec].find("\"per_core\"") == std::string::npos)
+        ++rec;
+    EXPECT_LT(rec + 1, lines.size()) << "no interior cell record";
+    edited(rec, "\"per_core\"", "per-core key misspelt",
+           [](std::string &p, std::size_t at) { p[at - 2] = 'd'; });
+    edited(rec, "\"per_core\":[[", "per-core sum off its aggregate",
+           [](std::string &p, std::size_t at) {
+               p.insert(p.find(',', at) + 1, "1");
+           });
 
     for (std::size_t i = 1; i < lines.size(); ++i) {
         for (int k = 0; k < 3; ++k) {

@@ -114,6 +114,37 @@ TEST(ZipfSampler, DrawsMatchLowerBoundReference)
     }
 }
 
+TEST(ZipfSampler, GuideMatchesBinarySearchConstruction)
+{
+    // The guide built with one forward cursor must equal, entry for
+    // entry, one built with a std::lower_bound per bucket: for the
+    // code and data samplers of gcc, vortex and ijpeg, and for
+    // n = 1, 2, 1000 at every skew.
+    std::vector<std::pair<std::uint64_t, double>> geometries = {
+        {64, 0.8}, {16384, 1.2}, {40, 0.7}, {1024, 0.8}, {8, 0.5}};
+    for (std::uint64_t n : {1, 2, 1000})
+        for (double s : kZipfSkews)
+            geometries.emplace_back(n, s);
+    for (const auto &[n, s] : geometries) {
+        ZipfSampler z(n, s);
+        const auto cdf = referenceCdf(n, s);
+        const double scale = static_cast<double>(n);
+        auto bucket = [&](double u) {
+            return std::min<std::uint64_t>(
+                static_cast<std::uint64_t>(u * scale), n - 1);
+        };
+        for (std::uint64_t b = 0; b < n; ++b) {
+            double u = static_cast<double>(b) / scale;
+            while (u > 0.0 && bucket(std::nextafter(u, 0.0)) >= b)
+                u = std::nextafter(u, 0.0);
+            while (bucket(u) < b)
+                u = std::nextafter(u, 1.0);
+            ASSERT_EQ(z.guideEntry(b), referenceIndex(cdf, u))
+                << "n=" << n << " s=" << s << " bucket " << b;
+        }
+    }
+}
+
 TEST(ZipfSampler, LookupMatchesLowerBoundAtEveryEdge)
 {
     // The guide table's only risk is a u near a bucket edge or a CDF
