@@ -29,23 +29,6 @@ paperVmSystems()
     return kinds;
 }
 
-/** Copy the --cores / --core-quantum / --private-l2tlb settings into a
- *  config; a no-op at the default single core. */
-inline void
-applyMulticore(SimConfig &cfg, const BenchOptions &opts)
-{
-    cfg.cores = opts.cores;
-    if (opts.coreQuantum)
-        cfg.coreQuantum = opts.coreQuantum;
-    cfg.sharedL2Tlb = opts.sharedL2Tlb;
-    // --phys-mb / --reclaim ride the same shared-options path so every
-    // bench can run under memory pressure; a no-op when unset.
-    if (opts.physMb) {
-        cfg.physFrames = opts.physFramesFor(cfg.pageBits);
-        cfg.reclaimPolicy = opts.reclaim;
-    }
-}
-
 /** Paper defaults: 128x2 TLB, 16 protected slots, 4 KB pages, 8 MB. */
 inline SimConfig
 paperConfig(SystemKind kind, std::uint64_t l1_size, unsigned l1_line,
@@ -56,8 +39,7 @@ paperConfig(SystemKind kind, std::uint64_t l1_size, unsigned l1_line,
     cfg.kind = kind;
     cfg.l1 = CacheParams{l1_size, l1_line};
     cfg.l2 = CacheParams{l2_size, l2_line};
-    cfg.seed = opts.seed;
-    applyMulticore(cfg, opts);
+    opts.applyTo(cfg);
     return cfg;
 }
 
@@ -73,8 +55,7 @@ paperSweep(const BenchOptions &opts)
     SimConfig base;
     base.l1 = CacheParams{64_KiB, 64};
     base.l2 = CacheParams{1_MiB, 128};
-    base.seed = opts.seed;
-    applyMulticore(base, opts);
+    opts.applyTo(base);
     SweepSpec spec;
     spec.base(base)
         .instructions(opts.instructions)

@@ -130,26 +130,6 @@ namespace
 
 using namespace vmsim;
 
-/**
- * The value of "--flag=N" as a strict unsigned decimal: garbage,
- * trailing characters, and overflow are fatal instead of silently
- * parsing as 0 or a truncated prefix.
- */
-std::uint64_t
-numArg(const char *arg, const char *prefix)
-{
-    std::string flag(prefix, std::strlen(prefix) - 1); // drop '='
-    return parseU64(arg + std::strlen(prefix), flag).orThrow();
-}
-
-/** The value of "--flag=X" as a strict finite double. */
-double
-floatArg(const char *arg, const char *prefix)
-{
-    std::string flag(prefix, std::strlen(prefix) - 1);
-    return parseF64(arg + std::strlen(prefix), flag).orThrow();
-}
-
 bool
 matches(const char *arg, const char *prefix)
 {
@@ -313,32 +293,15 @@ runSupervisor(int argc, char **argv, const SweepSpec &spec,
 int
 runCli(int argc, char **argv)
 {
-
+    RunOptions opts;
+    opts.seeds = 4;
     SimConfig cfg;
-    cfg.kind = SystemKind::Ultrix;
     cfg.l1 = CacheParams{64_KiB, 64};
     cfg.l2 = CacheParams{1_MiB, 128};
     std::string workload = "gcc";
     std::string trace_path;
-    Counter instrs = 2'000'000;
-    std::optional<Counter> warmup;
     bool json = false;
-    std::string trace_events_path;
-    std::string chrome_trace_path;
-    std::string stats_json_path;
-    Counter interval = 0;
-    FaultSpec faults;
-    std::size_t batch = 0;
-    bool check = false;
-    unsigned fuzz_cases = 0;
     std::string fuzz_report_path;
-    double progress_seconds = 0;
-    std::string progress_out_path;
-    std::string metrics_out_path;
-    std::string shard_dir;
-    std::string shard_owner;
-    double lease_seconds = 30.0;
-    unsigned sweep_seeds = 4;
     std::vector<SystemKind> sweep_systems;
     double heartbeat_seconds = 0;
     bool shard_merge = false;
@@ -346,176 +309,82 @@ runCli(int argc, char **argv)
     unsigned max_restarts = 8;
     CrashPlan crash_plan;
     std::size_t crash_fuzz = 0;
-    std::uint64_t phys_mb = 0;
 
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (matches(arg, "--system=")) {
-            std::optional<SystemKind> kind = tryKindFromName(arg + 9);
-            if (!kind)
-                fatal("unknown system '", arg + 9,
-                      "' (expected ULTRIX, MACH, INTEL, PA-RISC, "
-                      "NOTLB, BASE, HW-INVERTED, HW-MIPS or SPUR)");
-            cfg.kind = *kind;
-        }
-        else if (matches(arg, "--workload="))
-            workload = arg + 11;
-        else if (matches(arg, "--trace="))
-            trace_path = arg + 8;
-        else if (matches(arg, "--instructions="))
-            instrs = numArg(arg, "--instructions=");
-        else if (matches(arg, "--warmup="))
-            warmup = numArg(arg, "--warmup=");
-        else if (matches(arg, "--l1="))
-            cfg.l1.sizeBytes = numArg(arg, "--l1=");
-        else if (matches(arg, "--l1-line="))
-            cfg.l1.lineSize = static_cast<unsigned>(
-                numArg(arg, "--l1-line="));
-        else if (matches(arg, "--l2="))
-            cfg.l2.sizeBytes = numArg(arg, "--l2=");
-        else if (matches(arg, "--l2-line="))
-            cfg.l2.lineSize = static_cast<unsigned>(
-                numArg(arg, "--l2-line="));
-        else if (matches(arg, "--assoc=")) {
-            cfg.l1.assoc = static_cast<unsigned>(numArg(arg, "--assoc="));
-            cfg.l2.assoc = cfg.l1.assoc;
-        } else if (matches(arg, "--tlb="))
-            cfg.tlbEntries = static_cast<unsigned>(numArg(arg, "--tlb="));
-        else if (matches(arg, "--protected="))
-            cfg.tlbProtectedSlots = static_cast<unsigned>(
-                numArg(arg, "--protected="));
-        else if (matches(arg, "--page-bits="))
-            cfg.pageBits = static_cast<unsigned>(
-                numArg(arg, "--page-bits="));
-        else if (matches(arg, "--interrupt="))
-            cfg.costs.interruptCycles = numArg(arg, "--interrupt=");
-        else if (matches(arg, "--hpt-ratio="))
-            cfg.hptRatio = static_cast<unsigned>(
-                numArg(arg, "--hpt-ratio="));
-        else if (matches(arg, "--seed="))
-            cfg.seed = numArg(arg, "--seed=");
-        else if (matches(arg, "--ctx-switch="))
-            cfg.ctxSwitchInterval = numArg(arg, "--ctx-switch=");
-        else if (matches(arg, "--cores=")) {
-            cfg.cores = static_cast<unsigned>(numArg(arg, "--cores="));
-            fatalIf(cfg.cores == 0, "--cores must be positive");
-        } else if (matches(arg, "--core-quantum=")) {
-            cfg.coreQuantum = numArg(arg, "--core-quantum=");
-            fatalIf(cfg.coreQuantum == 0,
-                    "--core-quantum must be positive");
-        } else if (std::strcmp(arg, "--private-l2tlb") == 0)
-            cfg.sharedL2Tlb = false;
-        else if (matches(arg, "--l2-tlb="))
-            cfg.l2TlbEntries = static_cast<unsigned>(
-                numArg(arg, "--l2-tlb="));
-        else if (matches(arg, "--phys-mb=")) {
-            phys_mb = numArg(arg, "--phys-mb=");
-            fatalIf(phys_mb == 0,
-                    "--phys-mb must be positive (omit the flag for "
-                    "unlimited frames)");
-        } else if (matches(arg, "--reclaim="))
-            cfg.reclaimPolicy =
-                parseReclaimPolicy(arg + 10).orThrow();
-        else if (matches(arg, "--asid-bits="))
-            cfg.tlbAsidBits = static_cast<unsigned>(
-                numArg(arg, "--asid-bits="));
-        else if (std::strcmp(arg, "--unified-l2") == 0)
-            cfg.unifiedL2 = true;
-        else if (std::strcmp(arg, "--json") == 0)
-            json = true;
-        else if (matches(arg, "--trace-events="))
-            trace_events_path = arg + 15;
-        else if (matches(arg, "--chrome-trace="))
-            chrome_trace_path = arg + 15;
-        else if (matches(arg, "--stats-json="))
-            stats_json_path = arg + 13;
-        else if (matches(arg, "--interval="))
-            interval = numArg(arg, "--interval=");
-        else if (std::strcmp(arg, "--progress") == 0)
-            progress_seconds = 2.0;
-        else if (matches(arg, "--progress=")) {
-            progress_seconds = floatArg(arg, "--progress=");
-            fatalIf(progress_seconds <= 0,
-                    "--progress period must be positive seconds");
-        } else if (matches(arg, "--progress-out="))
-            progress_out_path = arg + 15;
-        else if (matches(arg, "--metrics-out="))
-            metrics_out_path = arg + 14;
-        else if (matches(arg, "--inject-faults="))
-            faults = FaultSpec::parse(arg + 16).orThrow();
-        else if (matches(arg, "--batch=")) {
-            batch = numArg(arg, "--batch=");
-            fatalIf(batch == 0,
-                    "--batch must be positive (1 = scalar loop)");
-        } else if (std::strcmp(arg, "--check") == 0)
-            check = true;
-        else if (matches(arg, "--fuzz=")) {
-            fuzz_cases = static_cast<unsigned>(numArg(arg, "--fuzz="));
-            fatalIf(fuzz_cases == 0, "--fuzz must be positive");
-        } else if (matches(arg, "--fuzz-report="))
-            fuzz_report_path = arg + 14;
-        else if (matches(arg, "--shard-dir="))
-            shard_dir = arg + 12;
-        else if (matches(arg, "--shard-owner="))
-            shard_owner = arg + 14;
-        else if (matches(arg, "--lease-seconds=")) {
-            lease_seconds = floatArg(arg, "--lease-seconds=");
-            fatalIf(lease_seconds <= 0,
-                    "--lease-seconds must be positive");
-        } else if (matches(arg, "--seeds=")) {
-            sweep_seeds = static_cast<unsigned>(numArg(arg, "--seeds="));
-            fatalIf(sweep_seeds == 0, "--seeds must be positive");
-        } else if (matches(arg, "--sweep-systems=")) {
-            std::string list = arg + 16;
-            for (std::size_t pos = 0; pos <= list.size();) {
-                std::size_t comma = list.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = list.size();
-                std::string name = list.substr(pos, comma - pos);
-                std::optional<SystemKind> kind = tryKindFromName(name);
-                if (!kind)
-                    fatal("unknown system '", name,
-                          "' in --sweep-systems");
-                sweep_systems.push_back(*kind);
-                pos = comma + 1;
-            }
-            fatalIf(sweep_systems.empty(),
-                    "--sweep-systems needs at least one system");
-        } else if (matches(arg, "--heartbeat=")) {
-            heartbeat_seconds = floatArg(arg, "--heartbeat=");
-            fatalIf(heartbeat_seconds <= 0,
-                    "--heartbeat period must be positive seconds");
-        } else if (std::strcmp(arg, "--shard-merge") == 0)
-            shard_merge = true;
-        else if (matches(arg, "--supervise=")) {
-            supervise = static_cast<unsigned>(
-                numArg(arg, "--supervise="));
-            fatalIf(supervise == 0, "--supervise must be positive");
-        } else if (matches(arg, "--max-restarts="))
-            max_restarts = static_cast<unsigned>(
-                numArg(arg, "--max-restarts="));
-        else if (matches(arg, "--crash-after="))
-            crash_plan = CrashPlan::parse(arg + 14).orThrow();
-        else if (matches(arg, "--crash-fuzz=")) {
-            crash_fuzz = numArg(arg, "--crash-fuzz=");
-            fatalIf(crash_fuzz == 0, "--crash-fuzz must be positive");
-        } else
-            fatal("unknown argument '", arg,
-                  "' (see the header of examples/vmsim_cli.cc)");
-    }
-    // Resolved after the loop so --phys-mb composes with --page-bits
-    // in either flag order.
-    if (phys_mb)
-        cfg.physFrames = (phys_mb << 20) >> cfg.pageBits;
+    auto system = [](const std::string &name, const char *what) {
+        std::optional<SystemKind> kind = tryKindFromName(name);
+        if (!kind)
+            fatal("unknown system '", name, "'", what);
+        return *kind;
+    };
+    std::vector<Flag> flags = {
+        {.name = "--system", .metavar = "NAME",
+         .dest = [&](const char *v) {
+             cfg.kind = system(v, " (expected ULTRIX, MACH, INTEL, "
+                                  "PA-RISC, NOTLB, BASE, HW-INVERTED, "
+                                  "HW-MIPS or SPUR)");
+         }},
+        {.name = "--workload", .metavar = "NAME", .dest = &workload},
+        {.name = "--trace", .metavar = "PATH", .dest = &trace_path},
+        {.name = "--l1", .metavar = "BYTES", .dest = &cfg.l1.sizeBytes},
+        {.name = "--l1-line", .metavar = "BYTES", .dest = &cfg.l1.lineSize},
+        {.name = "--l2", .metavar = "BYTES", .dest = &cfg.l2.sizeBytes},
+        {.name = "--l2-line", .metavar = "BYTES", .dest = &cfg.l2.lineSize},
+        {.name = "--assoc", .metavar = "N", .dest = &cfg.l1.assoc},
+        {.name = "--tlb", .metavar = "N", .dest = &cfg.tlbEntries},
+        {.name = "--protected", .metavar = "N",
+         .dest = &cfg.tlbProtectedSlots},
+        {.name = "--page-bits", .metavar = "N", .dest = &cfg.pageBits},
+        {.name = "--interrupt", .metavar = "CYCLES",
+         .dest = &cfg.costs.interruptCycles},
+        {.name = "--hpt-ratio", .metavar = "N", .dest = &cfg.hptRatio},
+        {.name = "--ctx-switch", .metavar = "N",
+         .dest = &cfg.ctxSwitchInterval},
+        {.name = "--l2-tlb", .metavar = "N", .dest = &cfg.l2TlbEntries},
+        {.name = "--asid-bits", .metavar = "N", .dest = &cfg.tlbAsidBits},
+        {.name = "--unified-l2", .dest = &cfg.unifiedL2},
+        {.name = "--json", .dest = &json},
+        {.name = "--fuzz-report", .metavar = "FILE",
+         .dest = &fuzz_report_path},
+        {.name = "--sweep-systems", .metavar = "A,B",
+         .dest = [&](const char *v) {
+             std::string list = v;
+             for (std::size_t pos = 0; pos <= list.size();) {
+                 std::size_t comma = list.find(',', pos);
+                 if (comma == std::string::npos)
+                     comma = list.size();
+                 sweep_systems.push_back(system(
+                     list.substr(pos, comma - pos), " in --sweep-systems"));
+                 pos = comma + 1;
+             }
+         }},
+        {.name = "--heartbeat", .metavar = "S", .dest = &heartbeat_seconds,
+         .positive = true},
+        {.name = "--shard-merge", .dest = &shard_merge},
+        {.name = "--supervise", .metavar = "N", .dest = &supervise,
+         .positive = true},
+        {.name = "--max-restarts", .metavar = "N", .dest = &max_restarts},
+        {.name = "--crash-after", .metavar = "SPEC",
+         .dest = [&](const char *v) {
+             crash_plan = CrashPlan::parse(v).orThrow();
+         }},
+        {.name = "--crash-fuzz", .metavar = "N", .dest = &crash_fuzz,
+         .positive = true},
+    };
+    std::vector<Flag> shared = opts.flags();
+    flags.insert(flags.end(), shared.begin(), shared.end());
+    parseFlags(argc, argv, flags);
+    cfg.l2.assoc = cfg.l1.assoc; // --assoc sets both levels
+    opts.applyTo(cfg);
+
     // Fuzz mode replaces the simulation entirely: run the seeded
     // differential campaign and report. The JSON artifact is
     // byte-stable for a given seed (CI compares two runs with cmp).
-    if (fuzz_cases > 0) {
+    if (opts.fuzz > 0) {
         DiffOptions dopts;
-        dopts.seed = cfg.seed;
-        if (cfg.cores > 1)
-            dopts.forceCores = cfg.cores;
-        FuzzReport report = DiffRunner(dopts).run(fuzz_cases);
+        dopts.seed = opts.seed;
+        if (opts.cores > 1)
+            dopts.forceCores = opts.cores;
+        FuzzReport report = DiffRunner(dopts).run(opts.fuzz);
         std::string dumped = report.toJson().dump(2);
         if (!fuzz_report_path.empty()) {
             std::ofstream os(fuzz_report_path,
@@ -537,17 +406,17 @@ runCli(int argc, char **argv)
     if (crash_fuzz > 0) {
         CrashFuzzOptions copts;
         copts.campaigns = crash_fuzz;
-        copts.seed = cfg.seed;
-        copts.dir = shard_dir; // optional scratch override
+        copts.seed = opts.seed;
+        copts.dir = opts.shardDir; // optional scratch override
         CrashFuzzReport report = runCrashFuzz(copts);
         std::cout << report.toJson().dump(2) << '\n';
         std::cerr << report.toString() << '\n';
         return report.ok() ? 0 : 1;
     }
 
-    fatalIf(shard_dir.empty() &&
-                (shard_merge || supervise > 0 || !shard_owner.empty() ||
-                 crash_plan.armed()),
+    fatalIf(opts.shardDir.empty() &&
+                (shard_merge || supervise > 0 ||
+                 !opts.shardOwner.empty() || crash_plan.armed()),
             "--shard-merge/--supervise/--shard-owner/--crash-after "
             "need --shard-dir=D");
 
@@ -555,15 +424,17 @@ runCli(int argc, char **argv)
     // the --seeds and --sweep-systems axes — every worker, the
     // supervisor, and the merge must be launched with identical
     // sweep-defining flags (meta.json fingerprinting enforces it).
-    if (!shard_dir.empty()) {
+    if (!opts.shardDir.empty()) {
         SweepSpec spec;
-        spec.base(cfg).instructions(instrs).warmup(warmup).seeds(
-            sweep_seeds);
+        spec.base(cfg)
+            .instructions(opts.instructions)
+            .warmup(opts.warmup)
+            .seeds(opts.seeds);
         if (!sweep_systems.empty())
             spec.systems(sweep_systems);
         if (shard_merge) {
             ShardMerge merged =
-                mergeShardDir(shard_dir, spec).orThrow();
+                mergeShardDir(opts.shardDir, spec).orThrow();
             merged.results.writeCsv(std::cout);
             std::cerr << "shard-merge: " << merged.completed << "/"
                       << spec.numCells() << " cells committed, "
@@ -571,17 +442,17 @@ runCli(int argc, char **argv)
             return merged.missing == 0 ? 0 : 1;
         }
         if (supervise > 0)
-            return runSupervisor(argc, argv, spec, shard_dir,
+            return runSupervisor(argc, argv, spec, opts.shardDir,
                                  supervise, max_restarts,
                                  heartbeat_seconds);
         installShutdownHandler();
         ShardOptions sopts;
-        sopts.dir = shard_dir;
-        sopts.owner = shard_owner;
-        sopts.leaseSeconds = lease_seconds;
-        sopts.faults = faults;
-        sopts.batchSize = batch;
-        sopts.verify = check;
+        sopts.dir = opts.shardDir;
+        sopts.owner = opts.shardOwner;
+        sopts.leaseSeconds = opts.leaseSeconds;
+        sopts.faults = opts.faults;
+        sopts.batchSize = opts.batch;
+        sopts.verify = opts.check;
         sopts.heartbeatSeconds = heartbeat_seconds;
         sopts.crash = crash_plan;
         std::size_t committed = runShardWorker(spec, sopts);
@@ -592,60 +463,61 @@ runCli(int argc, char **argv)
                          "resume\n";
             return kExitInterrupted;
         }
-        ShardScan scan = scanShardDir(shard_dir, spec).orThrow();
+        ShardScan scan = scanShardDir(opts.shardDir, spec).orThrow();
         std::cerr << "shard worker committed " << committed
                   << " cells; " << scan.done << "/" << spec.numCells()
                   << " cells done\n";
         return 0;
     }
 
-    Counter warmup_instrs = warmup.value_or(defaultWarmup(instrs));
+    const Counter warmup_instrs = opts.resolvedWarmup();
 
     // Assemble the observability attachments: every requested exporter
     // sees the same event stream through one fan-out sink.
     MultiSink sinks;
     std::unique_ptr<JsonlEventWriter> events;
-    if (!trace_events_path.empty()) {
-        events = std::make_unique<JsonlEventWriter>(trace_events_path);
+    if (!opts.obs.traceEvents.empty()) {
+        events =
+            std::make_unique<JsonlEventWriter>(opts.obs.traceEvents);
         sinks.add(events.get());
     }
     std::unique_ptr<ChromeTraceWriter> chrome;
-    if (!chrome_trace_path.empty()) {
-        chrome = std::make_unique<ChromeTraceWriter>(chrome_trace_path);
+    if (!opts.obs.chromeTrace.empty()) {
+        chrome =
+            std::make_unique<ChromeTraceWriter>(opts.obs.chromeTrace);
         sinks.add(chrome.get());
     }
     StatsRegistry registry;
     std::unique_ptr<StatsSink> stats;
-    if (!stats_json_path.empty()) {
+    if (!opts.obs.statsJson.empty()) {
         stats = std::make_unique<StatsSink>(registry);
         sinks.add(stats.get());
     }
     std::unique_ptr<IntervalSampler> sampler;
-    if (interval > 0)
-        sampler = std::make_unique<IntervalSampler>(interval);
+    if (opts.obs.interval > 0)
+        sampler = std::make_unique<IntervalSampler>(opts.obs.interval);
     // --check reconciles the event stream against the counters, so it
     // always collects events (alongside any exporters).
     std::unique_ptr<CollectingSink> collector;
-    if (check) {
+    if (opts.check) {
         collector = std::make_unique<CollectingSink>();
         sinks.add(collector.get());
     }
     // Distribution-level attribution rides along whenever a stats dump
     // or the checker wants it.
     std::unique_ptr<LatencyCollector> latency;
-    if (!stats_json_path.empty() || check)
+    if (!opts.obs.statsJson.empty() || opts.check)
         latency = std::make_unique<LatencyCollector>();
     // Live telemetry for the single "cell" this run is.
     std::unique_ptr<SweepTelemetry> telemetry;
-    if (progress_seconds > 0 || !progress_out_path.empty() ||
-        !metrics_out_path.empty()) {
+    if (opts.obs.telemetry()) {
         TelemetryOptions topts;
         topts.periodSeconds =
-            progress_seconds > 0 ? progress_seconds : 2.0;
-        topts.progressPath = progress_out_path;
-        topts.metricsPath = metrics_out_path;
+            opts.obs.progressSeconds > 0 ? opts.obs.progressSeconds : 2.0;
+        topts.progressPath = opts.obs.progressOut;
+        topts.metricsPath = opts.obs.metricsOut;
         topts.toStderr =
-            progress_seconds > 0 && progress_out_path.empty();
+            opts.obs.progressSeconds > 0 && opts.obs.progressOut.empty();
         telemetry = std::make_unique<SweepTelemetry>(topts, 1, 1);
         telemetry->beginCell(0, 0);
         telemetry->start();
@@ -658,22 +530,22 @@ runCli(int argc, char **argv)
     if (telemetry)
         hooks.progress = telemetry->progressCounter(0);
     std::unique_ptr<FaultySink> faulty_sink;
-    if (faults.writeFail > 0) {
+    if (opts.faults.writeFail > 0) {
         faulty_sink = std::make_unique<FaultySink>(
-            hooks.sink, faults, faultStream(faults.seed, 0, 0) ^ 1);
+            hooks.sink, opts.faults, faultStream(opts.faults.seed, 0, 0) ^ 1);
         hooks.sink = faulty_sink.get();
     }
-    if (faults.any()) {
+    if (opts.faults.any()) {
         EventSink *obs_sink = sinks.empty() ? nullptr : &sinks;
-        hooks.wrapTrace = [&faults, obs_sink](
+        hooks.wrapTrace = [&opts, obs_sink](
                               std::unique_ptr<TraceSource> inner) {
             return std::make_unique<FaultyTraceSource>(
-                std::move(inner), faults,
-                faultStream(faults.seed, 0, 0), obs_sink);
+                std::move(inner), opts.faults,
+                faultStream(opts.faults.seed, 0, 0), obs_sink);
         };
     }
 
-    hooks.batch = batch;
+    hooks.batch = opts.batch;
 
     Results r = [&] {
         if (!trace_path.empty()) {
@@ -686,10 +558,12 @@ runCli(int argc, char **argv)
             sys.attachSampler(hooks.sampler);
             sys.attachLatency(hooks.latency);
             sys.attachProgress(hooks.progress);
-            sys.setBatchSize(batch);
-            return sys.run(*source, instrs, trace_path, warmup_instrs);
+            sys.setBatchSize(opts.batch);
+            return sys.run(*source, opts.instructions, trace_path,
+                           warmup_instrs);
         }
-        return runOnce(cfg, workload, instrs, warmup_instrs, hooks);
+        return runOnce(cfg, workload, opts.instructions, warmup_instrs,
+                       hooks);
     }();
 
     if (telemetry) {
@@ -697,7 +571,7 @@ runCli(int argc, char **argv)
         telemetry->stop();
     }
 
-    if (check) {
+    if (opts.check) {
         InvariantChecker checker(cfg);
         CheckReport rep = checker.checkAll(
             r, &collector->events(),
@@ -711,7 +585,7 @@ runCli(int argc, char **argv)
 
     if (chrome)
         chrome->finish();
-    if (!stats_json_path.empty()) {
+    if (!opts.obs.statsJson.empty()) {
         Json out = Json::object();
         out.set("results", r.toJson());
         if (latency)
@@ -719,10 +593,10 @@ runCli(int argc, char **argv)
         out.set("stats", registry.toJson());
         if (sampler)
             out.set("intervals", intervalsToJson(sampler->intervals()));
-        std::ofstream os(stats_json_path,
+        std::ofstream os(opts.obs.statsJson,
                          std::ios::out | std::ios::trunc);
         if (!os.is_open())
-            throw VmsimError(errnoError(stats_json_path,
+            throw VmsimError(errnoError(opts.obs.statsJson,
                                         "cannot open stats JSON for "
                                         "writing"));
         os << out.dump(2) << '\n';
@@ -753,7 +627,7 @@ runCli(int argc, char **argv)
               << TextTable::fmt(r.interruptCpiAt(200), 5) << '\n';
 
     if (sampler) {
-        std::cout << "\ninterval series (every " << interval
+        std::cout << "\ninterval series (every " << opts.obs.interval
                   << " instructions):\n";
         sampler->writeCsv(std::cout);
     }

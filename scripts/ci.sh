@@ -98,6 +98,23 @@ cmp "$SMOKE_DIR/fuzz_a.json" "$SMOKE_DIR/fuzz_b.json"
 # books and per-core conservation laws get fuzzed on every gate run.
 build/examples/vmsim_cli --fuzz=50 --seed=12345 --cores=4 > /dev/null
 
+echo "== flag bounds =="
+# Both front ends parse the shared flags through one table
+# (RunOptions::flags()). Out-of-range numbers must be refused, never
+# narrowed: 2^32 + 64 used to run a 64-entry TLB, and a --phys-mb past
+# 2^44 - 1 wrapped to a 256-frame budget. Empty paths and a zero
+# interval are refused too.
+for bad in --tlb=4294967360 --l1-line=4294967328 --cores=4294967297 \
+           --phys-mb=17592186044417 --interval=0 --trace-events=; do
+    status=0
+    build/examples/vmsim_cli --instructions=1000 "$bad" \
+        > /dev/null 2>&1 || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "flag bounds: vmsim_cli $bad exited $status, expected 1" >&2
+        exit 1
+    fi
+done
+
 echo "== memory pressure =="
 # Every organization must satisfy the pressure laws (docs/pressure.md)
 # — majorFaults + reusedFrames == pagesTouched chief among them —
@@ -302,7 +319,10 @@ for hot_hdr in src/os/vm_system.hh src/os/tlb_vm.hh; do
              "a LINT-KERNEL region of $hot_hdr" >&2
         exit 1
     fi
-    if printf '%s\n' "$region" | grep -nE '\.(instRef|dataRef)\('; then
+    # Any call spelling: a.instRef(x), vm->dataRef(x), this->instRef(x)
+    # or a bare instRef(x); the instRefK/dataRefK kernels don't match.
+    if printf '%s\n' "$region" |
+            grep -nE '(^|[^[:alnum:]_])(instRef|dataRef)[[:space:]]*\('; then
         echo "kernel lint: per-record virtual instRef/dataRef call" \
              "inside a LINT-KERNEL region of $hot_hdr (use the" \
              "monomorphized instRefK/dataRefK kernels)" >&2

@@ -45,55 +45,31 @@ struct Leg
 
 } // namespace
 
-SimConfig
-FuzzTuple::toConfig() const
-{
-    SimConfig cfg;
-    cfg.kind = kind;
-    cfg.l1.sizeBytes = l1Size;
-    cfg.l1.lineSize = l1Line;
-    cfg.l2.sizeBytes = l2Size;
-    cfg.l2.lineSize = l2Line;
-    cfg.tlbAsidBits = asidBits;
-    if (tlbEntries)
-        cfg.tlbEntries = tlbEntries;
-    cfg.l2TlbEntries = l2TlbEntries;
-    cfg.ctxSwitchInterval = ctxSwitch;
-    cfg.seed = seed;
-    cfg.cores = cores;
-    if (coreQuantum)
-        cfg.coreQuantum = coreQuantum;
-    cfg.sharedL2Tlb = sharedL2Tlb;
-    cfg.physFrames = physFrames;
-    cfg.reclaimPolicy = reclaim;
-    return cfg;
-}
-
 Json
 FuzzTuple::toJson() const
 {
     Json j = Json::object();
     j.set("index", index);
-    j.set("system", kindName(kind));
+    j.set("system", kindName(cfg.kind));
     j.set("workload", workload);
-    j.set("seed", seed);
+    j.set("seed", cfg.seed);
     j.set("instrs", instrs);
     j.set("warmup", warmup);
-    j.set("ctxSwitch", ctxSwitch);
-    j.set("asidBits", asidBits);
-    j.set("tlbEntries", tlbEntries);
-    j.set("l2TlbEntries", l2TlbEntries);
-    j.set("l1", static_cast<std::uint64_t>(l1Size));
-    j.set("l1Line", l1Line);
-    j.set("l2", static_cast<std::uint64_t>(l2Size));
-    j.set("l2Line", l2Line);
+    j.set("ctxSwitch", cfg.ctxSwitchInterval);
+    j.set("asidBits", cfg.tlbAsidBits);
+    j.set("tlbEntries", cfg.tlbEntries);
+    j.set("l2TlbEntries", cfg.l2TlbEntries);
+    j.set("l1", cfg.l1.sizeBytes);
+    j.set("l1Line", cfg.l1.lineSize);
+    j.set("l2", cfg.l2.sizeBytes);
+    j.set("l2Line", cfg.l2.lineSize);
     j.set("batch", static_cast<std::uint64_t>(batch));
     j.set("faults", faults);
-    j.set("cores", cores);
-    j.set("coreQuantum", coreQuantum);
-    j.set("sharedL2Tlb", sharedL2Tlb);
-    j.set("physFrames", physFrames);
-    j.set("reclaim", reclaimPolicyName(reclaim));
+    j.set("cores", cfg.cores);
+    j.set("coreQuantum", cfg.coreQuantum);
+    j.set("sharedL2Tlb", cfg.sharedL2Tlb);
+    j.set("physFrames", cfg.physFrames);
+    j.set("reclaim", reclaimPolicyName(cfg.reclaimPolicy));
     return j;
 }
 
@@ -101,18 +77,18 @@ std::string
 FuzzTuple::toString() const
 {
     std::ostringstream oss;
-    oss << "case " << index << ": " << kindName(kind) << "/" << workload
-        << " seed=" << seed << " instrs=" << instrs << " warmup="
-        << warmup << " ctx=" << ctxSwitch << " asid=" << asidBits
-        << " tlb=" << tlbEntries << " l2tlb=" << l2TlbEntries
-        << " batch=" << batch
+    oss << "case " << index << ": " << kindName(cfg.kind) << "/"
+        << workload << " seed=" << cfg.seed << " instrs=" << instrs
+        << " warmup=" << warmup << " ctx=" << cfg.ctxSwitchInterval
+        << " asid=" << cfg.tlbAsidBits << " tlb=" << cfg.tlbEntries
+        << " l2tlb=" << cfg.l2TlbEntries << " batch=" << batch
         << (faults ? " faults" : "");
-    if (cores > 1)
-        oss << " cores=" << cores << " quantum=" << coreQuantum
-            << (sharedL2Tlb ? " shared-l2tlb" : " private-l2tlb");
-    if (physFrames)
-        oss << " frames=" << physFrames << " reclaim="
-            << reclaimPolicyName(reclaim);
+    if (cfg.cores > 1)
+        oss << " cores=" << cfg.cores << " quantum=" << cfg.coreQuantum
+            << (cfg.sharedL2Tlb ? " shared-l2tlb" : " private-l2tlb");
+    if (cfg.physFrames)
+        oss << " frames=" << cfg.physFrames << " reclaim="
+            << reclaimPolicyName(cfg.reclaimPolicy);
     return oss.str();
 }
 
@@ -175,49 +151,49 @@ DiffRunner::generate(std::uint64_t index) const
 {
     Random rng(opts_.seed + 0x9E3779B97F4A7C15ull * (index + 1));
     FuzzTuple t;
+    SimConfig &c = t.cfg;
     t.index = index;
-    t.kind = kAllKinds[rng.uniform(std::size(kAllKinds))];
+    c.kind = kAllKinds[rng.uniform(std::size(kAllKinds))];
     t.workload = kWorkloads[rng.uniform(std::size(kWorkloads))];
-    t.seed = rng.next() | 1;
+    c.seed = rng.next() | 1;
     t.instrs = 4000 + rng.uniform(5) * 4000;
     if (t.instrs > opts_.maxInstrs)
         t.instrs = opts_.maxInstrs;
     t.warmup = rng.chance(0.5) ? t.instrs / 4 : 0;
     static constexpr Counter kCtx[] = {0, 0, 997, 4096};
-    t.ctxSwitch = kCtx[rng.uniform(std::size(kCtx))];
+    c.ctxSwitchInterval = kCtx[rng.uniform(std::size(kCtx))];
     static constexpr unsigned kAsid[] = {0, 0, 6};
-    t.asidBits = kAsid[rng.uniform(std::size(kAsid))];
+    c.tlbAsidBits = kAsid[rng.uniform(std::size(kAsid))];
     // Small TLBs keep the FA slot index under fill/evict/erase
     // pressure; 0 leaves each kind's default geometry.
     static constexpr unsigned kTlb[] = {0, 0, 32, 64};
-    t.tlbEntries = kTlb[rng.uniform(std::size(kTlb))];
+    if (unsigned tlb = kTlb[rng.uniform(std::size(kTlb))])
+        c.tlbEntries = tlb;
     static constexpr unsigned kL2Tlb[] = {0, 0, 256};
-    t.l2TlbEntries = kL2Tlb[rng.uniform(std::size(kL2Tlb))];
+    c.l2TlbEntries = kL2Tlb[rng.uniform(std::size(kL2Tlb))];
     static constexpr std::size_t kL1Sizes[] = {8192, 16384, 32768};
-    t.l1Size = kL1Sizes[rng.uniform(std::size(kL1Sizes))];
+    c.l1.sizeBytes = kL1Sizes[rng.uniform(std::size(kL1Sizes))];
     static constexpr unsigned kL1Lines[] = {16, 32, 64};
-    t.l1Line = kL1Lines[rng.uniform(std::size(kL1Lines))];
+    c.l1.lineSize = kL1Lines[rng.uniform(std::size(kL1Lines))];
     static constexpr std::size_t kL2Sizes[] = {262144, 1048576};
-    t.l2Size = kL2Sizes[rng.uniform(std::size(kL2Sizes))];
-    t.l2Line = t.l1Line << rng.uniform(2);
-    if (t.l2Line > 128)
-        t.l2Line = 128;
+    c.l2.sizeBytes = kL2Sizes[rng.uniform(std::size(kL2Sizes))];
+    c.l2.lineSize = std::min(c.l1.lineSize << rng.uniform(2), 128u);
     static constexpr std::size_t kBatches[] = {2, 64, 1000, 4096};
     t.batch = kBatches[rng.uniform(std::size(kBatches))];
     t.faults = opts_.includeFaults && rng.chance(0.15);
     static constexpr unsigned kCores[] = {1, 1, 2, 4};
-    t.cores = opts_.forceCores ? opts_.forceCores
+    c.cores = opts_.forceCores ? opts_.forceCores
                                : kCores[rng.uniform(std::size(kCores))];
     static constexpr Counter kQuantum[] = {500, 2000, 8192};
-    t.coreQuantum = kQuantum[rng.uniform(std::size(kQuantum))];
-    t.sharedL2Tlb = rng.chance(0.5);
+    c.coreQuantum = kQuantum[rng.uniform(std::size(kQuantum))];
+    c.sharedL2Tlb = rng.chance(0.5);
     // Frame budgets tight enough to force steady-state eviction on
     // every workload; 0 leaves pressure off (the paper's default).
     static constexpr std::uint64_t kFrames[] = {0, 0, 96, 384};
-    t.physFrames = kFrames[rng.uniform(std::size(kFrames))];
+    c.physFrames = kFrames[rng.uniform(std::size(kFrames))];
     static constexpr ReclaimPolicy kPolicies[] = {
         ReclaimPolicy::Fifo, ReclaimPolicy::Lru, ReclaimPolicy::Clock};
-    t.reclaim = kPolicies[rng.uniform(std::size(kPolicies))];
+    c.reclaimPolicy = kPolicies[rng.uniform(std::size(kPolicies))];
     return t;
 }
 
@@ -225,7 +201,7 @@ CheckReport
 DiffRunner::runCase(const FuzzTuple &t) const
 {
     CheckReport rep;
-    SimConfig cfg = t.toConfig();
+    const SimConfig &cfg = t.cfg;
     Status st = cfg.validate();
     if (!rep.check(st.ok(), "config.valid", "generated config invalid: ",
                    st.ok() ? "" : st.error().toString()))
@@ -359,41 +335,27 @@ DiffRunner::minimize(FuzzTuple t) const
             t = c;
     };
 
+    // Config fields shrink back to their SimConfig{} defaults.
+    auto tryDefault = [&](auto SimConfig::*field) {
+        static const SimConfig kDefaults;
+        if (t.cfg.*field == kDefaults.*field)
+            return;
+        FuzzTuple c = t;
+        c.cfg.*field = kDefaults.*field;
+        tryApply(c);
+    };
+
     if (t.faults) {
         FuzzTuple c = t;
         c.faults = false;
         tryApply(c);
     }
-    if (t.physFrames) {
-        FuzzTuple c = t;
-        c.physFrames = 0;
-        tryApply(c);
-    }
-    if (t.cores > 1) {
-        FuzzTuple c = t;
-        c.cores = 1;
-        tryApply(c);
-    }
-    if (t.ctxSwitch) {
-        FuzzTuple c = t;
-        c.ctxSwitch = 0;
-        tryApply(c);
-    }
-    if (t.asidBits) {
-        FuzzTuple c = t;
-        c.asidBits = 0;
-        tryApply(c);
-    }
-    if (t.tlbEntries) {
-        FuzzTuple c = t;
-        c.tlbEntries = 0;
-        tryApply(c);
-    }
-    if (t.l2TlbEntries) {
-        FuzzTuple c = t;
-        c.l2TlbEntries = 0;
-        tryApply(c);
-    }
+    tryDefault(&SimConfig::physFrames);
+    tryDefault(&SimConfig::cores);
+    tryDefault(&SimConfig::ctxSwitchInterval);
+    tryDefault(&SimConfig::tlbAsidBits);
+    tryDefault(&SimConfig::tlbEntries);
+    tryDefault(&SimConfig::l2TlbEntries);
     if (t.warmup) {
         FuzzTuple c = t;
         c.warmup = 0;

@@ -32,30 +32,14 @@ namespace vmsim
 struct FuzzTuple
 {
     std::uint64_t index = 0;  ///< case index within the campaign
-    SystemKind kind = SystemKind::Ultrix;
     std::string workload = "gcc";
-    std::uint64_t seed = 1;   ///< simulation seed (trace + policies)
     Counter instrs = 0;
     Counter warmup = 0;
-    Counter ctxSwitch = 0;    ///< context-switch interval (0 = never)
-    unsigned asidBits = 0;
-    unsigned tlbEntries = 0;  ///< first-level TLB entries (0 = default);
-                              ///< small values churn the TLB slot
-                              ///< index through fills and erases
-    unsigned l2TlbEntries = 0;
-    std::size_t l1Size = 0;
-    unsigned l1Line = 0;
-    std::size_t l2Size = 0;
-    unsigned l2Line = 0;
     std::size_t batch = 0;    ///< batched-leg fetch size
     bool faults = false;      ///< inject trace-read faults in all legs
-    unsigned cores = 1;       ///< simulated cores (1 = legacy loop)
-    Counter coreQuantum = 0;  ///< scheduler slot length (0 = default)
-    bool sharedL2Tlb = true;  ///< share one L2 TLB across cores
-    std::uint64_t physFrames = 0; ///< frame budget (0 = unlimited)
-    ReclaimPolicy reclaim = ReclaimPolicy::Fifo;
+    SimConfig cfg;            ///< organization, geometry, seed, cores,
+                              ///< frame budget; the rest at defaults
 
-    SimConfig toConfig() const;
     Json toJson() const;
     std::string toString() const;
 };

@@ -19,39 +19,6 @@ const char *const kClassNames[kNumAccessClasses] = {
     "User", "HandlerFetch", "PteUser", "PteKernel", "PteRoot",
 };
 
-/** VmStats counters by name, in declaration order. */
-struct VmFieldDef
-{
-    const char *name;
-    Counter VmStats::*field;
-};
-
-constexpr VmFieldDef kVmFieldDefs[] = {
-    {"uhandlerCalls", &VmStats::uhandlerCalls},
-    {"khandlerCalls", &VmStats::khandlerCalls},
-    {"rhandlerCalls", &VmStats::rhandlerCalls},
-    {"uhandlerInstrs", &VmStats::uhandlerInstrs},
-    {"khandlerInstrs", &VmStats::khandlerInstrs},
-    {"rhandlerInstrs", &VmStats::rhandlerInstrs},
-    {"hwWalks", &VmStats::hwWalks},
-    {"hwWalkCycles", &VmStats::hwWalkCycles},
-    {"interrupts", &VmStats::interrupts},
-    {"pteLoads", &VmStats::pteLoads},
-    {"ctxSwitches", &VmStats::ctxSwitches},
-    {"l2TlbHits", &VmStats::l2TlbHits},
-    {"itlbMisses", &VmStats::itlbMisses},
-    {"dtlbMisses", &VmStats::dtlbMisses},
-    {"shootdownsSent", &VmStats::shootdownsSent},
-    {"shootdownsRecv", &VmStats::shootdownsRecv},
-    {"shootdownCycles", &VmStats::shootdownCycles},
-    {"pagesTouched", &VmStats::pagesTouched},
-    {"majorFaults", &VmStats::majorFaults},
-    {"reusedFrames", &VmStats::reusedFrames},
-    {"evictions", &VmStats::evictions},
-    {"writebacks", &VmStats::writebacks},
-    {"faultCycles", &VmStats::faultCycles},
-};
-
 /** |a - b| within a relative epsilon (both derived from the same
  *  counters, so only summation-order noise is tolerated). */
 bool
@@ -247,13 +214,15 @@ InvariantChecker::check(const Results &r, CheckReport &rep) const
 
     // --- multicore conservation ---------------------------------------
     if (!vm.perCore.empty()) {
-        for (const CoreFieldDef &def : kCoreFieldDefs) {
+        for (const CoreStatsField &f : kCoreStatsFields) {
+            if (!f.aggregate)
+                continue;
             Counter sum = 0;
             for (const CoreStats &cs : vm.perCore)
-                sum += cs.*def.coreField;
-            rep.check(sum == vm.*def.aggField, "cores.sum", def.name,
+                sum += cs.*f.field;
+            rep.check(sum == vm.*f.aggregate, "cores.sum", f.key,
                       ": per-core sum ", sum, " != aggregate ",
-                      vm.*def.aggField);
+                      vm.*f.aggregate);
         }
         const Counter peers =
             static_cast<Counter>(vm.perCore.size()) - 1;
@@ -402,13 +371,13 @@ InvariantChecker::checkIntervals(
               "interval instruction sum ", instrs,
               " != run total ", r.userInstrs());
 
-    for (const VmFieldDef &def : kVmFieldDefs) {
+    for (const VmStatsField &f : kVmStatsFields) {
         Counter sum = 0;
         for (const IntervalRecord &rec : intervals)
-            sum += rec.results.vmStats().*def.field;
-        rep.check(sum == r.vmStats().*def.field, "intervals.vm-sum",
-                  def.name, ": interval sum ", sum, " != aggregate ",
-                  r.vmStats().*def.field);
+            sum += rec.results.vmStats().*f.field;
+        rep.check(sum == r.vmStats().*f.field, "intervals.vm-sum", f.key,
+                  ": interval sum ", sum, " != aggregate ",
+                  r.vmStats().*f.field);
     }
 
     for (unsigned c = 0; c < kNumAccessClasses; ++c) {
@@ -540,35 +509,30 @@ diffVmSide(const Results &a, const Results &b, const std::string &label_a,
     rep.check(a.userInstrs() == b.userInstrs(), "diff.user-instrs",
               label_a, "=", a.userInstrs(), " ", label_b, "=",
               b.userInstrs());
-    for (const VmFieldDef &def : kVmFieldDefs)
-        rep.check(a.vmStats().*def.field == b.vmStats().*def.field,
-                  "diff.vm-counter", def.name, ": ", label_a, "=",
-                  a.vmStats().*def.field, " ", label_b, "=",
-                  b.vmStats().*def.field);
+    for (const VmStatsField &f : kVmStatsFields)
+        rep.check(a.vmStats().*f.field == b.vmStats().*f.field,
+                  "diff.vm-counter", f.key, ": ", label_a, "=",
+                  a.vmStats().*f.field, " ", label_b, "=",
+                  b.vmStats().*f.field);
     if (rep.check(a.vmStats().perCore.size() ==
                       b.vmStats().perCore.size(),
                   "diff.core-count", label_a, " tracked ",
                   a.vmStats().perCore.size(), " cores, ", label_b, " ",
                   b.vmStats().perCore.size())) {
+        // One law per core (fuzz reports count the laws checked),
+        // naming every field that differs.
         for (std::size_t c = 0; c < a.vmStats().perCore.size(); ++c) {
             const CoreStats &ca = a.vmStats().perCore[c];
             const CoreStats &cb = b.vmStats().perCore[c];
-            rep.check(ca.instrs == cb.instrs &&
-                          ca.itlbMisses == cb.itlbMisses &&
-                          ca.dtlbMisses == cb.dtlbMisses &&
-                          ca.ctxSwitches == cb.ctxSwitches &&
-                          ca.shootdownsSent == cb.shootdownsSent &&
-                          ca.shootdownsRecv == cb.shootdownsRecv &&
-                          ca.majorFaults == cb.majorFaults,
-                      "diff.core-counter", "core ", c, ": ", label_a,
-                      "=(", ca.instrs, ", ", ca.itlbMisses, ", ",
-                      ca.dtlbMisses, ", ", ca.ctxSwitches, ", ",
-                      ca.shootdownsSent, ", ", ca.shootdownsRecv, ", ",
-                      ca.majorFaults, ") ",
-                      label_b, "=(", cb.instrs, ", ", cb.itlbMisses,
-                      ", ", cb.dtlbMisses, ", ", cb.ctxSwitches, ", ",
-                      cb.shootdownsSent, ", ", cb.shootdownsRecv, ", ",
-                      cb.majorFaults, ")");
+            std::ostringstream diff;
+            for (const CoreStatsField &f : kCoreStatsFields)
+                if (ca.*f.field != cb.*f.field)
+                    diff << ' ' << f.key << ": " << label_a << "="
+                         << ca.*f.field << " " << label_b << "="
+                         << cb.*f.field << ';';
+            const std::string fields = diff.str();
+            rep.check(fields.empty(), "diff.core-counter", "core ", c,
+                      ":", fields);
         }
     }
     return rep;

@@ -217,74 +217,6 @@ countersFromJson(const Json &j, ClassCounters &c)
     return Status();
 }
 
-/** The 23 scalar VmStats counters, in declaration order. */
-constexpr const char *kVmFields[] = {
-    "uhandler_calls",  "khandler_calls",  "rhandler_calls",
-    "uhandler_instrs", "khandler_instrs", "rhandler_instrs",
-    "hw_walks",        "hw_walk_cycles",  "interrupts",
-    "pte_loads",       "ctx_switches",    "l2tlb_hits",
-    "itlb_misses",     "dtlb_misses",     "shootdowns_sent",
-    "shootdowns_recv", "shootdown_cycles", "pages_touched",
-    "major_faults",    "reused_frames",   "evictions",
-    "writebacks",      "fault_cycles",
-};
-
-Counter *
-vmField(VmStats &vm, std::size_t i)
-{
-    Counter *fields[] = {
-        &vm.uhandlerCalls,  &vm.khandlerCalls,  &vm.rhandlerCalls,
-        &vm.uhandlerInstrs, &vm.khandlerInstrs, &vm.rhandlerInstrs,
-        &vm.hwWalks,        &vm.hwWalkCycles,   &vm.interrupts,
-        &vm.pteLoads,       &vm.ctxSwitches,    &vm.l2TlbHits,
-        &vm.itlbMisses,     &vm.dtlbMisses,     &vm.shootdownsSent,
-        &vm.shootdownsRecv, &vm.shootdownCycles, &vm.pagesTouched,
-        &vm.majorFaults,    &vm.reusedFrames,   &vm.evictions,
-        &vm.writebacks,     &vm.faultCycles,
-    };
-    return fields[i];
-}
-
-/** Per-core slice fields, in CoreStats declaration order. */
-Json
-coreStatsToJson(const CoreStats &cs)
-{
-    Json j = Json::array();
-    j.push(cs.instrs);
-    j.push(cs.itlbMisses);
-    j.push(cs.dtlbMisses);
-    j.push(cs.ctxSwitches);
-    j.push(cs.shootdownsSent);
-    j.push(cs.shootdownsRecv);
-    j.push(cs.majorFaults);
-    return j;
-}
-
-Status
-coreStatsFromJson(const Json &j, CoreStats &cs)
-{
-    if (!j.isArray() || j.size() != 7)
-        return Status(makeError(ErrorCode::ParseError, "results",
-                                "per-core counters must be a 7-element "
-                                "array"));
-    for (std::size_t i = 0; i < 7; ++i)
-        if (!j.at(i).isNumber())
-            return Status(makeError(ErrorCode::ParseError, "results",
-                                    "per-core counter ", i,
-                                    " is not a number"));
-    cs.instrs = j.at(0).asUint();
-    cs.itlbMisses = j.at(1).asUint();
-    cs.dtlbMisses = j.at(2).asUint();
-    cs.ctxSwitches = j.at(3).asUint();
-    cs.shootdownsSent = j.at(4).asUint();
-    cs.shootdownsRecv = j.at(5).asUint();
-    cs.majorFaults = j.at(6).asUint();
-    return Status();
-}
-
-constexpr std::size_t kNumVmFields =
-    sizeof(kVmFields) / sizeof(kVmFields[0]);
-
 } // anonymous namespace
 
 Json
@@ -306,13 +238,16 @@ Results::serialize() const
     j.set("mem", std::move(mem));
 
     Json vm = Json::object();
-    VmStats copy = vm_;
-    for (std::size_t i = 0; i < kNumVmFields; ++i)
-        vm.set(kVmFields[i], *vmField(copy, i));
+    for (const VmStatsField &f : kVmStatsFields)
+        vm.set(f.key, vm_.*f.field);
     if (!vm_.perCore.empty()) {
         Json cores_j = Json::array();
-        for (const CoreStats &cs : vm_.perCore)
-            cores_j.push(coreStatsToJson(cs));
+        for (const CoreStats &cs : vm_.perCore) {
+            Json core_j = Json::array();
+            for (const CoreStatsField &f : kCoreStatsFields)
+                core_j.push(cs.*f.field);
+            cores_j.push(std::move(core_j));
+        }
         vm.set("per_core", std::move(cores_j));
     }
     j.set("vm", std::move(vm));
@@ -357,12 +292,11 @@ Results::deserialize(const Json &j, const CostModel &costs,
     const Json *vmj = j.find("vm");
     if (!vmj || !vmj->isObject())
         return bad("missing 'vm'");
-    for (std::size_t i = 0; i < kNumVmFields; ++i) {
-        const Json *f = vmj->find(kVmFields[i]);
-        if (!f || !f->isNumber())
-            return bad("missing or mistyped vm counter '", kVmFields[i],
-                       "'");
-        *vmField(vm, i) = f->asUint();
+    for (const VmStatsField &f : kVmStatsFields) {
+        const Json *v = vmj->find(f.key);
+        if (!v || !v->isNumber())
+            return bad("missing or mistyped vm counter '", f.key, "'");
+        vm.*f.field = v->asUint();
     }
     // Optional only for pre-multicore journals, which have no
     // per-core slices.
@@ -370,18 +304,29 @@ Results::deserialize(const Json &j, const CostModel &costs,
         if (!cores_j->isArray() || cores_j->size() == 0)
             return bad("'per_core' must be a nonempty array");
         vm.perCore.resize(cores_j->size());
-        for (std::size_t c = 0; c < cores_j->size(); ++c)
-            if (Status s = coreStatsFromJson(cores_j->at(c),
-                                             vm.perCore[c]);
-                !s.ok())
-                return s.error();
-        for (const CoreFieldDef &def : kCoreFieldDefs) {
+        constexpr std::size_t kSlots = std::size(kCoreStatsFields);
+        for (std::size_t c = 0; c < cores_j->size(); ++c) {
+            const Json &core_j = cores_j->at(c);
+            if (!core_j.isArray() || core_j.size() != kSlots)
+                return bad("per-core counters must be a ", kSlots,
+                           "-element array");
+            for (std::size_t i = 0; i < kSlots; ++i) {
+                if (!core_j.at(i).isNumber())
+                    return bad("per-core counter ", i,
+                               " is not a number");
+                vm.perCore[c].*kCoreStatsFields[i].field =
+                    core_j.at(i).asUint();
+            }
+        }
+        for (const CoreStatsField &f : kCoreStatsFields) {
+            if (!f.aggregate)
+                continue;
             Counter sum = 0;
             for (const CoreStats &cs : vm.perCore)
-                sum += cs.*def.coreField;
-            if (sum != vm.*def.aggField)
-                return bad("per-core ", def.name, " sum to ", sum,
-                           ", not the aggregate ", vm.*def.aggField);
+                sum += cs.*f.field;
+            if (sum != vm.*f.aggregate)
+                return bad("per-core ", f.key, " sum to ", sum,
+                           ", not the aggregate ", vm.*f.aggregate);
         }
     } else if (require_per_core) {
         return bad("missing 'vm.per_core'");

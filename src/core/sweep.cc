@@ -1,5 +1,6 @@
 #include "core/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -11,6 +12,7 @@
 #include <ostream>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 
 #include "base/json.hh"
@@ -85,142 +87,196 @@ parseU64List(const char *s, const std::string &what)
     return vals;
 }
 
+/** --phys-mb ceiling: the budget in bytes must fit 64 bits. */
+constexpr std::uint64_t kMaxPhysMb = (std::uint64_t{1} << 44) - 1;
+
+/** "--name=N" (or "--name" for a bool) as listed in usage errors. */
+std::string
+flagUsage(const Flag &flag)
+{
+    if (std::holds_alternative<bool *>(flag.dest))
+        return flag.name;
+    if (flag.bare > 0)
+        return std::string(flag.name) + "[=" + flag.metavar + "]";
+    return std::string(flag.name) + "=" + flag.metavar;
+}
+
+/** Parse @p value (nullptr for a bare flag) into @p flag's dest. */
+void
+setFlag(const Flag &flag, const char *value)
+{
+    const std::string name = flag.name;
+    if (auto *on = std::get_if<bool *>(&flag.dest)) {
+        fatalIf(value != nullptr, name, " takes no value");
+        **on = true;
+        return;
+    }
+    if (auto *d = std::get_if<double *>(&flag.dest); d && !value &&
+                                                     flag.bare > 0) {
+        **d = flag.bare;
+        return;
+    }
+    fatalIf(value == nullptr, name, " needs a value (", flagUsage(flag),
+            ")");
+    auto bounded = [&](std::uint64_t v) {
+        fatalIf(flag.positive && v == 0, name, " must be positive");
+        if (v > flag.max)
+            throw VmsimError(makeError(
+                ErrorCode::InvalidArgument, name, name, " must be at most ",
+                flag.max, ", got '", value, "' (out of range)"));
+        return v;
+    };
+    std::visit(
+        [&](auto &dest) {
+            using D = std::decay_t<decltype(dest)>;
+            if constexpr (std::is_same_v<D, std::uint32_t *>) {
+                *dest = static_cast<std::uint32_t>(
+                    bounded(parseU32(value, name).orThrow()));
+            } else if constexpr (std::is_same_v<D, std::uint64_t *> ||
+                                 std::is_same_v<
+                                     D, std::optional<std::uint64_t> *>) {
+                *dest = bounded(parseU64(value, name).orThrow());
+            } else if constexpr (std::is_same_v<D, double *>) {
+                *dest = parseF64(value, name).orThrow();
+                fatalIf(flag.positive && *dest <= 0, name,
+                        " must be positive");
+                fatalIf(*dest < 0, name, " must be >= 0");
+            } else if constexpr (std::is_same_v<D, std::string *>) {
+                fatalIf(*value == '\0', name, " needs a value (",
+                        flagUsage(flag), ")");
+                *dest = value;
+            } else if constexpr (std::is_same_v<
+                                     D, std::function<void(const char *)>>) {
+                dest(value);
+            }
+        },
+        flag.dest);
+}
+
 } // anonymous namespace
+
+void
+parseFlags(int argc, char **argv, const std::vector<Flag> &flags)
+{
+    for (int i = 1; i < argc; ++i) {
+        const char *arg = argv[i];
+        const char *eq = std::strchr(arg, '=');
+        const std::string name =
+            eq ? std::string(arg, static_cast<std::size_t>(eq - arg))
+               : std::string(arg);
+        auto flag = std::find_if(flags.begin(), flags.end(),
+                                 [&](const Flag &f) {
+                                     return name == f.name;
+                                 });
+        if (flag == flags.end()) {
+            std::string expected;
+            for (const Flag &f : flags)
+                expected += (expected.empty() ? "" : ", ") + flagUsage(f);
+            fatal("unknown argument '", arg, "' (expected ", expected,
+                  ")");
+        }
+        setFlag(*flag, eq ? eq + 1 : nullptr);
+    }
+}
+
+std::vector<Flag>
+RunOptions::flags()
+{
+    return {
+        {.name = "--instructions", .metavar = "N", .dest = &instructions,
+         .positive = true},
+        {.name = "--warmup", .metavar = "N", .dest = &warmup},
+        {.name = "--seed", .metavar = "N", .dest = &seed},
+        {.name = "--seeds", .metavar = "N", .dest = &seeds,
+         .positive = true},
+        {.name = "--trace-events", .metavar = "F",
+         .dest = &obs.traceEvents},
+        {.name = "--chrome-trace", .metavar = "F",
+         .dest = &obs.chromeTrace},
+        {.name = "--stats-json", .metavar = "F", .dest = &obs.statsJson},
+        {.name = "--interval", .metavar = "N", .dest = &obs.interval,
+         .positive = true},
+        {.name = "--progress", .metavar = "S",
+         .dest = &obs.progressSeconds, .positive = true, .bare = 2.0},
+        {.name = "--progress-out", .metavar = "F",
+         .dest = &obs.progressOut},
+        {.name = "--metrics-out", .metavar = "F", .dest = &obs.metricsOut},
+        {.name = "--inject-faults", .metavar = "SPEC",
+         .dest = [this](const char *v) {
+             faults = FaultSpec::parse(v).orThrow();
+         }},
+        {.name = "--batch", .metavar = "N", .dest = &batch,
+         .positive = true},
+        {.name = "--cores", .metavar = "N", .dest = &cores,
+         .positive = true},
+        {.name = "--core-quantum", .metavar = "N", .dest = &coreQuantum,
+         .positive = true},
+        {.name = "--private-l2tlb", .dest = &privateL2Tlb},
+        {.name = "--phys-mb", .metavar = "N", .dest = &physMb,
+         .positive = true, .max = kMaxPhysMb},
+        {.name = "--reclaim", .metavar = "P",
+         .dest = [this](const char *v) {
+             reclaim = parseReclaimPolicy(v).orThrow();
+         }},
+        {.name = "--check", .dest = &check},
+        {.name = "--fuzz", .metavar = "N", .dest = &fuzz,
+         .positive = true},
+        {.name = "--shard-dir", .metavar = "D", .dest = &shardDir},
+        {.name = "--shard-owner", .metavar = "ID", .dest = &shardOwner},
+        {.name = "--lease-seconds", .metavar = "S", .dest = &leaseSeconds,
+         .positive = true},
+    };
+}
+
+void
+RunOptions::applyTo(SimConfig &cfg) const
+{
+    cfg.seed = seed;
+    cfg.cores = cores;
+    if (coreQuantum)
+        cfg.coreQuantum = coreQuantum;
+    cfg.sharedL2Tlb = !privateL2Tlb;
+    if (physMb) {
+        cfg.physFrames = physFramesFor(cfg.pageBits);
+        cfg.reclaimPolicy = reclaim;
+    }
+}
+
+std::uint64_t
+RunOptions::physFramesFor(unsigned page_bits) const
+{
+    // SimConfig::validate() rejects such page sizes; don't shift by
+    // the whole width first.
+    if (page_bits >= 64)
+        return 0;
+    return (physMb << 20) >> page_bits;
+}
 
 BenchOptions
 BenchOptions::parse(int argc, char **argv)
 {
     BenchOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--full") == 0) {
-            opts.full = true;
-        } else if (std::strcmp(arg, "--csv") == 0) {
-            opts.csv = true;
-        } else if (std::strncmp(arg, "--instructions=", 15) == 0) {
-            opts.instructions =
-                parseU64(arg + 15, "--instructions").orThrow();
-            fatalIf(opts.instructions == 0,
-                    "--instructions must be positive");
-        } else if (std::strncmp(arg, "--warmup=", 9) == 0) {
-            opts.warmup = parseU64(arg + 9, "--warmup").orThrow();
-        } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-            opts.seed = parseU64(arg + 7, "--seed").orThrow();
-        } else if (std::strncmp(arg, "--seeds=", 8) == 0) {
-            opts.seeds = parseU32(arg + 8, "--seeds").orThrow();
-            fatalIf(opts.seeds == 0, "--seeds must be positive");
-        } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-            opts.jobs = parseU32(arg + 7, "--jobs").orThrow();
-        } else if (std::strncmp(arg, "--trace-events=", 15) == 0) {
-            opts.obs.traceEvents = arg + 15;
-            fatalIf(opts.obs.traceEvents.empty(),
-                    "--trace-events needs a file path");
-        } else if (std::strncmp(arg, "--chrome-trace=", 15) == 0) {
-            opts.obs.chromeTrace = arg + 15;
-            fatalIf(opts.obs.chromeTrace.empty(),
-                    "--chrome-trace needs a file path");
-        } else if (std::strncmp(arg, "--stats-json=", 13) == 0) {
-            opts.obs.statsJson = arg + 13;
-            fatalIf(opts.obs.statsJson.empty(),
-                    "--stats-json needs a file path");
-        } else if (std::strncmp(arg, "--interval=", 11) == 0) {
-            opts.obs.interval =
-                parseU64(arg + 11, "--interval").orThrow();
-            fatalIf(opts.obs.interval == 0,
-                    "--interval must be positive");
-        } else if (std::strcmp(arg, "--progress") == 0) {
-            opts.obs.progressSeconds = 2.0;
-        } else if (std::strncmp(arg, "--progress=", 11) == 0) {
-            opts.obs.progressSeconds =
-                parseF64(arg + 11, "--progress").orThrow();
-            fatalIf(opts.obs.progressSeconds <= 0,
-                    "--progress period must be positive seconds");
-        } else if (std::strncmp(arg, "--progress-out=", 15) == 0) {
-            opts.obs.progressOut = arg + 15;
-            fatalIf(opts.obs.progressOut.empty(),
-                    "--progress-out needs a file path");
-        } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
-            opts.obs.metricsOut = arg + 14;
-            fatalIf(opts.obs.metricsOut.empty(),
-                    "--metrics-out needs a file path");
-        } else if (std::strncmp(arg, "--retries=", 10) == 0) {
-            opts.retries = parseU32(arg + 10, "--retries").orThrow();
-        } else if (std::strncmp(arg, "--retry-backoff=", 16) == 0) {
-            opts.retryBackoff =
-                parseF64(arg + 16, "--retry-backoff").orThrow();
-            fatalIf(opts.retryBackoff < 0,
-                    "--retry-backoff must be >= 0");
-        } else if (std::strncmp(arg, "--cell-timeout=", 15) == 0) {
-            opts.cellTimeout =
-                parseF64(arg + 15, "--cell-timeout").orThrow();
-            fatalIf(opts.cellTimeout < 0,
-                    "--cell-timeout must be >= 0");
-        } else if (std::strncmp(arg, "--journal=", 10) == 0) {
-            opts.journal = arg + 10;
-            fatalIf(opts.journal.empty(), "--journal needs a file path");
-        } else if (std::strcmp(arg, "--resume") == 0) {
-            opts.resume = true;
-        } else if (std::strncmp(arg, "--inject-faults=", 16) == 0) {
-            opts.faults = FaultSpec::parse(arg + 16).orThrow();
-        } else if (std::strncmp(arg, "--batch=", 8) == 0) {
-            opts.batch = parseU64(arg + 8, "--batch").orThrow();
-            fatalIf(opts.batch == 0,
-                    "--batch must be positive (1 = scalar loop)");
-        } else if (std::strncmp(arg, "--trace-cache-mb=", 17) == 0) {
-            opts.traceCacheMb =
-                parseU64(arg + 17, "--trace-cache-mb").orThrow();
-        } else if (std::strncmp(arg, "--cores=", 8) == 0) {
-            opts.cores = parseU32(arg + 8, "--cores").orThrow();
-            fatalIf(opts.cores == 0, "--cores must be positive");
-        } else if (std::strncmp(arg, "--core-quantum=", 15) == 0) {
-            opts.coreQuantum =
-                parseU64(arg + 15, "--core-quantum").orThrow();
-            fatalIf(opts.coreQuantum == 0,
-                    "--core-quantum must be positive");
-        } else if (std::strcmp(arg, "--private-l2tlb") == 0) {
-            opts.sharedL2Tlb = false;
-        } else if (std::strncmp(arg, "--phys-mb=", 10) == 0) {
-            opts.physMb = parseU64(arg + 10, "--phys-mb").orThrow();
-            fatalIf(opts.physMb == 0,
-                    "--phys-mb must be positive (omit the flag for "
-                    "unlimited frames)");
-        } else if (std::strncmp(arg, "--phys-mb-list=", 15) == 0) {
-            opts.physMbList = parseU64List(arg + 15, "--phys-mb-list");
-        } else if (std::strncmp(arg, "--reclaim=", 10) == 0) {
-            opts.reclaim = parseReclaimPolicy(arg + 10).orThrow();
-        } else if (std::strcmp(arg, "--check") == 0) {
-            opts.check = true;
-        } else if (std::strncmp(arg, "--fuzz=", 7) == 0) {
-            opts.fuzz = parseU32(arg + 7, "--fuzz").orThrow();
-            fatalIf(opts.fuzz == 0, "--fuzz must be positive");
-        } else if (std::strncmp(arg, "--shard-dir=", 12) == 0) {
-            opts.shardDir = arg + 12;
-            fatalIf(opts.shardDir.empty(),
-                    "--shard-dir needs a directory path");
-        } else if (std::strncmp(arg, "--shard-owner=", 14) == 0) {
-            opts.shardOwner = arg + 14;
-            fatalIf(opts.shardOwner.empty(),
-                    "--shard-owner needs an identifier");
-        } else if (std::strncmp(arg, "--lease-seconds=", 16) == 0) {
-            opts.leaseSeconds =
-                parseF64(arg + 16, "--lease-seconds").orThrow();
-            fatalIf(opts.leaseSeconds <= 0,
-                    "--lease-seconds must be positive");
-        } else {
-            fatal("unknown argument '", arg,
-                  "' (expected --full, --csv, --instructions=N, "
-                  "--warmup=N, --seed=N, --seeds=N, --jobs=N, "
-                  "--trace-events=F, --chrome-trace=F, --stats-json=F, "
-                  "--interval=N, --progress[=S], --progress-out=F, "
-                  "--metrics-out=F, --retries=N, --retry-backoff=S, "
-                  "--cell-timeout=S, --journal=F, --resume, "
-                  "--inject-faults=SPEC, --batch=N, "
-                  "--trace-cache-mb=N, --cores=N, --core-quantum=N, "
-                  "--private-l2tlb, --phys-mb=N, --phys-mb-list=A,B, "
-                  "--reclaim=P, --check, --fuzz=N, --shard-dir=D, "
-                  "--shard-owner=ID, --lease-seconds=S)");
-        }
-    }
+    std::vector<Flag> flags = {
+        {.name = "--full", .dest = &opts.full},
+        {.name = "--csv", .dest = &opts.csv},
+        {.name = "--jobs", .metavar = "N", .dest = &opts.jobs},
+        {.name = "--retries", .metavar = "N", .dest = &opts.retries},
+        {.name = "--retry-backoff", .metavar = "S",
+         .dest = &opts.retryBackoff},
+        {.name = "--cell-timeout", .metavar = "S",
+         .dest = &opts.cellTimeout},
+        {.name = "--journal", .metavar = "F", .dest = &opts.journal},
+        {.name = "--resume", .dest = &opts.resume},
+        {.name = "--trace-cache-mb", .metavar = "N",
+         .dest = &opts.traceCacheMb},
+        {.name = "--phys-mb-list", .metavar = "A,B",
+         .dest = [&opts](const char *v) {
+             opts.physMbList = parseU64List(v, "--phys-mb-list");
+         }},
+    };
+    std::vector<Flag> shared = opts.flags();
+    flags.insert(flags.end(), shared.begin(), shared.end());
+    parseFlags(argc, argv, flags);
     fatalIf(opts.resume && opts.journal.empty(),
             "--resume requires --journal=F");
     fatalIf(!opts.shardOwner.empty() && opts.shardDir.empty(),

@@ -31,10 +31,12 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "base/error.hh"
@@ -123,97 +125,79 @@ struct ObsOptions
 };
 
 /**
- * Command-line options shared by the bench binaries:
- *   --full             run the complete paper grid
- *   --csv              emit CSV instead of aligned text
- *   --instructions=N   instructions per simulation point
- *   --warmup=N         warmup instructions (stats discarded);
- *                      defaults to one quarter of the measured
- *                      instructions (defaultWarmup())
- *   --seed=N           workload/replacement base seed
- *   --seeds=N          seed replications per cell (seed, seed+1, ...)
- *   --jobs=N           worker threads for the sweep (default: all
- *                      hardware threads; 1 = serial)
- *   --trace-events=F   write per-cell JSONL event logs to F
- *   --chrome-trace=F   write a Chrome-trace/Perfetto timeline to F
- *   --stats-json=F     write per-cell stats + timing registry to F
- *   --interval=N       sample interval statistics every N instructions
- *   --progress[=S]     live sweep telemetry every S seconds (default
- *                      2); heartbeats go to stderr unless
- *                      --progress-out redirects them
- *   --progress-out=F   append JSONL telemetry heartbeats to F
- *   --metrics-out=F    rewrite a Prometheus text exposition at F on
- *                      every heartbeat (atomic rename)
- *   --retries=N        retry transiently failed cells up to N times
- *   --retry-backoff=S  base backoff seconds between retries
- *   --cell-timeout=S   cancel any cell running longer than S seconds
- *   --journal=F        checkpoint completed cells to JSONL file F
- *   --resume           skip cells already completed in the journal
- *   --inject-faults=S  fault spec, e.g. corrupt=0.01,throw=0.01,seed=7
- *   --batch=N          trace-fetch batch size (1 = scalar loop)
- *   --trace-cache-mb=N shared recorded-trace cache budget in MiB
- *                      (default 256; 0 disables the cache)
- *   --cores=N          simulated cores sharing the page table
- *                      (default 1 = the legacy single-core machine)
- *   --core-quantum=N   instructions per core scheduling slot
- *                      (default: SimConfig's 50,000)
- *   --private-l2tlb    give each core a private L2 TLB slice instead
- *                      of the default single shared L2 TLB
- *   --phys-mb=N        cap physical memory at N MiB of frames; the
- *                      VM system evicts and takes major faults under
- *                      pressure (default: unlimited, the paper model)
- *   --phys-mb-list=A,B sweep axis of --phys-mb values (benches that
- *                      sweep pressure, e.g. bench_pressure)
- *   --reclaim=P        frame reclaim policy: fifo, lru, or clock
- *   --check            audit every cell's Results with the
- *                      invariant checker (failures mark the cell)
- *   --fuzz=N           run N differential-fuzz cases (seeded from
- *                      --seed) before the sweep; failures are fatal
- *   --shard-dir=D      run as one worker of a crash-tolerant sharded
- *                      sweep coordinated through directory D
- *                      (docs/robustness.md)
- *   --shard-owner=ID   this worker's shard identity (default: pid)
- *   --lease-seconds=S  reclaim another worker's claimed cell after its
- *                      lease has been silent for S seconds
- * Unknown arguments are fatal() so typos don't silently run the
- * wrong experiment.
+ * One entry of a table-driven command-line parser (parseFlags()). The
+ * destination's type is the value kind:
+ *   - bool *: a bare "--name" that sets it to true;
+ *   - std::uint32_t *, std::uint64_t *, std::optional<std::uint64_t> *:
+ *     "--name=N", a strict unsigned decimal (base/parse.hh);
+ *   - double *: "--name=S", a finite decimal >= 0;
+ *   - std::string *: "--name=F", any non-empty string;
+ *   - a callable: "--name=V", handed to a named parser such as
+ *     parseReclaimPolicy() or FaultSpec::parse().
+ * Zero for a @c positive flag and a negative double are fatal(); a
+ * malformed number or one above @c max is an InvalidArgument error.
  */
-struct BenchOptions
+struct Flag
 {
-    bool full = false;
-    bool csv = false;
-    Counter instructions = 2'000'000;
-    std::optional<Counter> warmup; ///< unset = defaultWarmup(instructions)
-    std::uint64_t seed = 12345;
-    unsigned seeds = 1;
-    unsigned jobs = 0; ///< 0 = hardware_concurrency
-    ObsOptions obs;
-    unsigned retries = 0;      ///< transient-failure retries per cell
-    double retryBackoff = 0.0; ///< base seconds between retries
-    double cellTimeout = 0.0;  ///< per-cell wall-clock budget; 0 = none
-    std::string journal;       ///< checkpoint path; empty = off
-    bool resume = false;       ///< load the journal before running
-    FaultSpec faults;          ///< inactive unless --inject-faults
-    std::size_t batch = 0;     ///< trace-fetch batch; 0 = default
-    std::size_t traceCacheMb = 256; ///< trace-cache budget; 0 = off
-    bool check = false;        ///< audit every cell's Results
-    unsigned fuzz = 0;         ///< differential-fuzz cases; 0 = off
-    std::string shardDir;      ///< sharded-sweep directory; empty = off
-    std::string shardOwner;    ///< shard worker id; empty = "pid<pid>"
-    double leaseSeconds = 30.0; ///< stale shard leases expire after this
-    unsigned cores = 1;        ///< simulated cores (1 = legacy machine)
-    Counter coreQuantum = 0;   ///< scheduler slot; 0 = SimConfig default
-    bool sharedL2Tlb = true;   ///< one shared L2 TLB vs per-core slices
-    std::uint64_t physMb = 0;  ///< frame-budget MiB; 0 = unlimited
-    std::vector<std::uint64_t> physMbList; ///< --phys-mb-list axis
-    ReclaimPolicy reclaim = ReclaimPolicy::Fifo;
+    using Dest = std::variant<bool *, std::uint32_t *, std::uint64_t *,
+                              std::optional<std::uint64_t> *, double *,
+                              std::string *,
+                              std::function<void(const char *)>>;
+
+    const char *name;         ///< "--tlb"
+    const char *metavar = ""; ///< value placeholder for usage lists
+    Dest dest;
+    bool positive = false; ///< numbers: reject zero
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+    double bare = 0; ///< double: the value of a bare "--name"; 0 = none
+};
+
+/**
+ * Apply argv[1..argc) to @p flags in order. An argument no entry
+ * names is fatal(), with the accepted flags listed.
+ */
+void parseFlags(int argc, char **argv, const std::vector<Flag> &flags);
+
+/**
+ * The run options both front ends accept, the bench binaries through
+ * BenchOptions and examples/vmsim_cli.cc directly; flags() is their
+ * one flag table, and each field notes its flag.
+ */
+struct RunOptions
+{
+    Counter instructions = 2'000'000; ///< --instructions=N, measured
+    std::optional<Counter> warmup; ///< --warmup=N; unset = resolvedWarmup()
+    std::uint64_t seed = 12345;    ///< --seed=N, workload/policy seed
+    unsigned seeds = 1;        ///< --seeds=N replications (seed, seed+1, ...)
+    ObsOptions obs;            ///< --trace-events, --chrome-trace,
+                               ///< --stats-json, --interval, --progress,
+                               ///< --progress-out, --metrics-out
+    FaultSpec faults;          ///< --inject-faults=SPEC
+    std::size_t batch = 0;     ///< --batch=N trace fetch; 0 = default
+    unsigned cores = 1;        ///< --cores=N simulated cores
+    Counter coreQuantum = 0;   ///< --core-quantum=N; 0 = SimConfig's
+    bool privateL2Tlb = false; ///< --private-l2tlb: per-core L2 TLBs
+    std::uint64_t physMb = 0;  ///< --phys-mb=N frame budget; 0 = unlimited
+    ReclaimPolicy reclaim = ReclaimPolicy::Fifo; ///< --reclaim=P
+    bool check = false;        ///< --check: audit every run's Results
+    unsigned fuzz = 0;         ///< --fuzz=N differential cases; 0 = off
+    std::string shardDir;      ///< --shard-dir=D; empty = not sharded
+    std::string shardOwner;    ///< --shard-owner=ID; empty = "pid<pid>"
+    double leaseSeconds = 30.0; ///< --lease-seconds=S stale-lease horizon
+
+    /** The flag table; entries point into this object. */
+    std::vector<Flag> flags();
+
+    /**
+     * Copy the seed, core and frame-budget settings into @p cfg. The
+     * budget is resolved here, after parsing, so --phys-mb composes
+     * with a --page-bits given in either order; a no-op at the
+     * defaults.
+     */
+    void applyTo(SimConfig &cfg) const;
 
     /** The --phys-mb budget in frames for @p page_bits pages. */
-    std::uint64_t
-    physFramesFor(unsigned page_bits) const
-    {
-        return (physMb << 20) >> page_bits;
-    }
+    std::uint64_t physFramesFor(unsigned page_bits) const;
 
     /**
      * The effective warmup length: --warmup=N or the project-wide
@@ -224,6 +208,26 @@ struct BenchOptions
     {
         return warmup.value_or(defaultWarmup(instructions));
     }
+};
+
+/**
+ * Command-line options of the bench binaries: RunOptions plus the
+ * sweep-only flags below (BenchOptions::parse() holds the table).
+ * Unknown arguments are fatal() so typos don't silently run the wrong
+ * experiment.
+ */
+struct BenchOptions : RunOptions
+{
+    bool full = false;         ///< --full: the complete paper grid
+    bool csv = false;          ///< --csv instead of aligned text
+    unsigned jobs = 0;         ///< --jobs=N; 0 = hardware_concurrency
+    unsigned retries = 0;      ///< --retries=N transient-failure retries
+    double retryBackoff = 0.0; ///< --retry-backoff=S base seconds
+    double cellTimeout = 0.0;  ///< --cell-timeout=S per cell; 0 = none
+    std::string journal;       ///< --journal=F checkpoint; empty = off
+    bool resume = false;       ///< --resume: load the journal first
+    std::size_t traceCacheMb = 256; ///< --trace-cache-mb=N; 0 = off
+    std::vector<std::uint64_t> physMbList; ///< --phys-mb-list=A,B axis
 
     static BenchOptions parse(int argc, char **argv);
 };

@@ -34,43 +34,14 @@ VmStats
 diffVm(const VmStats &cur, const VmStats &prev)
 {
     VmStats d;
-    d.uhandlerCalls = cur.uhandlerCalls - prev.uhandlerCalls;
-    d.khandlerCalls = cur.khandlerCalls - prev.khandlerCalls;
-    d.rhandlerCalls = cur.rhandlerCalls - prev.rhandlerCalls;
-    d.uhandlerInstrs = cur.uhandlerInstrs - prev.uhandlerInstrs;
-    d.khandlerInstrs = cur.khandlerInstrs - prev.khandlerInstrs;
-    d.rhandlerInstrs = cur.rhandlerInstrs - prev.rhandlerInstrs;
-    d.hwWalks = cur.hwWalks - prev.hwWalks;
-    d.hwWalkCycles = cur.hwWalkCycles - prev.hwWalkCycles;
-    d.interrupts = cur.interrupts - prev.interrupts;
-    d.pteLoads = cur.pteLoads - prev.pteLoads;
-    d.ctxSwitches = cur.ctxSwitches - prev.ctxSwitches;
-    d.l2TlbHits = cur.l2TlbHits - prev.l2TlbHits;
-    d.itlbMisses = cur.itlbMisses - prev.itlbMisses;
-    d.dtlbMisses = cur.dtlbMisses - prev.dtlbMisses;
-    d.shootdownsSent = cur.shootdownsSent - prev.shootdownsSent;
-    d.shootdownsRecv = cur.shootdownsRecv - prev.shootdownsRecv;
-    d.shootdownCycles = cur.shootdownCycles - prev.shootdownCycles;
-    d.pagesTouched = cur.pagesTouched - prev.pagesTouched;
-    d.majorFaults = cur.majorFaults - prev.majorFaults;
-    d.reusedFrames = cur.reusedFrames - prev.reusedFrames;
-    d.evictions = cur.evictions - prev.evictions;
-    d.writebacks = cur.writebacks - prev.writebacks;
-    d.faultCycles = cur.faultCycles - prev.faultCycles;
+    for (const VmStatsField &f : kVmStatsFields)
+        d.*f.field = cur.*f.field - prev.*f.field;
     if (cur.perCore.size() == prev.perCore.size()) {
         d.perCore.resize(cur.perCore.size());
-        for (std::size_t c = 0; c < cur.perCore.size(); ++c) {
-            const CoreStats &cc = cur.perCore[c];
-            const CoreStats &pc = prev.perCore[c];
-            CoreStats &dc = d.perCore[c];
-            dc.instrs = cc.instrs - pc.instrs;
-            dc.itlbMisses = cc.itlbMisses - pc.itlbMisses;
-            dc.dtlbMisses = cc.dtlbMisses - pc.dtlbMisses;
-            dc.ctxSwitches = cc.ctxSwitches - pc.ctxSwitches;
-            dc.shootdownsSent = cc.shootdownsSent - pc.shootdownsSent;
-            dc.shootdownsRecv = cc.shootdownsRecv - pc.shootdownsRecv;
-            dc.majorFaults = cc.majorFaults - pc.majorFaults;
-        }
+        for (std::size_t c = 0; c < cur.perCore.size(); ++c)
+            for (const CoreStatsField &f : kCoreStatsFields)
+                d.perCore[c].*f.field =
+                    cur.perCore[c].*f.field - prev.perCore[c].*f.field;
     }
     return d;
 }

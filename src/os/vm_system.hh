@@ -49,6 +49,8 @@
 #ifndef VMSIM_OS_VM_SYSTEM_HH
 #define VMSIM_OS_VM_SYSTEM_HH
 
+#include <cstddef>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -199,29 +201,93 @@ struct VmStats
     void reset() { *this = VmStats{}; }
 };
 
-/** A CoreStats counter and the VmStats aggregate its slices sum to. */
-struct CoreFieldDef
+/**
+ * @name Counter field tables
+ * Every raw counter of VmStats and CoreStats, in declaration order,
+ * with the key Results::serialize() writes it under. Serialization,
+ * journal decoding, diffResults() and the interval deltas all loop
+ * over these tables, so a new counter is one member plus one entry;
+ * the static_asserts below fail the build when an entry is missing.
+ * @{ */
+struct VmStatsField
 {
-    const char *name;
-    Counter CoreStats::*coreField;
-    Counter VmStats::*aggField;
+    const char *key;
+    Counter VmStats::*field;
+};
+
+inline constexpr VmStatsField kVmStatsFields[] = {
+    {"uhandler_calls", &VmStats::uhandlerCalls},
+    {"khandler_calls", &VmStats::khandlerCalls},
+    {"rhandler_calls", &VmStats::rhandlerCalls},
+    {"uhandler_instrs", &VmStats::uhandlerInstrs},
+    {"khandler_instrs", &VmStats::khandlerInstrs},
+    {"rhandler_instrs", &VmStats::rhandlerInstrs},
+    {"hw_walks", &VmStats::hwWalks},
+    {"hw_walk_cycles", &VmStats::hwWalkCycles},
+    {"interrupts", &VmStats::interrupts},
+    {"pte_loads", &VmStats::pteLoads},
+    {"ctx_switches", &VmStats::ctxSwitches},
+    {"l2tlb_hits", &VmStats::l2TlbHits},
+    {"itlb_misses", &VmStats::itlbMisses},
+    {"dtlb_misses", &VmStats::dtlbMisses},
+    {"shootdowns_sent", &VmStats::shootdownsSent},
+    {"shootdowns_recv", &VmStats::shootdownsRecv},
+    {"shootdown_cycles", &VmStats::shootdownCycles},
+    {"pages_touched", &VmStats::pagesTouched},
+    {"major_faults", &VmStats::majorFaults},
+    {"reused_frames", &VmStats::reusedFrames},
+    {"evictions", &VmStats::evictions},
+    {"writebacks", &VmStats::writebacks},
+    {"fault_cycles", &VmStats::faultCycles},
 };
 
 /**
- * Every per-core counter that has a VmStats aggregate, for the
- * per-core conservation law (CoreStats::instrs has none: single-core
- * loops never credit it).
+ * A CoreStats counter and the VmStats aggregate its per-core slices
+ * sum to (the per-core conservation law). CoreStats::instrs has none:
+ * single-core loops never credit it. Journals store a core's slice as
+ * an array in this order.
  */
-inline constexpr CoreFieldDef kCoreFieldDefs[] = {
-    {"itlbMisses", &CoreStats::itlbMisses, &VmStats::itlbMisses},
-    {"dtlbMisses", &CoreStats::dtlbMisses, &VmStats::dtlbMisses},
-    {"ctxSwitches", &CoreStats::ctxSwitches, &VmStats::ctxSwitches},
-    {"shootdownsSent", &CoreStats::shootdownsSent,
-     &VmStats::shootdownsSent},
-    {"shootdownsRecv", &CoreStats::shootdownsRecv,
-     &VmStats::shootdownsRecv},
-    {"majorFaults", &CoreStats::majorFaults, &VmStats::majorFaults},
+struct CoreStatsField
+{
+    const char *key;
+    Counter CoreStats::*field;
+    Counter VmStats::*aggregate; ///< nullptr: no aggregate
 };
+
+inline constexpr CoreStatsField kCoreStatsFields[] = {
+    {"instrs", &CoreStats::instrs, nullptr},
+    {"itlb_misses", &CoreStats::itlbMisses, &VmStats::itlbMisses},
+    {"dtlb_misses", &CoreStats::dtlbMisses, &VmStats::dtlbMisses},
+    {"ctx_switches", &CoreStats::ctxSwitches, &VmStats::ctxSwitches},
+    {"shootdowns_sent", &CoreStats::shootdownsSent,
+     &VmStats::shootdownsSent},
+    {"shootdowns_recv", &CoreStats::shootdownsRecv,
+     &VmStats::shootdownsRecv},
+    {"major_faults", &CoreStats::majorFaults, &VmStats::majorFaults},
+};
+
+/** True when no two entries of @p table name the same member. */
+template <class Entry, std::size_t N>
+constexpr bool
+distinctFields(const Entry (&table)[N])
+{
+    for (std::size_t i = 0; i < N; ++i)
+        for (std::size_t j = 0; j < i; ++j)
+            if (table[i].field == table[j].field)
+                return false;
+    return true;
+}
+
+static_assert(distinctFields(kVmStatsFields) &&
+                  sizeof(VmStats) ==
+                      std::size(kVmStatsFields) * sizeof(Counter) +
+                          sizeof(std::vector<CoreStats>),
+              "every VmStats counter needs one kVmStatsFields entry");
+static_assert(distinctFields(kCoreStatsFields) &&
+                  sizeof(CoreStats) ==
+                      std::size(kCoreStatsFields) * sizeof(Counter),
+              "every CoreStats counter needs one kCoreStatsFields entry");
+/** @} */
 
 /**
  * The per-core first-level TLBs of an organization: one I/D pair per

@@ -38,16 +38,16 @@ TEST(DiffRunner, GenerateCoversOrganizationsAndFeatures)
     std::set<unsigned> cores;
     for (std::uint64_t i = 0; i < 200; ++i) {
         FuzzTuple t = runner.generate(i);
-        kinds.insert(t.kind);
-        cores.insert(t.cores);
+        kinds.insert(t.cfg.kind);
+        cores.insert(t.cfg.cores);
         sawFaults |= t.faults;
-        sawCtx |= t.ctxSwitch != 0;
-        sawAsid |= t.asidBits != 0;
-        sawL2Tlb |= t.l2TlbEntries != 0;
+        sawCtx |= t.cfg.ctxSwitchInterval != 0;
+        sawAsid |= t.cfg.tlbAsidBits != 0;
+        sawL2Tlb |= t.cfg.l2TlbEntries != 0;
         sawWarmup |= t.warmup != 0;
         EXPECT_GT(t.instrs, 0u);
         EXPECT_LE(t.instrs, opts.maxInstrs);
-        EXPECT_GT(t.coreQuantum, 0u);
+        EXPECT_GT(t.cfg.coreQuantum, 0u);
     }
     EXPECT_EQ(kinds.size(), 9u);
     EXPECT_EQ(cores, (std::set<unsigned>{1, 2, 4}));
@@ -65,7 +65,7 @@ TEST(DiffRunner, ForceCoresPinsEveryTuple)
     opts.forceCores = 4;
     DiffRunner runner(opts);
     for (std::uint64_t i = 0; i < 50; ++i)
-        EXPECT_EQ(runner.generate(i).cores, 4u);
+        EXPECT_EQ(runner.generate(i).cfg.cores, 4u);
 }
 
 TEST(DiffRunner, SeededCampaignFindsNoDivergence)
@@ -92,13 +92,12 @@ TEST(FuzzTuple, ConfigRoundTripsThroughJson)
     DiffOptions opts;
     FuzzTuple t = DiffRunner(opts).generate(7);
     Json j = t.toJson();
-    EXPECT_EQ(j.find("system")->asString(), kindName(t.kind));
+    EXPECT_EQ(j.find("system")->asString(), kindName(t.cfg.kind));
     EXPECT_EQ(j.find("instrs")->asUint(), t.instrs);
     EXPECT_EQ(j.find("batch")->asUint(), t.batch);
-    // The derived SimConfig must validate for every generated tuple.
+    // The drawn SimConfig must validate for every generated tuple.
     for (std::uint64_t i = 0; i < 100; ++i)
-        EXPECT_TRUE(DiffRunner(opts).generate(i).toConfig().validate()
-                        .ok());
+        EXPECT_TRUE(DiffRunner(opts).generate(i).cfg.validate().ok());
 }
 
 } // anonymous namespace

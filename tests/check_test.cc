@@ -12,6 +12,7 @@
 
 #include "base/intmath.hh"
 #include "check/invariants.hh"
+#include "counter_values.hh"
 #include "core/simulator.hh"
 #include "obs/event.hh"
 #include "obs/interval.hh"
@@ -154,6 +155,46 @@ TEST(DiffResults, DetectsDivergence)
     c2.seed = c.seed + 1; // different trace → different counters
     Results b = runOnce(c2, "gcc", 15000, 3000);
     EXPECT_FALSE(diffResults(a, b, "first", "second").ok());
+}
+
+/** Changing any one counter is exactly one violation naming it. */
+TEST(DiffResults, EachCounterDivergesAsOneNamedViolation)
+{
+    const Results a("TEST", "hand", 1000, MemSystemStats{},
+                    distinctVmStats(), CostModel{});
+    auto diffWith = [&](const VmStats &vm) {
+        return diffResults(a,
+                           Results("TEST", "hand", 1000, MemSystemStats{},
+                                   vm, CostModel{}),
+                           "a", "b");
+    };
+    EXPECT_TRUE(diffWith(distinctVmStats()).ok());
+    for (const VmStatsField &f : kVmStatsFields) {
+        VmStats vm = distinctVmStats();
+        vm.*f.field += 1;
+        CheckReport rep = diffWith(vm);
+        ASSERT_EQ(rep.violations().size(), 1u) << f.key;
+        EXPECT_EQ(rep.violations()[0].law, "diff.vm-counter");
+        EXPECT_EQ(rep.violations()[0].message.rfind(
+                      std::string(f.key) + ": ", 0),
+                  0u)
+            << rep.violations()[0].message;
+    }
+    for (std::size_t c = 0; c < 2; ++c) {
+        for (const CoreStatsField &f : kCoreStatsFields) {
+            VmStats vm = distinctVmStats();
+            vm.perCore[c].*f.field += 1;
+            CheckReport rep = diffWith(vm);
+            ASSERT_EQ(rep.violations().size(), 1u) << f.key;
+            EXPECT_EQ(rep.violations()[0].law, "diff.core-counter");
+            const std::string &msg = rep.violations()[0].message;
+            EXPECT_EQ(msg.rfind("core " + std::to_string(c) + ": " +
+                                    f.key + ": ",
+                                0),
+                      0u)
+                << msg;
+        }
+    }
 }
 
 // ------------------------------------------------------ cross-cell laws

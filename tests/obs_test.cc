@@ -23,12 +23,14 @@
 #include "check/invariants.hh"
 #include "core/simulator.hh"
 #include "core/sweep.hh"
+#include "counter_values.hh"
 #include "obs/event.hh"
 #include "obs/exporters.hh"
 #include "obs/interval.hh"
 #include "obs/latency.hh"
 #include "obs/stats_registry.hh"
 #include "obs/telemetry.hh"
+#include "os/base_vm.hh"
 
 namespace vmsim
 {
@@ -310,6 +312,44 @@ TEST(ObsInterval, PartialTailIntervalIsClosedByFinish)
     // 100k instructions over 30k intervals: 3 full + 1 partial of 10k.
     ASSERT_EQ(sampler.intervals().size(), 4u);
     EXPECT_EQ(sampler.intervals().back().instrs(), 10'000u);
+}
+
+/** A BaseVm whose counters a test sets directly. */
+struct CounterVm : BaseVm
+{
+    using BaseVm::BaseVm;
+    VmStats &stats() { return stats_; }
+};
+
+TEST(ObsInterval, DeltaIsFieldByFieldSubtraction)
+{
+    MemSystem mem(CacheParams{16_KiB, 32}, CacheParams{1_MiB, 64});
+    CounterVm vm(mem);
+    const VmStats prev = distinctVmStats();
+    VmStats cur = prev;
+    Counter step = 1;
+    for (const VmStatsField &f : kVmStatsFields)
+        cur.*f.field += 100 * step++;
+    for (CoreStats &cs : cur.perCore)
+        for (const CoreStatsField &f : kCoreStatsFields)
+            cs.*f.field += 7 * step++;
+
+    IntervalSampler sampler(1000);
+    sampler.configure(CostModel{}, "TEST", "hand");
+    vm.stats() = prev;
+    sampler.tick(0, vm);
+    vm.stats() = cur;
+    sampler.finish(500, vm);
+    ASSERT_EQ(sampler.intervals().size(), 1u);
+    const VmStats &d = sampler.intervals()[0].results.vmStats();
+    for (const VmStatsField &f : kVmStatsFields)
+        EXPECT_EQ(d.*f.field, cur.*f.field - prev.*f.field) << f.key;
+    ASSERT_EQ(d.perCore.size(), cur.perCore.size());
+    for (std::size_t c = 0; c < cur.perCore.size(); ++c)
+        for (const CoreStatsField &f : kCoreStatsFields)
+            EXPECT_EQ(d.perCore[c].*f.field,
+                      cur.perCore[c].*f.field - prev.perCore[c].*f.field)
+                << "core " << c << " " << f.key;
 }
 
 TEST(ObsInterval, CsvHasHeaderAndOneRowPerInterval)

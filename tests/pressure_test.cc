@@ -267,6 +267,14 @@ TEST(StrictParse, BenchOptionsRejectMalformedNumericFlags)
     EXPECT_THROW(parse({"--phys-mb=four"}), VmsimError);
     EXPECT_THROW(parse({"--phys-mb-list=4,x"}), VmsimError);
     EXPECT_THROW(parse({"--reclaim=mru"}), VmsimError);
+    // Past 2^44 - 1 MiB the budget in bytes wraps 64 bits: 2^44 + 1
+    // used to run a 256-frame budget, the same as --phys-mb=1.
+    EXPECT_THROW(parse({"--phys-mb=17592186044417"}), VmsimError);
+    EXPECT_THROW(parse({"--cores=4294967297"}), VmsimError);
+    EXPECT_THROW(parse({"--seeds=4294967297"}), VmsimError);
+    EXPECT_THROW(parse({"--stats-json="}), FatalError);
+    EXPECT_EQ(parse({"--phys-mb=17592186044415"}).physFramesFor(12),
+              ((std::uint64_t{1} << 44) - 1) << 8);
     BenchOptions ok =
         parse({"--instructions=5000", "--phys-mb=8", "--reclaim=clock",
                "--phys-mb-list=4,8,16"});
@@ -275,6 +283,50 @@ TEST(StrictParse, BenchOptionsRejectMalformedNumericFlags)
     EXPECT_EQ(ok.reclaim, ReclaimPolicy::Clock);
     EXPECT_EQ(ok.physMbList, (std::vector<std::uint64_t>{4, 8, 16}));
     EXPECT_EQ(ok.physFramesFor(12), (8u << 20) >> 12);
+    setQuiet(false);
+}
+
+/**
+ * The same limits through the shared flag table alone, which is all
+ * vmsim_cli and the benches have in common: the checks hold for both
+ * front ends.
+ */
+TEST(StrictParse, SharedFlagTableBoundsEveryValue)
+{
+    setQuiet(true);
+    auto parse = [](std::vector<std::string> words) {
+        std::vector<char *> argv;
+        static std::string prog = "vmsim_cli";
+        argv.push_back(prog.data());
+        for (std::string &w : words)
+            argv.push_back(w.data());
+        RunOptions opts;
+        parseFlags(static_cast<int>(argv.size()), argv.data(),
+                   opts.flags());
+        return opts;
+    };
+    for (const char *bad :
+         {"--phys-mb=17592186044417", "--cores=4294967297",
+          "--seeds=4294967297", "--fuzz=4294967296", "--seed=-1",
+          "--instructions=2e6", "--progress=fast",
+          "--lease-seconds=inf"})
+        EXPECT_THROW(parse({bad}), VmsimError) << bad;
+    for (const char *bad :
+         {"--seeds=0", "--phys-mb=0", "--interval=0", "--cores=0",
+          "--instructions=0", "--batch=0", "--progress=0",
+          "--trace-events=", "--stats-json=", "--shard-dir=",
+          "--check=1", "--seed", "--full", "--tlb=64"})
+        EXPECT_THROW(parse({bad}), FatalError) << bad;
+
+    RunOptions ok =
+        parse({"--phys-mb=4", "--progress", "--cores=2", "--private-l2tlb"});
+    SimConfig cfg;
+    cfg.pageBits = 13;
+    ok.applyTo(cfg);
+    EXPECT_EQ(cfg.physFrames, (4u << 20) >> 13);
+    EXPECT_EQ(cfg.cores, 2u);
+    EXPECT_FALSE(cfg.sharedL2Tlb);
+    EXPECT_DOUBLE_EQ(ok.obs.progressSeconds, 2.0);
     setQuiet(false);
 }
 
@@ -383,8 +435,8 @@ TEST(PressureEquivalence, AllLegsAgreeUnderEveryPolicy)
                             ReclaimPolicy::Clock}) {
         FuzzTuple t = runner.generate(index++);
         t.faults = false;
-        t.physFrames = 96;
-        t.reclaim = p;
+        t.cfg.physFrames = 96;
+        t.cfg.reclaimPolicy = p;
         CheckReport rep = runner.runCase(t);
         EXPECT_TRUE(rep.ok())
             << t.toString() << ": " << rep.toString();
@@ -396,9 +448,9 @@ TEST(PressureEquivalence, MulticoreLegsAgreeUnderBudget)
     DiffRunner runner;
     FuzzTuple t = runner.generate(7);
     t.faults = false;
-    t.physFrames = 96;
-    t.reclaim = ReclaimPolicy::Lru;
-    t.cores = 2;
+    t.cfg.physFrames = 96;
+    t.cfg.reclaimPolicy = ReclaimPolicy::Lru;
+    t.cfg.cores = 2;
     CheckReport rep = runner.runCase(t);
     EXPECT_TRUE(rep.ok()) << t.toString() << ": " << rep.toString();
 }

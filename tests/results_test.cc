@@ -9,8 +9,10 @@
 
 #include <sstream>
 
+#include "base/json.hh"
 #include "base/logging.hh"
 #include "core/results.hh"
+#include "counter_values.hh"
 
 namespace vmsim
 {
@@ -227,6 +229,46 @@ TEST(Results, ToJsonParsesAsBalancedStructure)
     }
     EXPECT_EQ(depth, 0);
     EXPECT_EQ(quotes % 2, 0);
+}
+
+/**
+ * The journal format of the VM counters, pinned: today's 23 keys with
+ * each counter's value under its own key, and per-core slices as
+ * 7-element arrays in CoreStats order. Existing journals and shard
+ * logs only load while this holds.
+ */
+TEST(Results, SerializeWritesEveryCounterUnderItsKey)
+{
+    Results r("TEST", "hand", 1000, MemSystemStats{}, distinctVmStats(),
+              CostModel{});
+    const Json j = r.serialize();
+    EXPECT_EQ(j.find("vm")->dump(),
+              "{\"uhandler_calls\":1001,\"khandler_calls\":1002,"
+              "\"rhandler_calls\":1003,\"uhandler_instrs\":1004,"
+              "\"khandler_instrs\":1005,\"rhandler_instrs\":1006,"
+              "\"hw_walks\":1007,\"hw_walk_cycles\":1008,"
+              "\"interrupts\":1009,\"pte_loads\":1010,"
+              "\"ctx_switches\":1011,\"l2tlb_hits\":1012,"
+              "\"itlb_misses\":1013,\"dtlb_misses\":1014,"
+              "\"shootdowns_sent\":1015,\"shootdowns_recv\":1016,"
+              "\"shootdown_cycles\":1017,\"pages_touched\":1018,"
+              "\"major_faults\":1019,\"reused_frames\":1020,"
+              "\"evictions\":1021,\"writebacks\":1022,"
+              "\"fault_cycles\":1023,\"per_core\":"
+              "[[5001,301,402,503,604,705,806],"
+              "[5002,712,612,508,411,311,213]]}");
+
+    Results back = Results::deserialize(j, CostModel{}, true).orThrow();
+    const VmStats &want = r.vmStats();
+    const VmStats &got = back.vmStats();
+    for (const VmStatsField &f : kVmStatsFields)
+        EXPECT_EQ(got.*f.field, want.*f.field) << f.key;
+    ASSERT_EQ(got.perCore.size(), want.perCore.size());
+    for (std::size_t c = 0; c < want.perCore.size(); ++c)
+        for (const CoreStatsField &f : kCoreStatsFields)
+            EXPECT_EQ(got.perCore[c].*f.field, want.perCore[c].*f.field)
+                << "core " << c << " " << f.key;
+    EXPECT_EQ(back.serialize().dump(), j.dump());
 }
 
 } // anonymous namespace
