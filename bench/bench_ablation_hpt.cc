@@ -18,8 +18,8 @@
 
 #include "bench_common.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace vmsim;
     using namespace vmsim::bench;
@@ -135,4 +135,10 @@ main(int argc, char **argv)
                  "per-walk PTE loads, sparser tables (4:1) shorten "
                  "them.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, benchMain);
 }

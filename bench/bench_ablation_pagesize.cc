@@ -12,8 +12,8 @@
 
 #include "bench_common.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace vmsim;
     using namespace vmsim::bench;
@@ -81,4 +81,10 @@ main(int argc, char **argv)
                  "TLB reach (vortex), with diminishing returns once\n"
                  "the page working set fits the 128 entries.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, benchMain);
 }

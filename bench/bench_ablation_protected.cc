@@ -14,8 +14,8 @@
 
 #include "bench_common.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace vmsim;
     using namespace vmsim::bench;
@@ -75,4 +75,10 @@ main(int argc, char **argv)
                  "nested (kernel/root)\nwalks once user pressure evicts "
                  "the page-table-page mappings.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, benchMain);
 }

@@ -11,8 +11,8 @@
 
 #include "bench_common.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace vmsim;
     using namespace vmsim::bench;
@@ -82,4 +82,10 @@ main(int argc, char **argv)
                  "wins modestly in between, and cyclic access\n"
                  "patterns can favor random over LRU.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, benchMain);
 }

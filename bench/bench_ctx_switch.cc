@@ -23,8 +23,8 @@
 
 #include "bench_common.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace vmsim;
     using namespace vmsim::bench;
@@ -117,4 +117,10 @@ main(int argc, char **argv)
                  "flatten most of the\ndegradation (switches cost "
                  "partial eviction, not a flush).\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, benchMain);
 }

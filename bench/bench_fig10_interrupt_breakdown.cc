@@ -20,8 +20,8 @@
 
 #include "bench_common.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace vmsim;
     using namespace vmsim::bench;
@@ -88,4 +88,10 @@ main(int argc, char **argv)
                  "hand percentages; INTEL's tables show zero interrupt "
                  "overhead throughout.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, benchMain);
 }

@@ -19,8 +19,14 @@
 
 #include "vmcpi_sweep.hh"
 
+static int
+benchMain(int argc, char **argv)
+{
+    return vmsim::bench::runVmcpiSweep("Figure 6", "gcc", argc, argv);
+}
+
 int
 main(int argc, char **argv)
 {
-    return vmsim::bench::runVmcpiSweep("Figure 6", "gcc", argc, argv);
+    return vmsim::guardedMain(argc, argv, benchMain);
 }

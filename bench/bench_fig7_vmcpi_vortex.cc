@@ -10,8 +10,14 @@
 
 #include "vmcpi_sweep.hh"
 
+static int
+benchMain(int argc, char **argv)
+{
+    return vmsim::bench::runVmcpiSweep("Figure 7", "vortex", argc, argv);
+}
+
 int
 main(int argc, char **argv)
 {
-    return vmsim::bench::runVmcpiSweep("Figure 7", "vortex", argc, argv);
+    return vmsim::guardedMain(argc, argv, benchMain);
 }

@@ -15,9 +15,15 @@
 
 #include "breakdown_sweep.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     return vmsim::bench::runBreakdownSweep("Figure 8", "gcc", argc,
                                            argv);
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, benchMain);
 }

@@ -12,9 +12,15 @@
 
 #include "breakdown_sweep.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     return vmsim::bench::runBreakdownSweep("Figure 9", "vortex", argc,
                                            argv);
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, benchMain);
 }

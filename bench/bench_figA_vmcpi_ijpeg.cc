@@ -14,9 +14,15 @@
 
 #include "vmcpi_sweep.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     return vmsim::bench::runVmcpiSweep("Companion figure", "ijpeg", argc,
                                        argv);
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, benchMain);
 }

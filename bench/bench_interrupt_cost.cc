@@ -21,8 +21,8 @@
 
 #include "bench_common.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace vmsim;
     using namespace vmsim::bench;
@@ -83,4 +83,10 @@ main(int argc, char **argv)
                  "50%,\nsupporting the paper's call for cheaper "
                  "precise-interrupt handling.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, benchMain);
 }

@@ -19,8 +19,8 @@
 
 #include "bench_common.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace vmsim;
     using namespace vmsim::bench;
@@ -89,4 +89,10 @@ main(int argc, char **argv)
                  "toward the hardware-walked ones because\neach hit "
                  "eliminates an interrupt plus handler execution.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, benchMain);
 }

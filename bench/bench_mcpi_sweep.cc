@@ -17,8 +17,8 @@
 
 #include "bench_common.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace vmsim;
     using namespace vmsim::bench;
@@ -98,4 +98,10 @@ main(int argc, char **argv)
                  "managed schemes, and near zero for INTEL (no handler "
                  "code to fetch).\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, benchMain);
 }

@@ -522,8 +522,8 @@ writeMulticoreReport(const std::string &path)
 
 } // anonymous namespace
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     // Peel off our own --pipeline-json / --multicore-json flags before
     // google-benchmark sees (and rejects) them.
@@ -551,4 +551,10 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, benchMain);
 }

@@ -22,8 +22,8 @@
 
 #include "bench_common.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace vmsim;
     using namespace vmsim::bench;
@@ -108,4 +108,10 @@ main(int argc, char **argv)
                  "shared and\nprivate L2 TLB modes, which differ only "
                  "in refill locality.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, benchMain);
 }

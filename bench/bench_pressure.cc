@@ -114,8 +114,8 @@ writeArtifact(const std::string &path, const SweepSpec &spec,
 
 } // anonymous namespace
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     // Peel our own artifact-path flag before the shared parser (which
     // rejects flags it does not know) sees it.
@@ -215,4 +215,10 @@ main(int argc, char **argv)
                  "budget-free run exactly (identity is tested in "
                  "pressure_test).\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, benchMain);
 }

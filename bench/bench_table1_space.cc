@@ -12,8 +12,8 @@
 
 #include "bench_common.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace vmsim;
     using namespace vmsim::bench;
@@ -92,4 +92,10 @@ main(int argc, char **argv)
               << " configurations x " << instrs << " instructions):\n";
     emit(summary, opts);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, benchMain);
 }

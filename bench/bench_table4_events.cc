@@ -40,8 +40,8 @@ coldMiss(SystemKind kind)
 
 } // anonymous namespace
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace vmsim::bench;
 
@@ -142,4 +142,10 @@ main(int argc, char **argv)
     }
     emit(t5, opts);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, benchMain);
 }

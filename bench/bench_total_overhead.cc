@@ -21,8 +21,8 @@
 
 #include "bench_common.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace vmsim;
     using namespace vmsim::bench;
@@ -98,4 +98,10 @@ main(int argc, char **argv)
                  "the naive column,\nand +ints raises it further - the "
                  "paper's 5-10% -> 10-20% -> 10-30% result.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, benchMain);
 }

@@ -640,15 +640,8 @@ int
 main(int argc, char **argv)
 {
     // One boundary for every failure mode: structured errors print
-    // their [code] line, legacy fatal()s their message, and nothing
-    // escapes as an uncaught exception (which would abort with no
-    // useful diagnostic).
-    try {
-        return runCli(argc, argv);
-    } catch (const vmsim::VmsimError &e) {
-        std::cerr << "vmsim_cli: " << e.error().toString() << '\n';
-    } catch (const std::exception &e) {
-        std::cerr << "vmsim_cli: error: " << e.what() << '\n';
-    }
-    return 1;
+    // their [code] line, fatal()s the one line they already printed,
+    // and nothing escapes as an uncaught exception (which would abort
+    // with no useful diagnostic).
+    return vmsim::guardedMain(argc, argv, runCli);
 }

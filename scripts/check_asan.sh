@@ -16,7 +16,8 @@ cmake -B "$BUILD_DIR" -S . -DVMSIM_SANITIZE=address \
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
     --target base_test obs_test simulator_test trace_test error_test \
     fault_test sweep_resume_test shard_test batch_test check_test \
-    check_fuzz multicore_test pressure_test synthetic_test vmsim_cli
+    check_fuzz multicore_test pressure_test synthetic_test tlb_index_test \
+    vmsim_cli
 
 "$BUILD_DIR"/tests/base_test
 "$BUILD_DIR"/tests/obs_test
@@ -50,6 +51,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 # FramePool recycles slots and frames through free lists while the
 # eviction path walks TLBs and page tables — lifetime-bug territory.
 "$BUILD_DIR"/tests/pressure_test
+"$BUILD_DIR"/tests/tlb_index_test
 
 # Smoke test: a fully-instrumented CLI run whose Chrome trace must be
 # valid JSON (python3 json.tool is the arbiter when available).

@@ -16,7 +16,7 @@ cmake -B "$BUILD_DIR" -S . -DVMSIM_SANITIZE=undefined \
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
     --target error_test fault_test sweep_resume_test trace_test \
     sim_config_test check_fuzz base_test batch_test check_test \
-    shard_test synthetic_test vmsim_cli
+    shard_test synthetic_test pressure_test tlb_index_test vmsim_cli
 
 # halt_on_error turns any UB report into a nonzero exit so set -eu
 # fails the script instead of scrolling past a diagnostic.
@@ -38,7 +38,11 @@ export UBSAN_OPTIONS
 # Cross-cell VM law over a cache-geometry grid; the damaged-log set
 # (per-core sums checked on decode, header fields checked on open);
 # the Zipf guide cursor.
-"$BUILD_DIR"/tests/check_test --gtest_filter='CacheIndependence.*'
+"$BUILD_DIR"/tests/check_test \
+    --gtest_filter='CacheIndependence.*:StackInclusion.*'
+"$BUILD_DIR"/tests/pressure_test \
+    --gtest_filter='FramePool*:SimConfigRegression.*'
+"$BUILD_DIR"/tests/tlb_index_test
 "$BUILD_DIR"/tests/shard_test \
     --gtest_filter='Shard.MidFileCorruptionIsAnIntegrityError'
 "$BUILD_DIR"/tests/synthetic_test \

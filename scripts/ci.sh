@@ -103,17 +103,27 @@ echo "== flag bounds =="
 # (RunOptions::flags()). Out-of-range numbers must be refused, never
 # narrowed: 2^32 + 64 used to run a 64-entry TLB, and a --phys-mb past
 # 2^44 - 1 wrapped to a 256-frame budget. Empty paths and a zero
-# interval are refused too.
-for bad in --tlb=4294967360 --l1-line=4294967328 --cores=4294967297 \
-           --phys-mb=17592186044417 --interval=0 --trace-events=; do
+# interval are refused too. Each refusal exits 1 with exactly one
+# stderr line (fatal() prints it; the mains' one error boundary,
+# guardedMain, adds nothing), in vmsim_cli and in the bench binaries,
+# which used to abort with exit 134 on an escaped FatalError.
+refuse() {
     status=0
-    build/examples/vmsim_cli --instructions=1000 "$bad" \
-        > /dev/null 2>&1 || status=$?
-    if [ "$status" -ne 1 ]; then
-        echo "flag bounds: vmsim_cli $bad exited $status, expected 1" >&2
+    "$@" > /dev/null 2> "$SMOKE_DIR/refused.txt" || status=$?
+    lines=$(wc -l < "$SMOKE_DIR/refused.txt")
+    if [ "$status" -ne 1 ] || [ "$lines" -ne 1 ]; then
+        echo "flag bounds: $* exited $status with $lines stderr" \
+             "lines, expected 1 and 1" >&2
+        cat "$SMOKE_DIR/refused.txt" >&2
         exit 1
     fi
+}
+for bad in --tlb=4294967360 --l1-line=4294967328 --cores=4294967297 \
+           --phys-mb=17592186044417 --interval=0 --trace-events=; do
+    refuse build/examples/vmsim_cli --instructions=1000 "$bad"
 done
+refuse build/bench/bench_fig6_vmcpi_gcc --cores=0
+refuse build/bench/bench_fig6_vmcpi_gcc --tlb=4294967360
 
 echo "== memory pressure =="
 # Every organization must satisfy the pressure laws (docs/pressure.md)
@@ -355,7 +365,7 @@ fi
 # The flat data-layout files must never regrow a node-based map
 # (matching real uses — instantiations and includes — not prose in
 # comments that explains what the flat layout replaced).
-for hot_src in src/tlb/tlb.hh src/tlb/tlb.cc src/tlb/slot_index.hh \
+for hot_src in src/tlb/tlb.hh src/tlb/tlb.cc src/base/slot_index.hh \
                src/mem/phys_mem.hh \
                src/mem/phys_mem.cc src/mem/frame_pool.hh \
                src/mem/frame_pool.cc src/mem/cache.hh src/mem/cache.cc \
@@ -369,21 +379,37 @@ for hot_src in src/tlb/tlb.hh src/tlb/tlb.cc src/tlb/slot_index.hh \
         exit 1
     fi
 done
-# The TLB's key->slot index is its own fixed-capacity SlotIndex: a TLB
-# holds at most `entries` keys, so the growable FlatMap64 (three arrays,
-# tombstones, incremental rehash) has no place in it. SlotIndex::find is
-# header-defined so every refBlock kernel inlines the probe. A TLB back
-# on FlatMap64, or an out-of-line find, still passes every test, just
-# slower on every reference.
-if grep -n 'FlatMap64' src/tlb/tlb.hh; then
-    echo "kernel lint: src/tlb/tlb.hh names FlatMap64 (the TLB index" \
-         "is SlotIndex, src/tlb/slot_index.hh)" >&2
+# The TLB's key->slot index and the budgeted FramePool's vpn->slot
+# index are fixed-capacity SlotIndexes: a TLB holds at most `entries`
+# keys and a pool at most its budget, so the growable FlatMap64 (three
+# arrays, tombstones, incremental rehash) has no place in either.
+# SlotIndex::find is header-defined so every refBlock kernel inlines the
+# probe, and so does a store's FramePool::markDirty. A TLB or pool back
+# on FlatMap64, an out-of-line find or an out-of-line markDirty still
+# passes every test, just slower on every reference or store. Validity
+# is a bitmap: a per-slot byte array regrowing in Tlb fails too.
+for idx_src in src/tlb/tlb.hh src/mem/frame_pool.hh src/mem/frame_pool.cc; do
+    if grep -nE 'FlatMap64|flat_hash\.hh' "$idx_src"; then
+        echo "kernel lint: $idx_src names FlatMap64 (its index is" \
+             "SlotIndex, src/base/slot_index.hh)" >&2
+        exit 1
+    fi
+done
+if grep -nE 'AlignedVec<std::uint8_t>[[:space:]]+valid_' src/tlb/tlb.hh; then
+    echo "kernel lint: src/tlb/tlb.hh keeps a validity byte per slot" \
+         "(validity is the valid_ bitmap)" >&2
     exit 1
 fi
 if grep -rnE --exclude=slot_index.hh \
         '(^|[[:space:]]|::)SlotIndex::find[[:space:]]*\(' src; then
     echo "kernel lint: SlotIndex::find defined outside" \
-         "src/tlb/slot_index.hh (keep it inline in the header)" >&2
+         "src/base/slot_index.hh (keep it inline in the header)" >&2
+    exit 1
+fi
+if grep -nE '(^|[[:space:]])FramePool::markDirty[[:space:]]*\(' \
+        src/mem/frame_pool.cc; then
+    echo "kernel lint: FramePool::markDirty defined out of line in" \
+         "src/mem/frame_pool.cc (keep it inline in frame_pool.hh)" >&2
     exit 1
 fi
 # The per-reference cache path is defined in the headers so every

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <iostream>
 
 namespace vmsim
 {
@@ -79,6 +80,25 @@ errorFromException(std::exception_ptr ep)
         return makeError(ErrorCode::Unknown, "",
                          "non-standard exception");
     }
+}
+
+int
+guardedMain(int argc, char **argv, int (*body)(int, char **))
+{
+    std::string prog = argc > 0 ? argv[0] : "vmsim";
+    prog = prog.substr(prog.find_last_of('/') + 1);
+    try {
+        return body(argc, argv);
+    } catch (const VmsimError &e) {
+        std::cerr << prog << ": " << e.error().toString() << '\n';
+    } catch (const FatalError &) {
+        // fatal() printed the message.
+    } catch (const PanicError &) {
+        // panic() printed the message.
+    } catch (const std::exception &e) {
+        std::cerr << prog << ": error: " << e.what() << '\n';
+    }
+    return 1;
 }
 
 } // namespace vmsim

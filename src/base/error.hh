@@ -243,6 +243,16 @@ class Expected
     std::variant<T, Error> v_;
 };
 
+/**
+ * The error boundary of a command-line main: return @p body's exit
+ * status, or 1 when an exception escapes it, with the error on one
+ * stderr line. fatal() and panic() print their message as they throw,
+ * so a plain FatalError or PanicError prints nothing more; a
+ * VmsimError prints its [code] line and any other exception its
+ * what(), after the program's name.
+ */
+int guardedMain(int argc, char **argv, int (*body)(int, char **));
+
 } // namespace vmsim
 
 #endif // VMSIM_BASE_ERROR_HH

@@ -584,6 +584,56 @@ checkCacheIndependence(const std::vector<Results> &cells,
     return rep;
 }
 
+bool
+stackInclusionApplies(const SimConfig &c)
+{
+    const bool physicalWalks = c.kind == SystemKind::Intel ||
+                               c.kind == SystemKind::Parisc ||
+                               c.kind == SystemKind::HwInverted;
+    return physicalWalks && c.cores == 1 && c.physFrames == 0 &&
+           c.tlbAsidBits == 0 && c.l2TlbEntries == 0 &&
+           c.ctxSwitchInterval == 0 && c.tlbRepl == TlbRepl::LRU &&
+           c.tlbAssoc == 0;
+}
+
+CheckReport
+checkStackInclusion(const std::vector<SimConfig> &configs,
+                    const std::vector<Results> &cells)
+{
+    CheckReport rep;
+    if (!rep.check(configs.size() == cells.size(), "stack-inclusion.cells",
+                   configs.size(), " configs but ", cells.size(),
+                   " cells"))
+        return rep;
+    for (std::size_t i = 0; i < configs.size(); ++i)
+        rep.check(stackInclusionApplies(configs[i]),
+                  "stack-inclusion.config", "cell ", i, " (",
+                  configs[i].toString(), ") is outside the law: it needs ",
+                  "INTEL, PA-RISC or HW-INVERTED on one core with LRU ",
+                  "fully associative TLBs and no budget, ASIDs, L2 TLB ",
+                  "or context switches");
+    for (std::size_t i = 1; i < cells.size(); ++i) {
+        const SimConfig &small = configs[i - 1];
+        const SimConfig &large = configs[i];
+        if (!rep.check(small.tlbEntries < large.tlbEntries,
+                       "stack-inclusion.order", "tlbEntries ",
+                       small.tlbEntries, " then ", large.tlbEntries,
+                       " (sizes must increase)"))
+            continue;
+        const VmStats &a = cells[i - 1].vmStats();
+        const VmStats &b = cells[i].vmStats();
+        rep.check(b.itlbMisses <= a.itlbMisses, "stack-inclusion.itlb",
+                  large.tlbEntries, "-entry I-TLB missed ", b.itlbMisses,
+                  " times, ", small.tlbEntries, "-entry only ",
+                  a.itlbMisses);
+        rep.check(b.dtlbMisses <= a.dtlbMisses, "stack-inclusion.dtlb",
+                  large.tlbEntries, "-entry D-TLB missed ", b.dtlbMisses,
+                  " times, ", small.tlbEntries, "-entry only ",
+                  a.dtlbMisses);
+    }
+    return rep;
+}
+
 CheckReport
 checkExecutedConservation(Counter executed, const MemSystemStats &mem)
 {

@@ -174,6 +174,33 @@ CheckReport checkCacheIndependence(const std::vector<Results> &cells,
                                    const std::vector<std::string> &labels);
 
 /**
+ * True when @p c meets every precondition of the stack-inclusion law
+ * (checkStackInclusion): one core, no frame budget, no ASIDs, no L2
+ * TLB, no context-switch displacement and LRU fully associative TLBs,
+ * since each of these lets a larger TLB drop or keep an entry the
+ * smaller one would not; and an organization whose TLBs see the user
+ * reference stream alone. That is INTEL, PA-RISC and HW-INVERTED,
+ * which walk physically addressed page tables. ULTRIX, MACH and
+ * HW-MIPS are excluded because their walks load UPTEs through the
+ * D-TLB, so a larger TLB changes which references the walks make.
+ * NOTLB, BASE and SPUR have no TLB to size.
+ */
+bool stackInclusionApplies(const SimConfig &c);
+
+/**
+ * Cross-cell law "stack inclusion" (Mattson et al., 1970): an LRU
+ * fully associative TLB of n entries always holds the n most recently
+ * used pages, so a larger one holds a superset and never misses more
+ * on the same input. @p cells are runs on one input whose configs
+ * @p configs differ only in tlbEntries, in strictly increasing order;
+ * I-TLB and D-TLB misses must not rise from one cell to the next.
+ * Every config must satisfy stackInclusionApplies(). Violations are
+ * tagged "stack-inclusion.".
+ */
+CheckReport checkStackInclusion(const std::vector<SimConfig> &configs,
+                                const std::vector<Results> &cells);
+
+/**
  * Conservation law for partial (canceled) runs: the simulator's
  * executed-instruction count must equal the user instruction fetches
  * the memory system actually saw — no instruction half-retired.

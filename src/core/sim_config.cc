@@ -106,6 +106,11 @@ SimConfig::validate() const
     if (tlbEntries == 0 && kindHasTlb(kind))
         return bad("tlbEntries", "tlbEntries must be nonzero: ",
                    kindName(kind), " requires a TLB");
+    if ((tlbEntries > SlotIndex::kMaxKeys ||
+         l2TlbEntries > SlotIndex::kMaxKeys) && kindHasTlb(kind))
+        return bad("tlbEntries", "TLBs are limited to ",
+                   SlotIndex::kMaxKeys, " entries (tlbEntries ", tlbEntries,
+                   ", l2TlbEntries ", l2TlbEntries, ")");
     if (tlbProtectedSlots >= tlbEntries && kindHasTlb(kind))
         return bad("tlbProtectedSlots", "tlbProtectedSlots (",
                    tlbProtectedSlots,
@@ -140,6 +145,10 @@ SimConfig::validate() const
                    "physFrames must be 0 (unlimited) or >= 2 so an "
                    "eviction always has a victim besides the faulting "
                    "page");
+    if (physFrames > FramePool::kMaxCapacity)
+        return bad("physFrames", "physFrames (", physFrames,
+                   ") exceeds the frame pool's index bound of ",
+                   FramePool::kMaxCapacity, " frames");
     if (physFrames != 0 && faultReadCycles == 0)
         return bad("faultReadCycles",
                    "faultReadCycles must be nonzero under a frame "

@@ -38,35 +38,39 @@ FramePool::FramePool(std::uint64_t capacity, ReclaimPolicy policy)
 {
     fatalIf(capacity < 2, "frame budget must be at least 2 frames, got ",
             capacity);
+    fatalIf(capacity > kMaxCapacity, "frame budget of ", capacity,
+            " frames exceeds the frame pool's bound of ", kMaxCapacity);
     slots_.reserve(capacity);
-    index_.reserve(capacity);
+    // Capacity only shrinks, so the index never holds more keys.
+    index_ = SlotIndex(static_cast<unsigned>(capacity));
+}
+
+bool
+FramePool::touchIfResident(Vpn vpn)
+{
+    std::uint32_t slot = index_.find(vpn);
+    if (slot == kNil)
+        return false;
+    switch (policy_) {
+      case ReclaimPolicy::Fifo:
+        break;
+      case ReclaimPolicy::Lru:
+        if (tail_ != slot) {
+            unlink(slot);
+            linkTail(slot);
+        }
+        break;
+      case ReclaimPolicy::Clock:
+        slots_[slot].referenced = true;
+        break;
+    }
+    return true;
 }
 
 void
 FramePool::touch(Vpn vpn)
 {
-    const std::uint32_t *slot = index_.find(vpn);
-    panicIf(!slot, "touch of non-resident page ", vpn);
-    switch (policy_) {
-      case ReclaimPolicy::Fifo:
-        break;
-      case ReclaimPolicy::Lru:
-        if (tail_ != *slot) {
-            unlink(*slot);
-            linkTail(*slot);
-        }
-        break;
-      case ReclaimPolicy::Clock:
-        slots_[*slot].referenced = true;
-        break;
-    }
-}
-
-void
-FramePool::markDirty(Vpn vpn)
-{
-    if (const std::uint32_t *slot = index_.find(vpn))
-        slots_[*slot].dirty = true;
+    panicIf(!touchIfResident(vpn), "touch of non-resident page ", vpn);
 }
 
 void

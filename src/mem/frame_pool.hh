@@ -20,8 +20,12 @@
  *
  * All operations are O(1) except a CLOCK eviction, whose hand sweep is
  * amortized O(1). Slots live in flat parallel arrays linked by index —
- * same layout discipline as the TLB and FlatMap64 (no per-node heap
- * allocation, no unordered_map).
+ * same layout discipline as the TLB (no per-node heap allocation, no
+ * unordered_map). The vpn->slot index is a SlotIndex sized once for
+ * the budget: capacity only shrinks, so the budget bounds the key
+ * count and the index never grows, never rehashes and keeps its load
+ * at or below 1/4. A store's markDirty() is one multiply and (almost
+ * always) one cell, and a page touch is one probe (touchIfResident).
  */
 
 #ifndef VMSIM_MEM_FRAME_POOL_HH
@@ -32,7 +36,7 @@
 #include <vector>
 
 #include "base/error.hh"
-#include "base/flat_hash.hh"
+#include "base/slot_index.hh"
 #include "base/types.hh"
 
 namespace vmsim
@@ -66,13 +70,27 @@ class FramePool
     };
 
     /**
-     * @param capacity frames available to pageable pages (>= 2)
+     * Largest budget the pool can index (SlotIndex::kMaxKeys frames).
+     * SimConfig::validate() refuses larger budgets.
+     */
+    static constexpr std::uint64_t kMaxCapacity = SlotIndex::kMaxKeys;
+
+    /**
+     * @param capacity frames available to pageable pages
+     *        (2 <= capacity <= kMaxCapacity)
      * @param policy victim-selection policy
      */
     FramePool(std::uint64_t capacity, ReclaimPolicy policy);
 
     /** True if @p vpn currently occupies a frame. */
-    bool resident(Vpn vpn) const { return index_.find(vpn) != nullptr; }
+    bool resident(Vpn vpn) const { return index_.find(vpn) != kNil; }
+
+    /**
+     * A page touch in one probe: if @p vpn is resident, record the use
+     * as touch() does and return true; otherwise change nothing and
+     * return false.
+     */
+    bool touchIfResident(Vpn vpn);
 
     /**
      * Record a use of resident page @p vpn: LRU moves it to the
@@ -81,7 +99,13 @@ class FramePool
     void touch(Vpn vpn);
 
     /** Set @p vpn's dirty bit (no-op when not resident). */
-    void markDirty(Vpn vpn);
+    void
+    markDirty(Vpn vpn)
+    {
+        std::uint32_t slot = index_.find(vpn);
+        if (slot != kNil)
+            slots_[slot].dirty = true;
+    }
 
     /**
      * Admit non-resident @p vpn.
@@ -109,7 +133,8 @@ class FramePool
     std::uint64_t size() const { return size_; }
 
   private:
-    static constexpr std::uint32_t kNil = 0xffffffffu;
+    /** No slot: list ends, an unset CLOCK hand, a missed probe. */
+    static constexpr std::uint32_t kNil = SlotIndex::kNone;
 
     /** One resident page, linked into the recency/arrival ring. */
     struct Slot
@@ -132,7 +157,7 @@ class FramePool
     std::uint64_t size_ = 0;
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> freeSlots_;
-    FlatMap64<std::uint32_t> index_; ///< vpn -> slot
+    SlotIndex index_;                ///< vpn -> slot
     std::uint32_t head_ = kNil;      ///< eviction end (oldest)
     std::uint32_t tail_ = kNil;      ///< insertion end (newest)
     std::uint32_t hand_ = kNil;      ///< CLOCK sweep position

@@ -92,9 +92,9 @@ class PhysMem
      *
      * setBudget() caps simultaneously-resident pageable pages at
      * @p frames behind a FramePool. VmSystem drives the pool:
-     * pageResident()/notePageUse()/admitPage() on every page touch,
-     * evictPage() when the budget is exhausted, markPageDirty() on
-     * stores. Pages allocated through frameOf() while *not* pool
+     * touchResidentPage() (then admitPage() on a miss) on every page
+     * touch, evictPage() when the budget is exhausted, markPageDirty()
+     * on stores. Pages allocated through frameOf() while *not* pool
      * resident (page-table pages) are wired: each one permanently
      * shrinks the pool's capacity. @{ */
 
@@ -104,11 +104,12 @@ class PhysMem
     /** True while a frame budget is active. */
     bool budgeted() const { return pool_ != nullptr; }
 
-    /** True if pageable page @p vpn currently holds a frame. */
-    bool pageResident(Vpn vpn) const { return pool_->resident(vpn); }
-
-    /** Record a reuse of resident page @p vpn (policy bookkeeping). */
-    void notePageUse(Vpn vpn) { pool_->touch(vpn); }
+    /**
+     * If pageable page @p vpn holds a frame, record the reuse (policy
+     * bookkeeping) and return true; otherwise return false. One pool
+     * probe either way.
+     */
+    bool touchResidentPage(Vpn vpn) { return pool_->touchIfResident(vpn); }
 
     /** True if admitting one more page requires an eviction first. */
     bool mustEvictForAdmit() const

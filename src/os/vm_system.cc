@@ -163,9 +163,8 @@ void
 VmSystem::touchPageSlow(Vpn v, CoreId core)
 {
     ++stats_.pagesTouched;
-    if (pressure_->pageResident(v)) {
+    if (pressure_->touchResidentPage(v)) {
         ++stats_.reusedFrames;
-        pressure_->notePageUse(v);
         // Wired page-table growth may have shrunk the budget below the
         // current residency; reclaim the overage here (protecting the
         // page being touched) so residency <= capacity always holds at

@@ -1,5 +1,6 @@
 #include "tlb/tlb.hh"
 
+#include <bit>
 #include <sstream>
 
 #include "base/bitfield.hh"
@@ -50,40 +51,34 @@ Tlb::Tlb(const TlbParams &params, std::uint64_t seed)
     asidMask_ = mask(params_.asidBits);
     curTag_ = 0;
     keys_.assign(params_.entries, 0);
-    valid_.assign(params_.entries, 0);
+    valid_.assign(divCeil(params_.entries, 64u), 0);
     stamps_.assign(params_.entries, 0);
     if (params_.fullyAssociative())
         index_ = SlotIndex(params_.entries);
 }
 
+unsigned
+Tlb::firstInvalid(unsigned lo, unsigned hi) const
+{
+    // Invalid slots are the clear bits; mask off those below lo in the
+    // first word. The last word's tail past `entries` reads as free
+    // but lands at or beyond hi, which means "none".
+    unsigned w = lo >> 6;
+    std::uint64_t free = ~valid_[w] & (~std::uint64_t{0} << (lo & 63));
+    while (free == 0) {
+        if (++w << 6 >= hi)
+            return hi;
+        free = ~valid_[w];
+    }
+    unsigned s = (w << 6) + static_cast<unsigned>(std::countr_zero(free));
+    return s < hi ? s : hi;
+}
+
 void
 Tlb::insertInRegion(std::uint64_t key, unsigned lo, unsigned hi)
 {
-    // Refresh if already resident (fully-assoc: index probe;
-    // set-assoc: scan the region's packed keys).
-    if (params_.fullyAssociative()) {
-        unsigned s = index_.find(key);
-        if (s != kNoSlot) {
-            stamps_[s] = ++stamp_;
-            return;
-        }
-    } else {
-        for (unsigned s = lo; s < hi; ++s) {
-            if (valid_[s] && keys_[s] == key) {
-                stamps_[s] = ++stamp_;
-                return;
-            }
-        }
-    }
-
-    // Prefer an invalid slot in the region.
-    unsigned victim = hi;
-    for (unsigned s = lo; s < hi; ++s) {
-        if (!valid_[s]) {
-            victim = s;
-            break;
-        }
-    }
+    // Prefer the lowest invalid slot in the region.
+    unsigned victim = firstInvalid(lo, hi);
     if (victim == hi) {
         switch (params_.repl) {
           case TlbRepl::Random:
@@ -102,11 +97,11 @@ Tlb::insertInRegion(std::uint64_t key, unsigned lo, unsigned hi)
             index_.erase(keys_[victim]);
     }
     keys_[victim] = key;
-    valid_[victim] = 1;
+    setValid(victim);
     stamps_[victim] = ++stamp_;
     noteFill(victim);
     if (params_.fullyAssociative())
-        index_.insertNew(key, victim); // absent: refresh probe missed
+        index_.insertNew(key, victim);
 }
 
 void
@@ -114,7 +109,9 @@ Tlb::insert(Vpn vpn)
 {
     // Residency check with lookup()'s dual-key rule: re-inserting a
     // VPN that already hits as a global/protected entry must refresh
-    // that entry, not create a duplicate under the current ASID.
+    // that entry, not create a duplicate under the current ASID. A
+    // miss here proves the fill's key absent, so the fill probes
+    // nothing again.
     unsigned resident = findSlot(vpn);
     if (resident != kNoSlot) {
         stamps_[resident] = ++stamp_;
@@ -135,9 +132,15 @@ Tlb::insertProtected(Vpn vpn)
 {
     panicIf(params_.protectedSlots == 0,
             "insertProtected on an unpartitioned TLB");
-    // Protected mappings are global: they hit under any ASID.
-    std::uint64_t asid = params_.tagged() ? kGlobalAsid : 0;
-    insertInRegion(keyOf(vpn, asid), 0, params_.protectedSlots);
+    // Protected mappings are global: they hit under any ASID. A key
+    // already resident (in either region) is refreshed in place.
+    std::uint64_t key = keyOf(vpn, params_.tagged() ? kGlobalAsid : 0);
+    unsigned resident = index_.find(key);
+    if (resident != kNoSlot) {
+        stamps_[resident] = ++stamp_;
+        return;
+    }
+    insertInRegion(key, 0, params_.protectedSlots);
 }
 
 void
@@ -146,7 +149,7 @@ Tlb::invalidateAll()
     if (lifeHist_)
         for (unsigned s = 0; s < params_.entries; ++s)
             noteEvict(s);
-    std::fill(valid_.begin(), valid_.end(), std::uint8_t{0});
+    std::fill(valid_.begin(), valid_.end(), std::uint64_t{0});
     index_.clear();
 }
 
@@ -166,7 +169,7 @@ Tlb::invalidate(Vpn vpn)
             unsigned s = index_.find(keys[k]);
             if (s != kNoSlot) {
                 noteEvict(s);
-                valid_[s] = 0;
+                clearValid(s);
                 index_.erase(keys[k]);
             }
         }
@@ -176,9 +179,9 @@ Tlb::invalidate(Vpn vpn)
     setRange(vpn, lo, hi);
     for (unsigned s = lo; s < hi; ++s)
         for (unsigned k = 0; k < nkeys; ++k)
-            if (valid_[s] && keys_[s] == keys[k]) {
+            if (slotValid(s) && keys_[s] == keys[k]) {
                 noteEvict(s);
-                valid_[s] = 0;
+                clearValid(s);
             }
 }
 
@@ -189,11 +192,11 @@ Tlb::invalidateAsid(Asid asid)
                             ? (asid & asidMask_)
                             : std::uint64_t{0};
     for (unsigned s = params_.protectedSlots; s < params_.entries; ++s) {
-        if (valid_[s] && (keys_[s] >> 48) == tag) {
+        if (slotValid(s) && (keys_[s] >> 48) == tag) {
             noteEvict(s);
             if (params_.fullyAssociative())
                 index_.erase(keys_[s]);
-            valid_[s] = 0;
+            clearValid(s);
         }
     }
 }
@@ -207,11 +210,11 @@ Tlb::evictRandom(unsigned n)
     // Bounded sampling: up to 4n draws to find n valid victims.
     for (unsigned tries = 0; tries < 4 * n && evicted < n; ++tries) {
         unsigned s = lo + static_cast<unsigned>(rng_.uniform(span));
-        if (valid_[s]) {
+        if (slotValid(s)) {
             noteEvict(s);
             if (params_.fullyAssociative())
                 index_.erase(keys_[s]);
-            valid_[s] = 0;
+            clearValid(s);
             ++evicted;
         }
     }
@@ -228,7 +231,7 @@ Tlb::setCurrentAsid(Asid asid)
 void
 Tlb::noteEvict(unsigned s)
 {
-    if (lifeHist_ && valid_[s])
+    if (lifeHist_ && slotValid(s))
         lifeHist_->sampleCount(probes_ - fillProbe_[s]);
 }
 
@@ -261,9 +264,8 @@ unsigned
 Tlb::validEntries() const
 {
     unsigned n = 0;
-    for (unsigned s = 0; s < params_.entries; ++s)
-        if (valid_[s])
-            ++n;
+    for (std::uint64_t word : valid_)
+        n += static_cast<unsigned>(std::popcount(word));
     return n;
 }
 
@@ -290,7 +292,7 @@ Tlb::auditIndex(std::string *why) const
         if (s >= params_.entries) {
             ok = false;
             detail += "index entry out of range; ";
-        } else if (!valid_[s]) {
+        } else if (!slotValid(s)) {
             ok = false;
             detail += "index entry points at invalid slot " +
                       std::to_string(s) + "; ";
@@ -304,7 +306,7 @@ Tlb::auditIndex(std::string *why) const
         return fail(detail);
     // Every valid slot is findable under its own key.
     for (unsigned s = 0; s < params_.entries; ++s) {
-        if (!valid_[s])
+        if (!slotValid(s))
             continue;
         unsigned p = index_.find(keys_[s]);
         if (p == kNoSlot)

@@ -24,18 +24,21 @@
  *    entries are global, matching MIPS's G-bit kernel mappings.
  *
  * Data layout (DESIGN.md "Hot-path data layout"): entries are stored
- * structure-of-arrays — packed keys, validity bytes, and replacement
- * stamps in separate cache-line-aligned vectors — so the
+ * structure-of-arrays — packed keys, a validity bitmap, and
+ * replacement stamps in separate cache-line-aligned vectors — so the
  * set-associative dual-key ASID probe is a linear scan over packed
  * keys and a replacement-stamp update touches only the stamp line.
- * The fully-associative key->slot index is the TLB's own SlotIndex
- * (tlb/slot_index.hh), not a general-purpose growable map: a TLB
- * holds at most `entries` keys, so the index is sized once at load
- * <= 1/4 and never grows, each {key, slot} pair sits in one cell, a
- * probe is one multiply and (almost always) one cell, and erase
- * shifts the probe run back instead of leaving tombstones. Every slot
- * decision (victim draw, invalid-slot scan, LRU/FIFO stamps) reads
- * only the slot arrays, so the index layout cannot move a counter.
+ * Validity is one bit per slot: a fill finds the lowest invalid slot
+ * of its region with a masked count-trailing-zeros scan, 64 slots per
+ * word, and validEntries() is a popcount. The fully-associative
+ * key->slot index is a SlotIndex (base/slot_index.hh), not a
+ * general-purpose growable map: a TLB holds at most `entries` keys,
+ * so the index is sized once at load <= 1/4 and never grows, each
+ * {key, slot} pair sits in one cell, a probe is one multiply and
+ * (almost always) one cell, and erase shifts the probe run back
+ * instead of leaving tombstones. Every slot decision (victim draw,
+ * lowest-invalid-slot choice, LRU/FIFO stamps) reads only the slot
+ * arrays, so the index layout cannot move a counter.
  *
  * evictRandom() supports the multiprogramming model where competing
  * processes displace a fraction of a process's entries between its
@@ -53,7 +56,7 @@
 #include "base/random.hh"
 #include "base/stats.hh"
 #include "base/types.hh"
-#include "tlb/slot_index.hh"
+#include "base/slot_index.hh"
 
 namespace vmsim
 {
@@ -229,8 +232,12 @@ class Tlb
      */
     bool auditIndex(std::string *why = nullptr) const;
 
-    /** Slot @p s holds a valid entry (audits and tests). */
-    bool slotValid(unsigned s) const { return valid_[s] != 0; }
+    /** Slot @p s holds a valid entry. */
+    bool
+    slotValid(unsigned s) const
+    {
+        return (valid_[s >> 6] >> (s & 63)) & 1;
+    }
 
     /**
      * Slot @p s's tag, `(asid << 48) | vpn`, where asid is the
@@ -273,8 +280,26 @@ class Tlb
     /** ASID used for normal-entry keys right now (cached curTag_). */
     std::uint64_t tagAsid() const { return curTag_; }
 
-    /** Insert @p key into slot region [lo, hi). */
+    /**
+     * Fill @p key into slot region [lo, hi): the lowest invalid slot,
+     * else the policy's victim. @pre @p key is not resident.
+     */
     void insertInRegion(std::uint64_t key, unsigned lo, unsigned hi);
+
+    /** Lowest invalid slot in [lo, hi), or @p hi if all are valid. */
+    unsigned firstInvalid(unsigned lo, unsigned hi) const;
+
+    void
+    setValid(unsigned s)
+    {
+        valid_[s >> 6] |= std::uint64_t{1} << (s & 63);
+    }
+
+    void
+    clearValid(unsigned s)
+    {
+        valid_[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
+    }
 
     /**
      * The slot holding @p vpn under the current ASID *or* the global
@@ -298,7 +323,7 @@ class Tlb
         std::uint64_t key = keyOf(vpn, curTag_);
         std::uint64_t gkey = keyOf(vpn, kGlobalAsid);
         for (unsigned s = lo; s < hi; ++s)
-            if (valid_[s] &&
+            if (slotValid(s) &&
                 (keys_[s] == key ||
                  (params_.tagged() && keys_[s] == gkey)))
                 return s;
@@ -341,12 +366,13 @@ class Tlb
     std::uint64_t curTag_ = 0; ///< cached tagAsid() for the hot probe
 
     /**
-     * Entry storage, structure-of-arrays: packed keys, validity
-     * bytes, and replacement stamps in separate cache-line-aligned
-     * vectors (slot s spans all three at index s).
+     * Entry storage, structure-of-arrays: packed keys, a validity
+     * bitmap, and replacement stamps in separate cache-line-aligned
+     * vectors (slot s is keys_[s], bit s % 64 of valid_[s / 64], and
+     * stamps_[s]). Bits past `entries` in the last word stay clear.
      */
     AlignedVec<std::uint64_t> keys_;
-    AlignedVec<std::uint8_t> valid_;
+    AlignedVec<std::uint64_t> valid_;
     AlignedVec<std::uint64_t> stamps_; ///< LRU: last touch; FIFO: fill
 
     SlotIndex index_; ///< FA: key->slot; empty when set-associative

@@ -246,6 +246,77 @@ TEST(CacheIndependence, NotlbAndSpurRefillOnCacheMisses)
     }
 }
 
+/** cfg(@p kind) with LRU TLB replacement. */
+SimConfig
+lruCfg(SystemKind kind)
+{
+    SimConfig c = cfg(kind);
+    c.tlbRepl = TlbRepl::LRU;
+    return c;
+}
+
+/**
+ * checkStackInclusion() over one run of @p kind on @p workload per TLB
+ * size {32, 64, 128, 256}, single core with LRU fully associative TLBs.
+ * @p configure may break a precondition.
+ */
+CheckReport
+tlbSizeReport(SystemKind kind, const std::string &workload,
+              void (*configure)(SimConfig &) = nullptr)
+{
+    std::vector<SimConfig> configs;
+    std::vector<Results> cells;
+    for (unsigned entries : {32u, 64u, 128u, 256u}) {
+        SimConfig c = lruCfg(kind);
+        c.tlbEntries = entries;
+        if (configure)
+            configure(c);
+        configs.push_back(c);
+        cells.push_back(runOnce(c, workload, 100000, 20000));
+    }
+    return checkStackInclusion(configs, cells);
+}
+
+TEST(StackInclusion, LruTlbMissesNeverRiseWithTlbSize)
+{
+    unsigned applied = 0;
+    for (SystemKind kind : kAllKinds) {
+        if (!stackInclusionApplies(lruCfg(kind)))
+            continue;
+        ++applied;
+        for (const char *wl : {"gcc", "vortex"}) {
+            CheckReport rep = tlbSizeReport(kind, wl);
+            EXPECT_TRUE(rep.ok()) << kindName(kind) << ' ' << wl << ": "
+                                  << rep.toString();
+            EXPECT_EQ(rep.lawsChecked(), 1u + 4u + 3u * 3u);
+        }
+    }
+    EXPECT_EQ(applied, 3u);
+}
+
+TEST(StackInclusion, NamesItsOrganizationsAndPreconditions)
+{
+    // The walks of the MIPS-like organizations load UPTEs through the
+    // D-TLB, and the TLB-less ones have no TLB to size.
+    for (SystemKind kind : {SystemKind::Ultrix, SystemKind::Mach,
+                            SystemKind::HwMips, SystemKind::Notlb,
+                            SystemKind::Base, SystemKind::Spur})
+        EXPECT_FALSE(stackInclusionApplies(lruCfg(kind))) << kindName(kind);
+    // Random replacement is outside the law, and so is a grid that
+    // does not grow.
+    CheckReport random = tlbSizeReport(
+        SystemKind::Intel, "gcc",
+        [](SimConfig &c) { c.tlbRepl = TlbRepl::Random; });
+    EXPECT_FALSE(random.ok());
+    EXPECT_NE(random.toString().find("stack-inclusion.config"),
+              std::string::npos);
+    SimConfig c = lruCfg(SystemKind::Intel);
+    Results r = runOnce(c, "gcc", 10000, 0);
+    CheckReport same = checkStackInclusion({c, c}, {r, r});
+    EXPECT_NE(same.toString().find("stack-inclusion.order"),
+              std::string::npos);
+}
+
 // ------------------------------------- cancellation conservation (partial)
 
 /**

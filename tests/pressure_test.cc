@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the memory-pressure subsystem: FramePool victim order
- * under FIFO/LRU/CLOCK, dirty-bit writeback accounting, PhysMem frame
- * recycling and wired-page capacity shrinkage, the zero-usable-frames
+ * under FIFO/LRU/CLOCK, a differential test of FramePool against a
+ * list-and-map reference pool, dirty-bit writeback accounting, PhysMem
+ * frame recycling and wired-page capacity shrinkage, the zero-usable-frames
  * and frameAddrOf-allocation bugfix regressions, strict CLI numeric
  * parsing, and end-to-end budgeted runs: invariant audits for all nine
  * organizations, scalar/batched/cached/multicore equivalence under a
@@ -11,12 +12,16 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <list>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "base/logging.hh"
 #include "base/parse.hh"
+#include "base/random.hh"
 #include "base/units.hh"
 #include "check/diff.hh"
 #include "check/invariants.hh"
@@ -125,6 +130,187 @@ TEST(FramePool, PolicyNamesRoundTrip)
     EXPECT_FALSE(parseReclaimPolicy("").ok());
 }
 
+// ------------------------------------------- FramePool vs a reference pool
+
+/**
+ * Naive model of FramePool's documented semantics: a std::list ring
+ * (front = eviction end, back = newest) and a std::map of per-page
+ * dirty and reference bits, with the CLOCK hand an explicit list
+ * iterator that an eviction leaves on the victim's successor.
+ */
+class RefPool
+{
+  public:
+    RefPool(std::uint64_t capacity, ReclaimPolicy policy)
+        : policy_(policy), capacity_(capacity)
+    {
+    }
+
+    bool resident(Vpn v) const { return pages_.count(v) != 0; }
+    std::uint64_t size() const { return pages_.size(); }
+    std::uint64_t capacity() const { return capacity_; }
+    void shrinkCapacity() { --capacity_; }
+
+    /** The @p i-th resident page in ring order. */
+    Vpn
+    nth(std::uint64_t i) const
+    {
+        return *std::next(ring_.begin(), static_cast<long>(i));
+    }
+
+    bool
+    touchIfResident(Vpn v)
+    {
+        auto it = pages_.find(v);
+        if (it == pages_.end())
+            return false;
+        if (policy_ == ReclaimPolicy::Lru)
+            ring_.splice(ring_.end(), ring_, it->second.pos);
+        else if (policy_ == ReclaimPolicy::Clock)
+            it->second.referenced = true;
+        return true;
+    }
+
+    void
+    markDirty(Vpn v)
+    {
+        auto it = pages_.find(v);
+        if (it != pages_.end())
+            it->second.dirty = true;
+    }
+
+    void
+    insert(Vpn v)
+    {
+        ring_.push_back(v);
+        pages_[v] = Page{false, true, std::prev(ring_.end())};
+    }
+
+    FramePool::Victim
+    evict(Vpn exclude)
+    {
+        std::list<Vpn>::iterator victim;
+        if (policy_ == ReclaimPolicy::Clock) {
+            if (!handSet_)
+                hand_ = ring_.begin();
+            handSet_ = true;
+            for (bool found = false; !found;) {
+                Page &p = pages_.at(*hand_);
+                if (p.referenced) {
+                    p.referenced = false;
+                } else if (*hand_ != exclude) {
+                    victim = hand_;
+                    found = true;
+                }
+                if (++hand_ == ring_.end())
+                    hand_ = ring_.begin();
+            }
+            if (hand_ == victim)
+                handSet_ = false; // the victim was the only page
+        } else {
+            victim = ring_.begin();
+            if (*victim == exclude)
+                ++victim;
+        }
+        FramePool::Victim out;
+        out.vpn = *victim;
+        out.dirty = pages_.at(out.vpn).dirty;
+        pages_.erase(out.vpn);
+        ring_.erase(victim);
+        return out;
+    }
+
+  private:
+    struct Page
+    {
+        bool dirty;
+        bool referenced;
+        std::list<Vpn>::iterator pos;
+    };
+
+    ReclaimPolicy policy_;
+    std::uint64_t capacity_;
+    std::list<Vpn> ring_;
+    std::map<Vpn, Page> pages_;
+    std::list<Vpn>::iterator hand_;
+    bool handSet_ = false;
+};
+
+TEST(FramePoolDifferential, MatchesListAndMapReference)
+{
+    for (ReclaimPolicy policy : {ReclaimPolicy::Fifo, ReclaimPolicy::Lru,
+                                 ReclaimPolicy::Clock}) {
+        for (std::uint64_t seed : {3ull, 4ull}) {
+            SCOPED_TRACE(std::string(reclaimPolicyName(policy)) + " seed " +
+                         std::to_string(seed));
+            const std::uint64_t budget = 48;
+            FramePool pool(budget, policy);
+            RefPool ref(budget, policy);
+            Random rng(seed * 104729);
+            // A universe 2.5x the budget keeps both reuse and faults
+            // frequent.
+            const Vpn universe = budget * 5 / 2;
+            auto evictBoth = [&](Vpn exclude, unsigned op) {
+                FramePool::Victim got = pool.evict(exclude);
+                FramePool::Victim want = ref.evict(exclude);
+                ASSERT_EQ(got.vpn, want.vpn) << "op " << op;
+                ASSERT_EQ(got.dirty, want.dirty) << "op " << op;
+            };
+            for (unsigned op = 0; op < 12000; ++op) {
+                Vpn v = rng.uniform(universe);
+                unsigned r = static_cast<unsigned>(rng.uniform(1000));
+                if (r < 300) {
+                    // A page touch as VmSystem drives it: reuse, or
+                    // evict down to room and admit.
+                    bool hit = pool.touchIfResident(v);
+                    ASSERT_EQ(hit, ref.touchIfResident(v)) << "op " << op;
+                    if (!hit) {
+                        while (ref.size() + 1 > ref.capacity())
+                            evictBoth(v, op);
+                        pool.insert(v);
+                        ref.insert(v);
+                    }
+                } else if (r < 450) {
+                    ASSERT_EQ(pool.touchIfResident(v),
+                              ref.touchIfResident(v))
+                        << "op " << op;
+                } else if (r < 550) {
+                    if (ref.size() == 0)
+                        continue;
+                    Vpn u = ref.nth(rng.uniform(ref.size()));
+                    pool.touch(u);
+                    ref.touchIfResident(u);
+                } else if (r < 800) {
+                    pool.markDirty(v);
+                    ref.markDirty(v);
+                } else if (r < 995) {
+                    // Half the time exclude a resident page.
+                    Vpn exclude = v;
+                    if (ref.size() > 0 && rng.uniform(2) == 0)
+                        exclude = ref.nth(rng.uniform(ref.size()));
+                    if (ref.size() == 0 ||
+                        (ref.size() == 1 && ref.resident(exclude)))
+                        continue;
+                    evictBoth(exclude, op);
+                } else {
+                    if (ref.capacity() <= 8)
+                        continue;
+                    pool.shrinkCapacity();
+                    ref.shrinkCapacity();
+                    while (ref.size() > ref.capacity())
+                        evictBoth(v, op);
+                }
+                ASSERT_EQ(pool.size(), ref.size()) << "op " << op;
+                ASSERT_EQ(pool.capacity(), ref.capacity()) << "op " << op;
+                for (Vpn u = 0; u < universe; ++u)
+                    ASSERT_EQ(pool.resident(u), ref.resident(u))
+                        << "op " << op << " vpn " << u;
+            }
+            EXPECT_LT(ref.capacity(), budget);
+        }
+    }
+}
+
 // ---------------------------------------------------- PhysMem under budget
 
 TEST(PhysMemBudget, EvictedFramesAreRecycled)
@@ -218,6 +404,27 @@ TEST(SimConfigRegression, BudgetOfOneFrameIsRejected)
     EXPECT_TRUE(cfg.validate().ok());
     cfg.faultReadCycles = 0;
     EXPECT_FALSE(cfg.validate().ok());
+}
+
+TEST(SimConfigRegression, BudgetPastThePoolIndexIsInvalidConfig)
+{
+    // The pool sizes its SlotIndex once for the whole budget, so a
+    // budget it cannot index must be refused by validate() (never a
+    // bad_alloc, never narrowed to 32 bits: 2^32 + 64 would otherwise
+    // build a 64-frame pool). Only validate() runs here; no pool of
+    // that size is built.
+    SimConfig cfg;
+    cfg.physFrames = FramePool::kMaxCapacity;
+    EXPECT_TRUE(cfg.validate().ok());
+    for (std::uint64_t frames :
+         {FramePool::kMaxCapacity + 1, std::uint64_t{1} << 32,
+          (std::uint64_t{1} << 32) + 64, ~std::uint64_t{0}}) {
+        cfg.physFrames = frames;
+        Status st = cfg.validate();
+        ASSERT_FALSE(st.ok()) << frames;
+        EXPECT_EQ(st.error().code, ErrorCode::InvalidConfig) << frames;
+        EXPECT_EQ(st.error().context, "physFrames") << frames;
+    }
 }
 
 // ------------------------------------------------------ strict CLI parsing

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the fully-associative TLB's key->slot index
- * (tlb/slot_index.hh) and a differential test of Tlb against a naive
+ * (base/slot_index.hh) and a differential test of Tlb against a naive
  * linear-scan reference TLB.
  *
  * The index tests replay seeded streams of insertNew/erase/find/clear
@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "base/random.hh"
-#include "tlb/slot_index.hh"
+#include "base/slot_index.hh"
 #include "tlb/tlb.hh"
 
 namespace vmsim
@@ -400,6 +400,13 @@ const Geometry kGeometries[] = {
     {"32/8 6-bit ASID LRU", 32, 8, TlbRepl::LRU, 0, 6},
     {"128 8-way", 128, 0, TlbRepl::Random, 8, 0},
     {"128 8-way 6-bit ASID LRU", 128, 0, TlbRepl::LRU, 8, 6},
+    // Region bounds inside a validity-bitmap word: the protected/normal
+    // split at slot 70 and the end at 200 fall mid-word, 1000 leaves a
+    // 40-bit tail in the last word, and 48-way set 1 spans slots
+    // [48, 96) across the first word boundary.
+    {"200/70 random", 200, 70, TlbRepl::Random, 0, 0},
+    {"1000 unpartitioned", 1000, 0, TlbRepl::Random, 0, 0},
+    {"192 48-way", 192, 0, TlbRepl::Random, 48, 0},
 };
 
 TEST(TlbDifferential, MatchesLinearScanReference)
@@ -467,14 +474,17 @@ TEST(TlbDifferential, MatchesLinearScanReference)
                 }
                 if (!mutated)
                     continue;
+                unsigned live = 0;
                 for (unsigned s = 0; s < g.entries; ++s) {
                     ASSERT_EQ(tlb.slotValid(s), ref.valid(s))
                         << "op " << op << " slot " << s;
                     if (ref.valid(s)) {
+                        ++live;
                         ASSERT_EQ(tlb.slotKey(s), ref.keyAt(s))
                             << "op " << op << " slot " << s;
                     }
                 }
+                ASSERT_EQ(tlb.validEntries(), live) << "op " << op;
                 ASSERT_TRUE(tlb.auditIndex(&why))
                     << "op " << op << ": " << why;
             }
