@@ -1,9 +1,8 @@
 /**
  * @file
  * Shared plumbing for the benchmark harnesses: canonical config
- * builders and formatting helpers. Each bench binary regenerates one
- * of the paper's tables/figures (see DESIGN.md experiment index) and
- * prints the same rows/series the paper reports.
+ * builders, the sweep execution path and formatting helpers, used by
+ * the table of figures (figures.hh) and the standalone benches.
  */
 
 #ifndef VMSIM_BENCH_BENCH_COMMON_HH
@@ -27,20 +26,6 @@ paperVmSystems()
         SystemKind::Parisc, SystemKind::Notlb,
     };
     return kinds;
-}
-
-/** Paper defaults: 128x2 TLB, 16 protected slots, 4 KB pages, 8 MB. */
-inline SimConfig
-paperConfig(SystemKind kind, std::uint64_t l1_size, unsigned l1_line,
-            std::uint64_t l2_size, unsigned l2_line,
-            const BenchOptions &opts)
-{
-    SimConfig cfg;
-    cfg.kind = kind;
-    cfg.l1 = CacheParams{l1_size, l1_line};
-    cfg.l2 = CacheParams{l2_size, l2_line};
-    opts.applyTo(cfg);
-    return cfg;
 }
 
 /**
@@ -179,19 +164,6 @@ runSweep(const BenchOptions &opts, const SweepSpec &spec)
     return res;
 }
 
-/** Shorthand metric extractors for SweepResults::meanMetric(). */
-inline double
-vmcpiOf(const Results &r)
-{
-    return r.vmcpi();
-}
-
-inline double
-mcpiOf(const Results &r)
-{
-    return r.mcpi();
-}
-
 /** "64K" / "2M" style size label. */
 inline std::string
 sizeLabel(std::uint64_t bytes)
@@ -199,13 +171,6 @@ sizeLabel(std::uint64_t bytes)
     if (bytes >= 1_MiB && bytes % 1_MiB == 0)
         return std::to_string(bytes >> 20) + "M";
     return std::to_string(bytes >> 10) + "K";
-}
-
-/** "16/32" linesize-combo label. */
-inline std::string
-lineLabel(unsigned l1_line, unsigned l2_line)
-{
-    return std::to_string(l1_line) + "/" + std::to_string(l2_line);
 }
 
 /** Emit a table as text or CSV per options. */

@@ -14,23 +14,22 @@
  *   jobs:         worker threads (default: hardware concurrency)
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "vmsim.hh"
 
-int
-main(int argc, char **argv)
+static int
+exampleMain(int argc, char **argv)
 {
     using namespace vmsim;
 
     std::string workload = argc > 1 ? argv[1] : "vortex";
     Counter instrs =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2'000'000;
-    unsigned jobs =
-        argc > 3
-            ? static_cast<unsigned>(std::strtoul(argv[3], nullptr, 10))
-            : 0;
+        argc > 2 ? parseU64(argv[2], "instructions").orThrow() : 2'000'000;
+    unsigned jobs = argc > 3 ? parseU32(argv[3], "jobs").orThrow() : 0;
+    // Refuse an unknown workload here, on one line, before any cell
+    // runs (a sweep cell would report the failure and carry on).
+    makeWorkload(workload, 0);
 
     SimConfig base;
     base.l1 = CacheParams{64_KiB, 64};
@@ -81,4 +80,10 @@ main(int argc, char **argv)
                  "PA-7200 did) and should be the cheapest TLB\n"
                  "mechanism overall.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, exampleMain);
 }

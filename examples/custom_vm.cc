@@ -18,7 +18,6 @@
  * Usage: custom_vm [workload] [instructions]
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <vector>
 
@@ -118,14 +117,16 @@ class TwoLevelHashedVm : public VmSystem
 
 } // anonymous namespace
 
-int
-main(int argc, char **argv)
+static int
+exampleMain(int argc, char **argv)
 {
     using namespace vmsim;
 
     std::string workload = argc > 1 ? argv[1] : "vortex";
     Counter instrs =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2'000'000;
+        argc > 2 ? parseU64(argv[2], "instructions").orThrow() : 2'000'000;
+    // Refuse an unknown workload here, before any output.
+    makeWorkload(workload, 0);
     Counter warmup = instrs / 2;
 
     std::cout << "Custom VM organization vs built-ins on " << workload
@@ -190,4 +191,10 @@ main(int argc, char **argv)
                  "machinery produces the paper's accounting "
                  "automatically.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, exampleMain);
 }

@@ -15,7 +15,6 @@
  * Usage: embedded [workload] [instructions] [seeds]
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "vmsim.hh"
@@ -37,18 +36,18 @@ totalCpiMetric(const vmsim::Results &r)
 
 } // anonymous namespace
 
-int
-main(int argc, char **argv)
+static int
+exampleMain(int argc, char **argv)
 {
     using namespace vmsim;
 
     std::string workload = argc > 1 ? argv[1] : "gcc";
     Counter instrs =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 1'000'000;
-    unsigned seeds =
-        argc > 3 ? static_cast<unsigned>(std::strtoul(argv[3], nullptr,
-                                                      10))
-                 : 5;
+        argc > 2 ? parseU64(argv[2], "instructions").orThrow() : 1'000'000;
+    unsigned seeds = argc > 3 ? parseU32(argv[3], "seeds").orThrow() : 5;
+    // Refuse an unknown workload here, on one line, before any cell
+    // runs (a sweep cell would report the failure and carry on).
+    makeWorkload(workload, 0);
 
     std::cout << "Embedded-profile comparison on " << workload << " ("
               << instrs << " instructions, " << seeds
@@ -97,4 +96,10 @@ main(int argc, char **argv)
                  "hardware, so it stays near the front: the mechanism, "
                  "not the table, is\nwhat matters here.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, exampleMain);
 }

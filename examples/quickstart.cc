@@ -14,13 +14,12 @@
  *   instructions: instruction count                  (default 1000000)
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "vmsim.hh"
 
-int
-main(int argc, char **argv)
+static int
+exampleMain(int argc, char **argv)
 {
     using namespace vmsim;
 
@@ -28,7 +27,9 @@ main(int argc, char **argv)
     cfg.kind = argc > 1 ? kindFromName(argv[1]) : SystemKind::Ultrix;
     std::string workload = argc > 2 ? argv[2] : "gcc";
     Counter instrs =
-        argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1'000'000;
+        argc > 3 ? parseU64(argv[3], "instructions").orThrow() : 1'000'000;
+    // Refuse an unknown workload here, before any output.
+    makeWorkload(workload, 0);
 
     // The paper's featured cache organization: 64 KB / 1 MB split
     // direct-mapped virtual caches with 64 B / 128 B lines.
@@ -43,4 +44,10 @@ main(int argc, char **argv)
               << TextTable::fmt(100 * r.vmcpi() / r.totalCpi(), 2)
               << "% of run time\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, exampleMain);
 }

@@ -15,20 +15,19 @@
  *   instructions: trace length (default 500000)
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <set>
 
 #include "vmsim.hh"
 
-int
-main(int argc, char **argv)
+static int
+exampleMain(int argc, char **argv)
 {
     using namespace vmsim;
 
     std::string path = argc > 1 ? argv[1] : "/tmp/vmsim_example.vmt";
     Counter n =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 500'000;
+        argc > 2 ? parseU64(argv[2], "instructions").orThrow() : 500'000;
 
     // 1. Record.
     std::cout << "Recording " << n << " instructions of gcc-like to "
@@ -96,4 +95,10 @@ main(int argc, char **argv)
                  "src/trace/trace_file.hh)\ncan drive every simulation "
                  "in place of the synthetic workloads.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, exampleMain);
 }

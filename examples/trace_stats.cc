@@ -35,8 +35,8 @@ absDelta(std::uint32_t a, std::uint32_t b)
 
 } // anonymous namespace
 
-int
-main(int argc, char **argv)
+static int
+exampleMain(int argc, char **argv)
 {
     using namespace vmsim;
 
@@ -143,4 +143,10 @@ main(int argc, char **argv)
                  "stresses the caches; compare against the synthetic\n"
                  "workloads' profiles in tests/synthetic_test.cc.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return vmsim::guardedMain(argc, argv, exampleMain);
 }

@@ -16,7 +16,7 @@ cmake -B "$BUILD_DIR" -S . -DVMSIM_SANITIZE=thread \
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
     --target thread_pool_test sweep_test fault_test sweep_resume_test \
     batch_test check_fuzz multicore_test obs_test pressure_test \
-    trace_test simulator_test bench_mcpi_sweep
+    trace_test simulator_test vmsim_bench
 
 "$BUILD_DIR"/tests/thread_pool_test
 "$BUILD_DIR"/tests/sweep_test
@@ -49,7 +49,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 "$BUILD_DIR"/tests/obs_test
 # --progress runs the telemetry thread concurrently with real sweep
 # workers publishing through their slots.
-"$BUILD_DIR"/bench/bench_mcpi_sweep --instructions=20000 \
+"$BUILD_DIR"/bench/vmsim_bench --figure=mcpi_sweep --instructions=20000 \
     --warmup=5000 --jobs=4 --check --progress=0.1 \
     --progress-out="$BUILD_DIR/tsan_progress.jsonl" \
     --metrics-out="$BUILD_DIR/tsan_metrics.prom" > /dev/null

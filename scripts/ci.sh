@@ -1,6 +1,8 @@
 #!/bin/sh
-# The full local gate: the tier-1 build + unit-test suite, a smoke run
-# of every bench binary, the batched-pipeline determinism check, the
+# The full local gate: the tier-1 build + unit-test suite, the
+# source-tree line-count ceilings, a smoke run of every table-of-figures
+# entry (checked against the committed figure-output manifest) and of
+# every other bench binary, the batched-pipeline determinism check, the
 # invariant/fuzz campaigns, the sharded-sweep and journal crash checks,
 # the golden replay manifest, the perfbench digest grid, the hot-path
 # kernel lint + perf smoke, then the three sanitizer builds (ASan,
@@ -19,48 +21,69 @@ cmake -B build -S .
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== bench smoke =="
-# One tiny sweep per bench binary: a flag or engine regression fails
-# here in seconds, not in a user's hour-long reproduction run.
-SMOKE_DIR=$(mktemp -d)
-trap 'rm -rf "$SMOKE_DIR"' EXIT
-for bench in build/bench/bench_*; do
-    [ -f "$bench" ] && [ -x "$bench" ] || continue
-    name=$(basename "$bench")
-    case "$name" in
-    bench_micro)
-        # Pipeline + multicore artifacts only; the full microbench
-        # suite is manual.
-        "$bench" --benchmark_filter=BM_TlbLookupHit \
-            --pipeline-json="$SMOKE_DIR/BENCH_pipeline.json" \
-            --multicore-json="$SMOKE_DIR/BENCH_multicore.json" \
-            > /dev/null 2>&1
-        test -s "$SMOKE_DIR/BENCH_pipeline.json"
-        test -s "$SMOKE_DIR/BENCH_multicore.json"
-        ;;
-    bench_pressure)
-        "$bench" --instructions=5000 --warmup=1000 --jobs=2 --csv \
-            --pressure-json="$SMOKE_DIR/BENCH_pressure.json" \
-            > "$SMOKE_DIR/$name.csv"
-        test -s "$SMOKE_DIR/BENCH_pressure.json"
-        ;;
-    *)
-        "$bench" --instructions=5000 --warmup=1000 --jobs=2 --csv \
-            > "$SMOKE_DIR/$name.csv"
-        ;;
-    esac
+echo "== line-count ceilings =="
+# The source trees may shrink but not grow: each count (every .cc and
+# .hh file under the tree, cat | wc -l) must stay at or under its
+# committed ceiling. Lower a ceiling when a change shrinks its tree;
+# raising one needs a reason in CHANGES.md.
+for tree in src:21293 bench:2315 tests:14023; do
+    dir=${tree%%:*}
+    ceiling=${tree#*:}
+    count=$(find "$dir" \( -name '*.cc' -o -name '*.hh' \) -print0 |
+        xargs -0 cat | wc -l)
+    echo "$dir/: $count lines (ceiling $ceiling)"
+    if [ "$count" -gt "$ceiling" ]; then
+        echo "line ceilings: $dir/ has $count lines, over its ceiling" \
+             "of $ceiling" >&2
+        exit 1
+    fi
 done
 
+echo "== bench smoke =="
+# One tiny sweep per entry of the table of figures and per standalone
+# bench binary: a flag or engine regression fails here in seconds, not
+# in a user's hour-long reproduction run.
+SMOKE_DIR=$(mktemp -d)
+trap 'rm -rf "$SMOKE_DIR"' EXIT
+FIGURES=build/bench/vmsim_bench
+for figure in $("$FIGURES" --list | cut -d' ' -f1); do
+    "$FIGURES" --figure="$figure" --instructions=5000 --warmup=1000 \
+        --jobs=2 --csv > "$SMOKE_DIR/$figure.csv"
+    sha256sum < "$SMOKE_DIR/$figure.csv" | sed "s/-\$/$figure/"
+done > "$SMOKE_DIR/figures_sha256.txt"
+# Every entry's CSV must match tests/golden/figures_sha256.txt byte for
+# byte. Regenerate the manifest (only when an *intentional* output
+# change lands) with:
+#     for f in $(build/bench/vmsim_bench --list | cut -d' ' -f1); do
+#         build/bench/vmsim_bench --figure="$f" --instructions=5000 \
+#             --warmup=1000 --jobs=2 --csv | sha256sum | sed "s/-\$/$f/"
+#     done > tests/golden/figures_sha256.txt
+cmp tests/golden/figures_sha256.txt "$SMOKE_DIR/figures_sha256.txt"
+# bench_micro: pipeline + multicore artifacts only; the full
+# microbench suite is manual.
+build/bench/bench_micro --benchmark_filter=BM_TlbLookupHit \
+    --pipeline-json="$SMOKE_DIR/BENCH_pipeline.json" \
+    --multicore-json="$SMOKE_DIR/BENCH_multicore.json" > /dev/null 2>&1
+test -s "$SMOKE_DIR/BENCH_pipeline.json"
+test -s "$SMOKE_DIR/BENCH_multicore.json"
+build/bench/bench_pressure --instructions=5000 --warmup=1000 --jobs=2 --csv \
+    --pressure-json="$SMOKE_DIR/BENCH_pressure.json" \
+    > "$SMOKE_DIR/bench_pressure.csv"
+test -s "$SMOKE_DIR/BENCH_pressure.json"
+build/bench/bench_multicore --instructions=5000 --warmup=1000 --jobs=2 \
+    --csv > "$SMOKE_DIR/bench_multicore.csv"
+
 echo "== batched pipeline determinism =="
+FIG6="$FIGURES --figure=fig6_vmcpi_gcc"
 # The trace cache and batched loop must not change a single output
 # byte: the same grid with the cache off (and once more scalar+serial)
 # must reproduce the cached parallel CSV exactly.
-build/bench/bench_fig6_vmcpi_gcc --csv --instructions=20000 \
+$FIG6 --csv --instructions=20000 \
     --warmup=5000 --jobs=2 > "$SMOKE_DIR/fig6_cached.csv"
-build/bench/bench_fig6_vmcpi_gcc --csv --instructions=20000 \
+$FIG6 --csv --instructions=20000 \
     --warmup=5000 --jobs=2 --trace-cache-mb=0 \
     > "$SMOKE_DIR/fig6_uncached.csv"
-build/bench/bench_fig6_vmcpi_gcc --csv --instructions=20000 \
+$FIG6 --csv --instructions=20000 \
     --warmup=5000 --jobs=1 --trace-cache-mb=0 --batch=1 \
     > "$SMOKE_DIR/fig6_scalar.csv"
 cmp "$SMOKE_DIR/fig6_cached.csv" "$SMOKE_DIR/fig6_uncached.csv"
@@ -105,8 +128,10 @@ echo "== flag bounds =="
 # 2^44 - 1 wrapped to a 256-frame budget. Empty paths and a zero
 # interval are refused too. Each refusal exits 1 with exactly one
 # stderr line (fatal() prints it; the mains' one error boundary,
-# guardedMain, adds nothing), in vmsim_cli and in the bench binaries,
-# which used to abort with exit 134 on an escaped FatalError.
+# guardedMain, adds nothing), in vmsim_cli, in vmsim_bench and in the
+# example programs, which used to abort with exit 134 on an escaped
+# error (trace_stats on a missing file) or report a bad workload per
+# sweep cell and exit 0 (compare_mmus).
 refuse() {
     status=0
     "$@" > /dev/null 2> "$SMOKE_DIR/refused.txt" || status=$?
@@ -122,8 +147,11 @@ for bad in --tlb=4294967360 --l1-line=4294967328 --cores=4294967297 \
            --phys-mb=17592186044417 --interval=0 --trace-events=; do
     refuse build/examples/vmsim_cli --instructions=1000 "$bad"
 done
-refuse build/bench/bench_fig6_vmcpi_gcc --cores=0
-refuse build/bench/bench_fig6_vmcpi_gcc --tlb=4294967360
+refuse $FIG6 --cores=0
+refuse $FIG6 --tlb=4294967360
+refuse "$FIGURES" --figure=nosuch
+refuse build/examples/trace_stats /nonexistent
+refuse build/examples/compare_mmus nosuchworkload 1000
 
 echo "== memory pressure =="
 # Every organization must satisfy the pressure laws (docs/pressure.md)
@@ -153,7 +181,7 @@ grep "pfCPI" "$SMOKE_DIR/pressure_ULTRIX.txt" |
 # Budget-off identity: a binary carrying the pressure code, even with
 # a --reclaim preference set, must reproduce the no-flag CSV exactly
 # when no --phys-mb budget is given.
-build/bench/bench_fig6_vmcpi_gcc --csv --instructions=20000 \
+$FIG6 --csv --instructions=20000 \
     --warmup=5000 --jobs=2 --reclaim=lru \
     > "$SMOKE_DIR/fig6_noflag_pressure.csv"
 cmp "$SMOKE_DIR/fig6_cached.csv" "$SMOKE_DIR/fig6_noflag_pressure.csv"
@@ -172,7 +200,7 @@ echo "== sweep telemetry =="
 # A telemetry-enabled sweep must produce a valid Prometheus exposition
 # and well-formed JSONL heartbeats whose final record accounts for the
 # whole grid — and must not change a single byte of the sweep CSV.
-build/bench/bench_fig6_vmcpi_gcc --csv --instructions=20000 \
+$FIG6 --csv --instructions=20000 \
     --warmup=5000 --jobs=2 --progress=0.2 \
     --progress-out="$SMOKE_DIR/fig6_progress.jsonl" \
     --metrics-out="$SMOKE_DIR/fig6_metrics.prom" \
@@ -270,11 +298,11 @@ echo "== journal kill and resume =="
 # for byte. The check holds wherever the kill lands, before the first
 # record, mid-sweep or after the last.
 JOURNAL_ARGS="--csv --instructions=100000 --warmup=20000 --jobs=2"
-build/bench/bench_fig6_vmcpi_gcc $JOURNAL_ARGS \
+$FIG6 $JOURNAL_ARGS \
     > "$SMOKE_DIR/journal_clean.csv"
-timeout -s KILL 0.25 build/bench/bench_fig6_vmcpi_gcc $JOURNAL_ARGS \
+timeout -s KILL 0.25 $FIG6 $JOURNAL_ARGS \
     --journal="$SMOKE_DIR/fig6.journal" > /dev/null 2>&1 || true
-build/bench/bench_fig6_vmcpi_gcc $JOURNAL_ARGS \
+$FIG6 $JOURNAL_ARGS \
     --journal="$SMOKE_DIR/fig6.journal" --resume \
     > "$SMOKE_DIR/journal_resumed.csv" 2> /dev/null
 cmp "$SMOKE_DIR/journal_clean.csv" "$SMOKE_DIR/journal_resumed.csv"

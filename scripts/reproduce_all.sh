@@ -22,14 +22,20 @@ fi
 
 mkdir -p "$OUT"
 
-for bench in "$BUILD"/bench/bench_*; do
-    [ -x "$bench" ] || continue
-    name=$(basename "$bench")
+# One file per entry of the table of figures (vmsim_bench --list)...
+for figure in $("$BUILD/bench/vmsim_bench" --list | cut -d' ' -f1); do
+    echo "== $figure"
+    "$BUILD/bench/vmsim_bench" --figure="$figure" "$@" \
+        > "$OUT/$figure.txt" 2>&1
+done
+
+# ...and one per standalone bench binary.
+for name in bench_pressure bench_multicore bench_micro; do
     echo "== $name"
     if [ "$name" = "bench_micro" ]; then
-        "$bench" > "$OUT/$name.txt" 2>&1
+        "$BUILD/bench/$name" > "$OUT/$name.txt" 2>&1
     else
-        "$bench" "$@" > "$OUT/$name.txt" 2>&1
+        "$BUILD/bench/$name" "$@" > "$OUT/$name.txt" 2>&1
     fi
 done
 

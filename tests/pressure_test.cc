@@ -594,7 +594,7 @@ TEST(PressureRun, AllNineOrganizationsPassTheAuditUnderBudget)
             << kindName(kind);
         if (kind == SystemKind::Base) {
             // BASE models a machine with no VM at all; it stays
-            // pressure-free so bench_total_overhead's MCPI_vm −
+            // pressure-free so the total_overhead figure's MCPI_vm −
             // MCPI_base subtraction isolates VM cost, not paging.
             EXPECT_EQ(vm.pagesTouched, 0u);
             EXPECT_DOUBLE_EQ(r.faultCpi(), 0.0);
