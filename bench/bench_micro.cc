@@ -30,8 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "base/flat_hash.hh"
-
 #include "vmsim.hh"
 
 namespace
@@ -97,8 +95,7 @@ BM_HashedWalk(benchmark::State &state)
 BENCHMARK(BM_HashedWalk);
 
 // ---- hot-path layout before/after: the FA TLB key->slot index as a
-// node-based unordered_map (the original), as the growable
-// open-addressed FlatMap64 (the next) and as the fixed-capacity
+// node-based unordered_map (the original) and as the open-addressed
 // SlotIndex (today), probing a resident working set the size of a
 // 128-entry TLB. Same keys, same access pattern; only the layout
 // differs.
@@ -126,20 +123,6 @@ BM_IndexProbeUnorderedMap(benchmark::State &state)
     }
 }
 BENCHMARK(BM_IndexProbeUnorderedMap);
-
-void
-BM_IndexProbeFlatMap64(benchmark::State &state)
-{
-    FlatMap64<unsigned> index(kIndexEntries);
-    for (unsigned i = 0; i < kIndexEntries; ++i)
-        index.insertNew(indexKey(i), i);
-    unsigned i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(index.find(indexKey(i)));
-        i = (i + 1) % kIndexEntries;
-    }
-}
-BENCHMARK(BM_IndexProbeFlatMap64);
 
 void
 BM_IndexProbeSlotIndex(benchmark::State &state)

@@ -461,7 +461,7 @@ printTable4(const BenchOptions &opts, const SweepResults &)
 /** VMCPI plus interrupt CPI at each of the paper's three costs, per
  *  L1 size: one table per (workload, system), always as text. */
 void
-printFig10(const BenchOptions &, const SweepResults &res)
+printFig10(const BenchOptions &opts, const SweepResults &res)
 {
     banner("Figure 10-style (reconstructed): VMCPI + interrupt "
            "overhead vs L1 size");
@@ -491,12 +491,11 @@ printFig10(const BenchOptions &, const SweepResults &res)
         for (std::size_t ki = 0; ki < spec.systemAxis().size(); ++ki) {
             std::cout << kindName(spec.systemAxis()[ki]) << " - "
                       << spec.workloadAxis()[wi] << '\n';
-            l1Rows(res,
-                   {"L1/side", "VMCPI", "+int@10", "+int@50", "+int@200",
-                    "int share@200"},
-                   {.system = ki, .workload = wi}, cells)
-                .print(std::cout);
-            std::cout << '\n';
+            emit(l1Rows(res,
+                        {"L1/side", "VMCPI", "+int@10", "+int@50",
+                         "+int@200", "int share@200"},
+                        {.system = ki, .workload = wi}, cells),
+                 opts);
         }
     }
     std::cout << "Expected shape: the interrupt columns stay constant "

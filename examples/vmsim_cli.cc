@@ -193,7 +193,10 @@ runSupervisor(int argc, char **argv, const SweepSpec &spec,
 
     std::vector<Child> children(nWorkers);
     for (unsigned w = 0; w < nWorkers; ++w) {
-        children[w].owner = "w" + std::to_string(w);
+        // Appended, not "w" + std::string: GCC 12 misreports the
+        // temporary under -Wrestrict (GCC bug 105651).
+        children[w].owner = 'w';
+        children[w].owner += std::to_string(w);
         children[w].heartbeat =
             dir + "/heartbeat-" + children[w].owner + ".jsonl";
     }

@@ -17,7 +17,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
     --target base_test obs_test simulator_test trace_test error_test \
     fault_test sweep_resume_test shard_test batch_test check_test \
     check_fuzz multicore_test pressure_test synthetic_test tlb_index_test \
-    vmsim_cli
+    phys_mem_test pt_intel_test vmsim_cli
 
 "$BUILD_DIR"/tests/base_test
 "$BUILD_DIR"/tests/obs_test
@@ -52,6 +52,10 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 # eviction path walks TLBs and page tables — lifetime-bug territory.
 "$BUILD_DIR"/tests/pressure_test
 "$BUILD_DIR"/tests/tlb_index_test
+# PhysMem rebuilds its vpn->frame index at twice the bound when a miss
+# finds it full; INTEL's PTE pages live in that index.
+"$BUILD_DIR"/tests/phys_mem_test
+"$BUILD_DIR"/tests/pt_intel_test
 
 # Smoke test: a fully-instrumented CLI run whose Chrome trace must be
 # valid JSON (python3 json.tool is the arbiter when available).

@@ -27,11 +27,11 @@ fsyncStream(std::FILE *file, const std::string &path)
 Status
 fsyncParentDir(const std::string &path)
 {
-    std::string dir;
     std::size_t slash = path.find_last_of('/');
-    dir = slash == std::string::npos ? "." : path.substr(0, slash);
-    if (dir.empty())
-        dir = "/";
+    // "a/b" -> "a", "/b" -> "/", "b" -> "."
+    const std::string dir = slash == std::string::npos ? std::string(".")
+                            : slash == 0 ? std::string("/")
+                                         : path.substr(0, slash);
     int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
     if (fd < 0)
         return errnoError(dir, "cannot open directory '" + dir +

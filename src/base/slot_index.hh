@@ -1,20 +1,22 @@
 /**
  * @file
- * Fixed-capacity key->slot index for structures whose key count has a
- * known bound: the fully-associative TLB (at most `entries` keys) and
- * the budgeted FramePool (at most its frame budget, which only
- * shrinks).
+ * Open-addressed key->slot index sized for a key bound. Three users:
+ * the fully-associative TLB (at most `entries` keys), the budgeted
+ * FramePool (at most its frame budget, which only shrinks) and
+ * PhysMem's vpn->frame map, whose key count is not known up front.
  *
- * Such an index never needs to grow. SlotIndex is sized once, to a
- * power of two at least four times the key bound, and keeps each
- * {key, slot} pair in one 16-byte cell. A probe is one Fibonacci
- * multiply for the home cell, then a linear scan that at load <= 1/4
- * almost always stops on the first cell. Empty cells carry the slot
- * sentinel kNone (key 0 is a valid key). Erase uses backward-shift
- * deletion: later members of the probe run move back over the hole,
- * so there are no tombstones, no purge and no second table, and the
- * chain invariant (no empty cell between a live cell and its home)
- * holds after every operation.
+ * An index never grows in place. SlotIndex is sized once, to a power
+ * of two at least four times the key bound, and keeps each {key, slot}
+ * pair in one 16-byte cell. PhysMem starts small and, when a miss
+ * finds its index full, rebuilds it at twice the bound with the
+ * constructor, forEach and insertNew; the TLB and the pool never
+ * rebuild. A probe is one Fibonacci multiply for the home cell, then a
+ * linear scan that at load <= 1/4 almost always stops on the first
+ * cell. Empty cells carry the slot sentinel kNone (key 0 is a valid
+ * key). Erase uses backward-shift deletion: later members of the probe
+ * run move back over the hole, so there are no tombstones, no purge
+ * and no second table, and the chain invariant (no empty cell between
+ * a live cell and its home) holds after every operation.
  *
  * Iteration order (forEach) is cell order and depends on insertion
  * history; no simulator decision may depend on it.
@@ -129,6 +131,9 @@ class SlotIndex
 
     std::size_t size() const { return size_; }
     std::size_t capacity() const { return cells_.size(); }
+
+    /** The constructor's key bound: insertNew's limit on size(). */
+    unsigned maxKeys() const { return maxKeys_; }
 
     /** Home cell of @p key: the top bits of one Fibonacci multiply. */
     std::size_t

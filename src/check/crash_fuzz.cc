@@ -44,6 +44,18 @@ csvOf(const SweepResults &res)
     return os.str();
 }
 
+/**
+ * Worker identity "<prefix><n>", built by append: GCC 12 misreports a
+ * "w" + std::string temporary under -Wrestrict (GCC bug 105651).
+ */
+std::string
+ownerName(char prefix, unsigned n)
+{
+    std::string name(1, prefix);
+    name += std::to_string(n);
+    return name;
+}
+
 ShardOptions
 workerOptions(const std::string &dir, const std::string &owner)
 {
@@ -144,7 +156,7 @@ runCrashFuzz(const CrashFuzzOptions &opts)
         std::vector<std::string> owners;
         for (unsigned w = 0; w < nWorkers; ++w) {
             ShardOptions sopts =
-                workerOptions(dir, "w" + std::to_string(w));
+                workerOptions(dir, ownerName('w', w));
             if (rng.chance(0.8)) {
                 sopts.crash.afterAppends =
                     static_cast<std::int64_t>(rng.uniform(8));
@@ -190,7 +202,7 @@ runCrashFuzz(const CrashFuzzOptions &opts)
             const std::string owner =
                 (!owners.empty() && rng.chance(0.5))
                     ? owners[rng.uniform(owners.size())]
-                    : "r" + std::to_string(attempt);
+                    : ownerName('r', attempt);
             ShardOptions ropts = workerOptions(dir, owner);
             Expected<pid_t> pid = spawnFunction([&spec, ropts] {
                 runShardWorker(spec, ropts);

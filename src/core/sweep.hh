@@ -11,7 +11,7 @@
  * in a pre-sized table indexed by grid position. Output is therefore
  * byte-identical whether the sweep runs on 1 thread or 64.
  *
- * Typical use (see docs/sweeps.md and bench/vmcpi_sweep.hh):
+ * Typical use (see docs/sweeps.md and bench/figures.cc):
  *
  *     SweepSpec spec;
  *     spec.systems(paperVmSystems())

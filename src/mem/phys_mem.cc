@@ -1,5 +1,7 @@
 #include "mem/phys_mem.hh"
 
+#include <utility>
+
 #include "base/intmath.hh"
 #include "base/logging.hh"
 
@@ -20,7 +22,7 @@ PhysMem::PhysMem(std::uint64_t size_bytes, unsigned page_bits)
 Addr
 PhysMem::reserveRegion(std::uint64_t bytes, std::uint64_t align)
 {
-    panicIf(nextFrame_ != 0 || !map_.empty(),
+    panicIf(nextFrame_ != 0 || map_.size() != 0,
             "reserveRegion after frame allocation began");
     fatalIf(bytes == 0, "cannot reserve an empty region");
     Addr base = alignUp(reserveCursor_, align ? align : 1);
@@ -37,10 +39,19 @@ PhysMem::reserveRegion(std::uint64_t bytes, std::uint64_t align)
 }
 
 Pfn
-PhysMem::frameOf(Vpn vpn)
+PhysMem::allocFrame(Vpn vpn)
 {
-    if (const Pfn *p = map_.find(vpn))
-        return *p;
+    if (map_.size() == map_.maxKeys()) {
+        // Trace addresses are 32-bit and pages at least 2^10 bytes, so
+        // user pages plus page-table pages stay far below the bound.
+        panicIf(map_.maxKeys() >= SlotIndex::kMaxKeys,
+                "PhysMem index full at ", map_.maxKeys(), " pages");
+        SlotIndex grown(2 * map_.maxKeys());
+        map_.forEach([&](std::uint64_t key, unsigned ordinal) {
+            grown.insertNew(key, ordinal);
+        });
+        map_ = std::move(grown);
+    }
     Pfn pfn;
     if (pool_ && !freeFrames_.empty()) {
         pfn = freeFrames_.back();
@@ -61,24 +72,24 @@ PhysMem::frameOf(Vpn vpn)
              " pages touched but only ", numFrames_,
              " frames exist; continuing without eviction");
     }
-    map_.insertNew(vpn, pfn);
+    map_.insertNew(vpn, static_cast<unsigned>(pfn - frameBase_));
     return pfn;
 }
 
 Addr
 PhysMem::frameAddrOf(Vpn vpn) const
 {
-    const Pfn *p = map_.find(vpn);
-    panicIf(!p, "frameAddrOf of unmapped page ", vpn,
-            " (use frameAddrAlloc for first-touch allocation)");
-    return *p << pageBits_;
+    unsigned ordinal = map_.find(vpn);
+    panicIf(ordinal == SlotIndex::kNone, "frameAddrOf of unmapped page ",
+            vpn, " (use frameAddrAlloc for first-touch allocation)");
+    return (frameBase_ + ordinal) << pageBits_;
 }
 
 void
 PhysMem::setBudget(std::uint64_t frames, ReclaimPolicy policy)
 {
     panicIf(pool_ != nullptr, "frame budget already configured");
-    panicIf(!map_.empty(), "setBudget after frame allocation began");
+    panicIf(map_.size() != 0, "setBudget after frame allocation began");
     pool_ = std::make_unique<FramePool>(frames, policy);
 }
 
@@ -89,8 +100,9 @@ PhysMem::evictPage(Vpn exclude)
     // Organizations whose tables concretely assigned the page a frame
     // (the hashed/inverted tables) recycle it; the others never mapped
     // the page here, so there is nothing to free.
-    if (const Pfn *p = map_.find(victim.vpn)) {
-        freeFrames_.push_back(*p);
+    unsigned ordinal = map_.find(victim.vpn);
+    if (ordinal != SlotIndex::kNone) {
+        freeFrames_.push_back(frameBase_ + ordinal);
         map_.erase(victim.vpn);
     }
     return victim;

@@ -27,7 +27,7 @@
 #include <memory>
 #include <vector>
 
-#include "base/flat_hash.hh"
+#include "base/slot_index.hh"
 #include "base/types.hh"
 #include "mem/frame_pool.hh"
 
@@ -58,12 +58,18 @@ class PhysMem
      * Physical frame backing virtual page @p vpn, allocated on first
      * touch. Deterministic: repeat calls return the same frame (until
      * an eviction under a frame budget unmaps the page; the next call
-     * then assigns a recycled frame).
+     * then assigns a recycled frame). The hit path is one inline probe.
      */
-    Pfn frameOf(Vpn vpn);
+    Pfn
+    frameOf(Vpn vpn)
+    {
+        unsigned ordinal = map_.find(vpn);
+        return ordinal != SlotIndex::kNone ? frameBase_ + ordinal
+                                           : allocFrame(vpn);
+    }
 
     /** True if @p vpn has been touched (has a frame). */
-    bool isMapped(Vpn vpn) const { return map_.find(vpn) != nullptr; }
+    bool isMapped(Vpn vpn) const { return map_.find(vpn) != SlotIndex::kNone; }
 
     /**
      * Physical base address of the frame backing @p vpn. Read-only
@@ -142,6 +148,9 @@ class PhysMem
     /** @} */
 
   private:
+    /** frameOf's miss path: assign @p vpn a frame and index it. */
+    Pfn allocFrame(Vpn vpn);
+
     std::uint64_t sizeBytes_;
     unsigned pageBits_;
     Addr reserveCursor_ = 0;    ///< next free byte for reserveRegion
@@ -150,11 +159,12 @@ class PhysMem
     std::uint64_t numFrames_ = 0;
     bool overcommitted_ = false;
     /**
-     * First-touch vpn->frame table: open-addressed with incremental
-     * rehash, so a frameOf on the miss path never pays a
-     * stop-the-world rehash mid-replay.
+     * First-touch vpn -> frame ordinal (pfn - frameBase_). Starts at
+     * one key (4 cells, one 64-byte line) and doubles when a miss
+     * finds it full. Seven of the nine organizations map few or no
+     * pages, and a 4 KiB first block per cell raised a sweep's peak RSS.
      */
-    FlatMap64<Pfn> map_;
+    SlotIndex map_{1};
     std::unique_ptr<FramePool> pool_; ///< null = unlimited (default)
     std::vector<Pfn> freeFrames_;     ///< frames recycled by evictions
     std::uint64_t wired_ = 0;         ///< budget-time non-pool allocs

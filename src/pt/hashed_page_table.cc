@@ -42,8 +42,7 @@ HashedPageTable::hashOf(Vpn v) const
     unsigned vpn_bits = kVaBits - pageBits_;
     std::uint64_t lower = v & mask(bucket_bits);
     std::uint64_t upper =
-        bucket_bits >= vpn_bits ? (v >> (vpn_bits > 0 ? 0 : 0))
-                                : (v >> (vpn_bits - bucket_bits));
+        bucket_bits >= vpn_bits ? v : (v >> (vpn_bits - bucket_bits));
     return (lower ^ upper) & (numBuckets_ - 1);
 }
 

@@ -1,20 +1,7 @@
 #include "pt/intel_page_table.hh"
 
-#include "base/intmath.hh"
-
 namespace vmsim
 {
-
-namespace
-{
-
-/**
- * Key space for table-page allocations in the shared frame pool. Real
- * user VPNs are < 2^32, so keys above that never collide with them.
- */
-constexpr std::uint64_t kTableKeyBase = std::uint64_t{1} << 40;
-
-} // anonymous namespace
 
 IntelPageTable::IntelPageTable(PhysMem &phys_mem, unsigned page_bits)
     : PageTableBase(page_bits), physMem_(phys_mem)
@@ -22,24 +9,13 @@ IntelPageTable::IntelPageTable(PhysMem &phys_mem, unsigned page_bits)
     pdPhysBase_ = phys_mem.reserveRegion(pdBytes(), pageSize());
 }
 
-Addr
-IntelPageTable::leafEntryAddr(Vpn v)
+std::uint64_t
+IntelPageTable::ptePagesAllocated() const
 {
-    std::uint64_t segment = v / ptesPerPage();
-    Addr page_phys;
-    if (const Addr *p = ptePages_.find(segment)) {
-        page_phys = *p;
-    } else {
-        // First touch of this 4 MB segment: allocate a frame for its
-        // PTE page. Allocation order follows the workload's footprint
-        // growth, so PTE pages end up scattered among data frames —
-        // the "not necessarily contiguous" property of Figure 3.
-        page_phys = physMem_.frameOf(kTableKeyBase + segment)
-                    << pageBits();
-        ptePages_.insertNew(segment, page_phys);
-    }
-    return physToCacheAddr(page_phys +
-                           (v % ptesPerPage()) * kHierPteSize);
+    std::uint64_t pages = 0;
+    for (std::uint64_t s = 0; s < divCeilPages(); ++s)
+        pages += physMem_.isMapped(kTableKeyBase + s);
+    return pages;
 }
 
 } // namespace vmsim

@@ -20,7 +20,6 @@
 #ifndef VMSIM_PT_INTEL_PAGE_TABLE_HH
 #define VMSIM_PT_INTEL_PAGE_TABLE_HH
 
-#include "base/flat_hash.hh"
 #include "mem/phys_mem.hh"
 #include "pt/page_table.hh"
 
@@ -51,12 +50,20 @@ class IntelPageTable : public PageTableBase
 
     /**
      * Cache address (physical window) of the leaf PTE mapping user VPN
-     * @p v. Allocates the covering PTE page on first touch.
+     * @p v. Each segment's PTE page is a PhysMem page keyed above every
+     * user VPN: allocated on first touch, among the data frames.
      */
-    Addr leafEntryAddr(Vpn v);
+    Addr
+    leafEntryAddr(Vpn v)
+    {
+        Addr page_phys = physMem_.frameOf(kTableKeyBase + v / ptesPerPage())
+                         << pageBits();
+        return physToCacheAddr(page_phys +
+                               (v % ptesPerPage()) * kHierPteSize);
+    }
 
-    /** Number of PTE pages allocated so far. */
-    std::uint64_t ptePagesAllocated() const { return ptePages_.size(); }
+    /** Number of PTE pages allocated so far (counted on each call). */
+    std::uint64_t ptePagesAllocated() const;
 
     std::uint64_t pdBytes() const
     {
@@ -64,6 +71,12 @@ class IntelPageTable : public PageTableBase
     }
 
   private:
+    /**
+     * Key of segment 0's PTE page in the shared frame pool. Real user
+     * VPNs are < 2^32, so keys above that never collide with them.
+     */
+    static constexpr std::uint64_t kTableKeyBase = std::uint64_t{1} << 40;
+
     /** Number of 4 MB segments covering the user space. */
     std::uint64_t
     divCeilPages() const
@@ -73,8 +86,6 @@ class IntelPageTable : public PageTableBase
 
     PhysMem &physMem_;
     Addr pdPhysBase_;
-    /** segment->phys PTE-page base, open-addressed (hot on walks). */
-    FlatMap64<Addr> ptePages_;
 };
 
 } // namespace vmsim

@@ -2,12 +2,11 @@
  * @file
  * Tests for the hot-path data layouts (DESIGN.md "Hot-path data
  * layout"): static size/alignment guarantees of the structures the
- * replay kernels stream over, the FlatMap64 open-addressed table's
- * collision/tombstone/incremental-rehash edge cases, the TLB's
- * key->slot SlotIndex under ASID-tagged churn (including the dual-key
- * invalidate regression Tlb::invalidate documents), and scalar-vs-
- * batched equivalence for all nine organizations at cores=4 with
- * mid-batch context switches and shootdowns.
+ * replay kernels stream over, the TLB's key->slot SlotIndex under
+ * ASID-tagged churn (including the dual-key invalidate regression
+ * Tlb::invalidate documents), and scalar-vs-batched equivalence for
+ * all nine organizations at cores=4 with mid-batch context switches
+ * and shootdowns. SlotIndex's own edge cases live in tlb_index_test.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "base/aligned.hh"
-#include "base/flat_hash.hh"
 #include "base/random.hh"
 #include "core/simulator.hh"
 #include "obs/event.hh"
@@ -70,109 +68,6 @@ TEST(Layout, AlignedVecStartsOnACacheLine)
     keys.resize(4096);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(keys.data()) %
                   kCacheLineBytes, 0u);
-}
-
-// ------------------------------------------------- FlatMap64 edge cases
-
-TEST(FlatMap64, ZeroIsAValidKey)
-{
-    FlatMap64<unsigned> m;
-    m.insertNew(0, 42u);
-    ASSERT_NE(m.find(0), nullptr);
-    EXPECT_EQ(*m.find(0), 42u);
-    EXPECT_EQ(m.size(), 1u);
-    EXPECT_TRUE(m.erase(0));
-    EXPECT_EQ(m.find(0), nullptr);
-    EXPECT_FALSE(m.erase(0));
-    EXPECT_TRUE(m.empty());
-}
-
-TEST(FlatMap64, EraseTombstonesKeepProbeChainsIntact)
-{
-    // Fill a small table enough that probe chains overlap, then erase
-    // every other key: lookups that probed *through* the erased slots
-    // must still reach their keys (tombstone, not empty).
-    FlatMap64<unsigned> m;
-    constexpr std::uint64_t kN = 12; // under the cap-16 grow threshold
-    for (std::uint64_t k = 0; k < kN; ++k)
-        m.insertNew(k * 0x10001, static_cast<unsigned>(k));
-    for (std::uint64_t k = 0; k < kN; k += 2)
-        EXPECT_TRUE(m.erase(k * 0x10001));
-    EXPECT_GT(m.tombstones(), 0u);
-    for (std::uint64_t k = 1; k < kN; k += 2) {
-        const unsigned *p = m.find(k * 0x10001);
-        ASSERT_NE(p, nullptr) << "key " << k;
-        EXPECT_EQ(*p, static_cast<unsigned>(k));
-    }
-    for (std::uint64_t k = 0; k < kN; k += 2)
-        EXPECT_EQ(m.find(k * 0x10001), nullptr);
-    EXPECT_EQ(m.size(), kN / 2);
-}
-
-TEST(FlatMap64, LookupsStayCorrectAcrossIncrementalRehash)
-{
-    // Grow through several incremental rehashes while checking every
-    // previously inserted key after each insert — this exercises
-    // lookups that must consult both the current and draining tables
-    // mid-migration.
-    FlatMap64<std::uint64_t> m;
-    constexpr std::uint64_t kN = 600;
-    for (std::uint64_t k = 0; k < kN; ++k) {
-        m.insertNew(k, k * 3 + 1);
-        // Spot-check a spread of earlier keys (all of them every step
-        // is quadratic; a stride still crosses the drain boundary).
-        for (std::uint64_t q = 0; q <= k; q += 7) {
-            const std::uint64_t *p = m.find(q);
-            ASSERT_NE(p, nullptr) << "key " << q << " after " << k;
-            EXPECT_EQ(*p, q * 3 + 1);
-        }
-    }
-    EXPECT_GE(m.rehashes(), 2u);
-    EXPECT_EQ(m.size(), kN);
-    std::uint64_t seen = 0;
-    m.forEach([&](std::uint64_t k, std::uint64_t v) {
-        EXPECT_EQ(v, k * 3 + 1);
-        ++seen;
-    });
-    EXPECT_EQ(seen, kN);
-}
-
-TEST(FlatMap64, TombstoneChurnTriggersPurgeNotUnboundedGrowth)
-{
-    // Insert/erase cycles at fresh keys drive `used` up through
-    // tombstones alone; the table must purge (rehash at the same or
-    // bounded capacity) instead of growing without bound or wedging.
-    FlatMap64<unsigned> m;
-    for (std::uint64_t k = 0; k < 4096; ++k) {
-        m.insertNew(k, 1u);
-        EXPECT_TRUE(m.erase(k));
-    }
-    EXPECT_EQ(m.size(), 0u);
-    EXPECT_GE(m.rehashes(), 1u);
-    EXPECT_LE(m.capacity(), 1024u);
-    for (std::uint64_t k = 0; k < 4096; ++k)
-        EXPECT_EQ(m.find(k), nullptr);
-    // The table is still healthy for reuse after the churn.
-    m.insertNew(99, 7u);
-    ASSERT_NE(m.find(99), nullptr);
-    EXPECT_EQ(*m.find(99), 7u);
-}
-
-TEST(FlatMap64, ClearDropsEntriesAndTombstones)
-{
-    FlatMap64<unsigned> m;
-    for (std::uint64_t k = 0; k < 100; ++k)
-        m.insertNew(k, static_cast<unsigned>(k));
-    for (std::uint64_t k = 0; k < 100; k += 3)
-        m.erase(k);
-    m.clear();
-    EXPECT_EQ(m.size(), 0u);
-    EXPECT_EQ(m.tombstones(), 0u);
-    EXPECT_FALSE(m.rehashInFlight());
-    for (std::uint64_t k = 0; k < 100; ++k)
-        EXPECT_EQ(m.find(k), nullptr);
-    m.insertNew(5, 55u);
-    ASSERT_NE(m.find(5), nullptr);
 }
 
 // --------------------------------------------------- TLB slot-index audit

@@ -1,10 +1,13 @@
 /**
  * @file
  * Tests for PhysMem: region reservation, first-touch frame allocation,
- * determinism, and overcommit behavior.
+ * determinism, overcommit behavior, and the vpn->frame index's growth.
  */
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <set>
 
 #include "base/logging.hh"
 #include "base/units.hh"
@@ -122,6 +125,35 @@ TEST(PhysMem, DistinctVpnsGetDistinctFrames)
     for (Vpn v = 1000; v < 1100; ++v)
         frames.insert(pm.frameOf(v));
     EXPECT_EQ(frames.size(), 100u);
+}
+
+TEST(PhysMem, IndexGrowthKeepsEveryMapping)
+{
+    // The vpn->frame index starts at one key and doubles when a miss
+    // finds it full: 5,000 pages cross every doubling up to 8,192.
+    // After each doubling every earlier page must keep its frame.
+    PhysMem pm(64_MiB, 12);
+    std::map<Vpn, Pfn> model;
+    std::set<Pfn> frames;
+    for (std::uint64_t i = 0; i < 5000; ++i) {
+        // Scattered VPNs (key 0 included) so probe runs collide.
+        Vpn v = (i * 0x9E3779B1u) & 0xFFFFF;
+        Pfn f = pm.frameOf(v);
+        ASSERT_TRUE(model.emplace(v, f).second) << "vpn " << v;
+        ASSERT_TRUE(frames.insert(f).second) << "frame " << f << " shared";
+        ASSERT_EQ(pm.framesUsed(), model.size());
+        if ((i & (i - 1)) == 0) // just grew past i keys
+            for (const auto &[u, g] : model) {
+                ASSERT_TRUE(pm.isMapped(u)) << "vpn " << u << " at " << i;
+                ASSERT_EQ(pm.frameAddrOf(u), g << 12) << "vpn " << u;
+            }
+    }
+    for (const auto &[v, f] : model)
+        EXPECT_EQ(pm.frameOf(v), f) << "vpn " << v;
+    EXPECT_EQ(pm.framesUsed(), 5000u);
+    for (Vpn v = 0x100000; v < 0x100100; ++v)
+        EXPECT_FALSE(pm.isMapped(v));
+    EXPECT_FALSE(pm.overcommitted());
 }
 
 } // anonymous namespace

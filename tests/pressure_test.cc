@@ -352,6 +352,68 @@ TEST(PhysMemBudget, SetBudgetIsOneShotAndPreAllocation)
     setQuiet(false);
 }
 
+TEST(PhysMemBudget, RecyclingAcrossAnIndexDoublingMatchesAModel)
+{
+    // PhysMem's vpn->frame index doubles when a miss finds it full,
+    // so its bound is a power of two. A budget of 64, 128 or 256
+    // frames churns with the index at exactly its bound; every 500th
+    // operation wires a page-table page, and the first one doubles the
+    // index mid-churn (the pool is full and no frame is free).
+    // Throughout, each allocation must take the most recently evicted
+    // frame while one is free and a fresh frame only when none is, as
+    // the std::map model predicts.
+    for (std::uint64_t budget : {64u, 128u, 256u}) {
+        SCOPED_TRACE("budget " + std::to_string(budget));
+        PhysMem pm(64_MiB, 12);
+        pm.setBudget(budget, ReclaimPolicy::Lru);
+        std::map<Vpn, Pfn> mapped;
+        std::vector<Pfn> freeFrames;
+        Pfn fresh = 0;
+        auto allocate = [&](Vpn v) {
+            Pfn want = fresh;
+            if (freeFrames.empty()) {
+                ++fresh;
+            } else {
+                want = freeFrames.back();
+                freeFrames.pop_back();
+            }
+            ASSERT_EQ(pm.frameOf(v), want) << "vpn " << v;
+            mapped.emplace(v, want);
+        };
+        auto evict = [&](Vpn exclude) {
+            Vpn victim = pm.evictPage(exclude).vpn;
+            auto it = mapped.find(victim);
+            ASSERT_NE(it, mapped.end()) << "victim " << victim;
+            freeFrames.push_back(it->second);
+            mapped.erase(it);
+            ASSERT_FALSE(pm.isMapped(victim));
+        };
+        Random rng(budget);
+        Vpn wiredKey = Vpn{1} << 40;
+        for (int op = 0; op < 4000; ++op) {
+            if (op % 500 == 499) {
+                allocate(wiredKey++);
+            } else {
+                Vpn v = rng.uniform(2 * budget);
+                if (pm.touchResidentPage(v)) {
+                    while (pm.overBudget())
+                        evict(v);
+                } else {
+                    while (pm.mustEvictForAdmit())
+                        evict(v);
+                    pm.admitPage(v);
+                    allocate(v);
+                }
+            }
+            ASSERT_EQ(pm.framesUsed(), mapped.size()) << "op " << op;
+        }
+        for (const auto &[v, f] : mapped)
+            EXPECT_EQ(pm.frameAddrOf(v), f << 12) << "vpn " << v;
+        EXPECT_EQ(pm.wiredFrames(), 8u);
+        EXPECT_EQ(fresh, budget + 1); // one frame past the full pool
+    }
+}
+
 // ------------------------------------------------------ bugfix regressions
 
 TEST(PhysMemRegression, FrameAddrOfIsAReadOnlyQuery)

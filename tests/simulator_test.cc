@@ -194,7 +194,7 @@ serialized(const Results &r, const IntervalSampler &sampler)
 {
     std::string s = r.serialize().dump();
     for (const IntervalRecord &iv : sampler.intervals())
-        s += "|" + iv.results.serialize().dump();
+        s.append("|").append(iv.results.serialize().dump());
     return s;
 }
 
