@@ -76,8 +76,6 @@ class AppendLog
      * trace artifacts may turn it off.
      */
     Status open(const std::string &path, bool durable = true);
-
-    bool isOpen() const { return fd_ >= 0; }
     const std::string &path() const { return path_; }
 
     /** Append @p line plus '\n' with a single write; fsync if durable. */

@@ -48,12 +48,6 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Number of worker threads. */
-    unsigned numThreads() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
-
     /**
      * Enqueue @p task for execution by some worker. Thread-safe; may
      * be called from tasks themselves (but wait() must not).

@@ -319,6 +319,9 @@ DiffRunner::runCase(const FuzzTuple &t) const
         CheckReport sub;
         checkLiveTlb(sys.vm(), live.userInstrs(), sub);
         rep.mergePrefixed(sub, "live-tlb.");
+        CheckReport frames;
+        checkLivePhysMem(sys.physMem(), frames);
+        rep.mergePrefixed(frames, "live-");
     }
 
     return rep;

@@ -6,6 +6,7 @@
 #include "base/error.hh"
 #include "core/factory.hh"
 #include "obs/telemetry.hh"
+#include "mem/phys_mem.hh"
 #include "os/org_laws.hh"
 #include "tlb/tlb.hh"
 
@@ -691,6 +692,14 @@ checkLiveTlb(const VmSystem &vm, Counter instrs, CheckReport &rep)
     rep.check(dmisses >= vm.vmStats().dtlbMisses,
               "tlb.dtlb-misses", "D-TLBs counted ", dmisses,
               " misses, below the VM's ", vm.vmStats().dtlbMisses);
+}
+
+void
+checkLivePhysMem(const PhysMem &pm, CheckReport &rep)
+{
+    std::string why;
+    rep.check(pm.auditFrames(&why), "physmem.frames",
+              "frame assignment inconsistent: ", why);
 }
 
 } // namespace vmsim

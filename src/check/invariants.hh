@@ -34,6 +34,7 @@
 namespace vmsim
 {
 
+class PhysMem;
 class Tlb;
 class VmSystem;
 struct TelemetrySnapshot;
@@ -215,6 +216,15 @@ CheckReport checkExecutedConservation(Counter executed,
  * translations performed.
  */
 void checkLiveTlb(const VmSystem &vm, Counter instrs, CheckReport &rep);
+
+/**
+ * Live frame-assignment law (PhysMem::auditFrames): every mapped page
+ * holds a distinct frame, no free-list frame is also mapped, and
+ * mapped plus free frames equal the frames handed out. Under a frame
+ * budget this sees the recycling of frames the hashed and inverted
+ * tables assign, which feed no counter.
+ */
+void checkLivePhysMem(const PhysMem &pm, CheckReport &rep);
 
 /**
  * Telemetry accounting laws over one snapshot: done + failed + pending

@@ -125,9 +125,6 @@ class Simulator
 
     std::size_t batchSize() const { return batch_; }
 
-    /** The core the round-robin scheduler runs next. */
-    CoreId currentCore() const { return curCore_; }
-
   private:
     Counter runScalar(Counter max_instrs);
     Counter runBatched(Counter max_instrs);

@@ -108,4 +108,31 @@ PhysMem::evictPage(Vpn exclude)
     return victim;
 }
 
+bool
+PhysMem::auditFrames(std::string *why) const
+{
+    // Each frame ordinal handed out is held exactly once: by one
+    // mapped page or by the free list.
+    std::vector<bool> held(nextFrame_, false);
+    std::uint64_t distinct = 0;
+    auto hold = [&](Pfn ordinal) {
+        if (ordinal < nextFrame_ && !held[ordinal]) {
+            held[ordinal] = true;
+            ++distinct;
+        }
+    };
+    map_.forEach([&](std::uint64_t, unsigned ordinal) { hold(ordinal); });
+    for (Pfn pfn : freeFrames_)
+        hold(pfn - frameBase_);
+    const std::uint64_t holders = map_.size() + freeFrames_.size();
+    if (distinct == holders && holders == nextFrame_)
+        return true;
+    if (why)
+        *why += std::to_string(map_.size()) + " mapped + " +
+                std::to_string(freeFrames_.size()) + " free frames hold " +
+                std::to_string(distinct) + " distinct of the " +
+                std::to_string(nextFrame_) + " handed out";
+    return false;
+}
+
 } // namespace vmsim

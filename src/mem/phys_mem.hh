@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "base/slot_index.hh"
@@ -144,6 +145,15 @@ class PhysMem
 
     /** Frames pinned by wired (page-table) pages under the budget. */
     std::uint64_t wiredFrames() const { return wired_; }
+
+    /**
+     * Audit the frame assignment: every mapped page holds a distinct
+     * frame, no free-list frame is also mapped, and mapped plus free
+     * frames equal the frames handed out (checkLivePhysMem).
+     * @return true if all hold; on failure appends a reason to @p why
+     * if non-null.
+     */
+    bool auditFrames(std::string *why = nullptr) const;
 
     /** @} */
 

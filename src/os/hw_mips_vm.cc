@@ -28,7 +28,7 @@ HwMipsVm::walk(Addr vaddr, CoreId core, Tlb &target)
     Addr upte = pt_.uptEntryAddr(v);
     Tlb &dtlb = tlbs_.dtlb(core);
 
-    if (!dtlb.lookup(pt_.uptPageVpn(v))) {
+    if (!walkLookup(dtlb, pt_.uptPageVpn(v))) {
         // Nested: the FSM falls back to the physical root table.
         noteExtraWalkCycles(kNestedWalkCycles);
         pteFetch(pt_.rptEntryAddr(v), kHierPteSize, AccessClass::PteRoot,

@@ -31,7 +31,7 @@ MachVm::walk(Addr vaddr, CoreId core, Tlb &target)
     Vpn upte_page = pt_.uptPageVpn(v);
     Tlb &dtlb = tlbs_.dtlb(core);
 
-    if (!dtlb.lookup(upte_page)) {
+    if (!walkLookup(dtlb, upte_page)) {
         // Kernel-level miss on the user-page-table page: dedicated
         // kernel vector, 20 instructions.
         takeInterrupt();
@@ -41,7 +41,7 @@ MachVm::walk(Addr vaddr, CoreId core, Tlb &target)
         Addr kpte = pt_.kptEntryAddr(upte_page);
         Vpn kpte_page = pt_.kptPageVpn(upte_page);
 
-        if (!dtlb.lookup(kpte_page)) {
+        if (!walkLookup(dtlb, kpte_page)) {
             // Root-level miss: the long administrative path (500
             // instructions + 10 bookkeeping loads) plus the RPTE load
             // from wired physical memory.

@@ -18,11 +18,15 @@
  * Each block kernel instantiates three times (KernelBody): the
  * observed body keeps every event-sink and latency-collector test, the
  * bare body compiles them out, and the spans body is the bare one run
- * as I/D passes between TLB misses. refBlock() selects once per batch
- * via VmSystem::observedRefs() and spansLegal() — the per-batch
- * prologue that hoists the observer null tests, the per-core TLB
- * pair, and (inside noteItlbMiss/noteDtlbMiss, which only run on the
- * miss path) the per-core stats lookup out of the per-record loop.
+ * as D/I passes between TLB misses (under a frame budget a span also
+ * ends where a D-pass eviction drops an entry from the core's own
+ * I-TLB). refBlock() selects once per batch via
+ * VmSystem::observedRefs() and spansLegal() — the per-batch prologue
+ * that hoists the observer null tests, the per-core TLB pair, and
+ * (inside noteItlbMiss/noteDtlbMiss, which only run on the miss path)
+ * the per-core stats lookup out of the per-record loop. The walks
+ * probe TLBs through VmSystem::walkLookup(), which is bare unless a
+ * collector is attached.
  */
 
 #ifndef VMSIM_OS_TLB_VM_HH
@@ -138,16 +142,19 @@ class TlbVm : public VmSystem
   protected:
     /**
      * Frame-budget eviction of @p v: drop its translation from every
-     * core's I/D TLB pair (targeted invalidates, not random evictions —
-     * the invalidated VPN is known exactly).
+     * core's I/D TLB pair that holds it (targeted invalidates, not
+     * random evictions — the invalidated VPN is known exactly).
      */
-    void
-    invalidateTranslation(Vpn v) override
+    bool
+    invalidateTranslation(Vpn v, CoreId core) override
     {
+        bool lost = false;
         for (CoreId c = 0; c < cores(); ++c) {
-            tlbs_.itlb(c).invalidate(v);
+            if (tlbs_.itlb(c).invalidate(v) && c == core)
+                lost = true;
             tlbs_.dtlb(c).invalidate(v);
         }
+        return lost;
     }
 
     CoreTlbs tlbs_;      ///< per-core first-level I/D TLB pairs
@@ -159,12 +166,17 @@ class TlbVm : public VmSystem
     // LINT-KERNEL-BEGIN (tlb_vm)
     /**
      * The Spans body splits the block at its I-TLB misses: the I-TLB
-     * hits from record i on are counted up to the first miss k, records
-     * [i, k) run as VmSystem::runSpan's two passes, and record k takes
-     * the per-record body. Exact because no organization's walk touches
+     * is probed from record i up to the first miss k, records [i, k)
+     * run as VmSystem::runSpan's two passes, and record k takes the
+     * per-record body. Exact because no organization's walk touches
      * the I-TLB except to fill its own target, so the I-TLB sees its
      * own probes in scalar order, and the D pass runs every walk in
-     * scalar order before k's.
+     * scalar order before k's. Under a frame budget the one other
+     * writer is an eviction; when it drops an entry from this I-TLB,
+     * runSpan keeps only [i, r] and the loop re-probes from r + 1.
+     * Only the kept records' hits are credited. Their tail's LRU
+     * stamps are refreshed twice, in the same order, so the stamps'
+     * relative order stays the scalar one.
      */
     template <KernelBody K>
     void
@@ -181,9 +193,15 @@ class TlbVm : public VmSystem
                 while (k < blk.n &&
                        itlb.lookupHit(blk.recs[k].pc >> pageBits_))
                     ++k;
-                runSpan(blk, i, k, [this, &dtlb](const Access &d) {
-                    dataRefK<false>(d, dtlb);
-                });
+                const std::size_t kept =
+                    runSpan(blk, i, k, [this, &dtlb](const Access &d) {
+                        dataRefK<false>(d, dtlb);
+                    });
+                itlb.creditHits(kept - i);
+                if (kept < k) {
+                    i = kept - 1;
+                    continue;
+                }
                 if (k == blk.n)
                     break;
                 i = k;

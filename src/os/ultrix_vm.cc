@@ -33,7 +33,7 @@ UltrixVm::walk(Addr vaddr, CoreId core, Tlb &target)
     // is not in the D-TLB the root-level handler runs first (nested
     // interrupt), loads the RPTE from wired physical memory, and
     // installs the UPT-page mapping in the protected slots.
-    if (!tlbs_.dtlb(core).lookup(pt_.uptPageVpn(v))) {
+    if (!walkLookup(tlbs_.dtlb(core), pt_.uptPageVpn(v))) {
         takeInterrupt();
         fetchHandler(EventLevel::Root, kRootHandlerBase,
                      costs_.rootInstrs, v);

@@ -76,7 +76,7 @@ VmSystem::l2TlbLookup(Vpn v, Tlb &target, CoreId core)
     Tlb *l2 = l2SlotFor(core);
     if (!l2)
         return false;
-    if (!l2->lookup(v))
+    if (!l2->lookupT<false>(v)) // no residency histograms on L2 TLBs
         return false;
     // Hardware refill from the second level: no interrupt, no
     // handler, no page-table reference.
@@ -199,8 +199,11 @@ VmSystem::evictVictim(Vpn exclude, CoreId core)
     }
     // The victim must not stay reachable through any translation
     // structure: first-level TLBs on every core (the organization's
-    // override), every L2 TLB slice, then its page-table entry.
-    invalidateTranslation(victim.vpn);
+    // override), every L2 TLB slice, then its page-table entry. Inside
+    // a span's D pass, losing an entry of this core's I-TLB ends the
+    // span (runSpan()).
+    if (invalidateTranslation(victim.vpn, core) && deferFetches_)
+        spanCut_ = true;
     for (auto &l2 : l2Tlbs_)
         l2->invalidate(victim.vpn);
     invalidatePte(victim.vpn);

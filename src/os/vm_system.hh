@@ -30,7 +30,8 @@
  * and the D side (D-TLB, L1d, L2d) share no state, so inside such a
  * miss-free span the two sides run as passes, D then I, and the
  * record that ends the span takes the loop above (runSpan(),
- * spansLegal()).
+ * spansLegal()). Under a frame budget a D-pass eviction that drops
+ * an entry from the span core's I-TLB ends the span early.
  *
  * The access API is core-indexed: every Access carries the id of the
  * core issuing it, organizations keep one I/D TLB pair per core
@@ -447,17 +448,17 @@ class VmSystem
 
     /**
      * True while a bare block may run its TLB-miss-free spans as two
-     * passes (KernelBody::Spans). The passes reorder the I side against
-     * the D side, which no counter sees only if: no observer is
-     * attached (events and latency episodes carry the interleaving);
-     * the L2 is split (a unified L2 is state both sides share); and no
-     * frame budget is set (a D-side refill could evict a page whose
-     * I-TLB hit the span already counted).
+     * passes (KernelBody::Spans). The passes reorder the I side
+     * against the D side, which no counter sees only if no observer is
+     * attached (events and latency episodes carry the interleaving)
+     * and the L2 is split (a unified L2 is state both sides share). A
+     * frame budget needs the cut (runSpan()): a D-side refill can
+     * evict a page whose I-TLB hit the span already found.
      */
     bool
     spansLegal() const
     {
-        return !observedRefs() && !mem_.unifiedL2() && !pressureOn();
+        return !observedRefs() && !mem_.unifiedL2();
     }
 
     /**
@@ -465,15 +466,22 @@ class VmSystem
      * first every load/store, through @p data_ref (the organization's
      * bare data kernel), over a branch-free list of the span's memory
      * ops; then every user instruction fetch through the I caches. The
-     * caller has already counted the span's I-TLB hits. D-TLB misses
+     * caller has already probed the span's I-TLB hits. D-TLB misses
      * walk inline, but the handler instruction fetches of those walks
      * are deferred and replayed right after the fetch of the record
      * that took the miss, so the I caches see the scalar loop's order.
+     *
+     * Under a frame budget, an eviction during record r's data ref
+     * that drops an entry from this core's I-TLB ends the D pass after
+     * r: a later record's I-TLB hit may be a miss in scalar order. The
+     * I pass then fetches [@p lo, r] only, and the caller re-probes
+     * from r + 1. @return the end of the records the span kept (@p hi
+     * unless cut), whose I-TLB hits the caller credits.
      * @pre spansLegal()
      */
     template <class DataRef>
-    void runSpan(const AccessBlock &blk, std::size_t lo, std::size_t hi,
-                 DataRef &&data_ref);
+    std::size_t runSpan(const AccessBlock &blk, std::size_t lo,
+                        std::size_t hi, DataRef &&data_ref);
 
     /**
      * Attach a latency collector (not owned; nullptr detaches). While
@@ -496,7 +504,6 @@ class VmSystem
      * core's local count.
      */
     void setCurrentInstr(Counter n) { curInstr_ = n; }
-    Counter currentInstr() const { return curInstr_; }
 
     /**
      * Clear the VM event counters (used after warmup). Cache, TLB and
@@ -687,8 +694,6 @@ class VmSystem
         return lvl;
     }
 
-    MemLevel userInstFetch(Addr pc) { return userInstFetchT<true>(pc); }
-
     /** The data-side twin of userInstFetchT() (level field = 1). */
     template <bool kObs = true>
     MemLevel
@@ -701,12 +706,6 @@ class VmSystem
                 doEmit(EventKind::L2Miss, EventLevel::Kernel, addr, 0, 0);
         }
         return lvl;
-    }
-
-    MemLevel
-    userDataAccess(Addr addr, bool store)
-    {
-        return userDataAccessT<true>(addr, store);
     }
 
     /**
@@ -820,11 +819,13 @@ class VmSystem
 
     /**
      * Drop every first-level TLB entry translating @p v, on every
-     * core (an evicted page must not stay reachable through any TLB).
-     * Default no-op for the TLB-less organizations; the base eviction
-     * driver clears the L2 TLB slices itself.
+     * core (an evicted page must not stay reachable through any TLB),
+     * probing each TLB first so only the holders pay an invalidate.
+     * @return whether core @p core's I-TLB held @p v. Default no-op for
+     * the TLB-less organizations; the base eviction driver clears the
+     * L2 TLB slices itself.
      */
-    virtual void invalidateTranslation(Vpn v) { (void)v; }
+    virtual bool invalidateTranslation(Vpn, CoreId) { return false; }
 
     /**
      * Remove @p v's page-table entry on eviction. Default no-op: most
@@ -846,6 +847,18 @@ class VmSystem
 
     /** Install @p v into the L2 TLB after a completed walk. */
     void l2TlbFill(Vpn v, CoreId core = 0);
+
+    /**
+     * A walk's probe of @p tlb for @p v: the observed lookup() only
+     * while a latency collector (the one owner of TLB residency
+     * histograms) is attached, else the bare lookupT<false>, with the
+     * same effect when no histogram is attached.
+     */
+    bool
+    walkLookup(Tlb &tlb, Vpn v)
+    {
+        return lat_ ? tlb.lookup(v) : tlb.lookupT<false>(v);
+    }
 
     std::string name_;
     MemSystem &mem_;
@@ -949,6 +962,7 @@ class VmSystem
         unsigned n;
     };
     bool deferFetches_ = false;  ///< fetchHandler() appends to deferred_
+    bool spanCut_ = false;       ///< an eviction hit the span's I-TLB
     std::size_t deferRec_ = 0;   ///< record whose data ref is walking
     std::vector<DeferredFetch> deferred_;
     std::vector<std::size_t> spanOps_; ///< the span's memory-op records
@@ -970,7 +984,7 @@ class VmSystem
  */
 // LINT-KERNEL-BEGIN (vm_system)
 template <class DataRef>
-inline void
+inline std::size_t
 VmSystem::runSpan(const AccessBlock &blk, std::size_t lo, std::size_t hi,
                   DataRef &&data_ref)
 {
@@ -991,6 +1005,11 @@ VmSystem::runSpan(const AccessBlock &blk, std::size_t lo, std::size_t hi,
         a.addr = r.daddr;
         a.store = r.isStore();
         data_ref(a);
+        if (spanCut_) {
+            spanCut_ = false;
+            hi = ops[j] + 1;
+            break;
+        }
     }
     deferFetches_ = false;
     std::size_t i = lo;
@@ -1002,6 +1021,7 @@ VmSystem::runSpan(const AccessBlock &blk, std::size_t lo, std::size_t hi,
     for (; i < hi; ++i)
         mem_.instFetch(blk.recs[i].pc, AccessClass::User);
     deferred_.clear();
+    return hi;
 }
 
 template <KernelBody K, class VM>

@@ -91,12 +91,6 @@ class PageTableBase
     /** Virtual page number of @p addr. */
     Vpn vpnOf(Addr addr) const { return addr >> pageBits_; }
 
-    /** Base address of the page containing @p addr. */
-    Addr pageBase(Addr addr) const
-    {
-        return addr & ~(pageSize() - 1);
-    }
-
     /** Number of pages needed to map the user space. */
     std::uint64_t userPages() const { return kUserSpan >> pageBits_; }
 

@@ -154,7 +154,7 @@ Tlb::invalidateAll()
 }
 
 void
-Tlb::invalidate(Vpn vpn)
+Tlb::eraseResident(Vpn vpn)
 {
     // Mirror lookup()'s dual-key rule: dropping a VPN must also drop
     // a global/protected entry, or the mapping keeps hitting after

@@ -121,10 +121,12 @@ class Tlb
      * The kObs=false instantiation omits the residency-histogram
      * bookkeeping entirely; it is only legal while no histograms are
      * attached (attachResidency unattached), where the two
-     * instantiations are byte-identical in effect.
+     * instantiations are byte-identical in effect. Forced inline: the
+     * kernels and the walks all probe through it, and with that many
+     * callers the compiler otherwise calls it out of line.
      */
     template <bool kObs>
-    bool
+    [[gnu::always_inline]] bool
     lookupT(Vpn vpn)
     {
         if constexpr (kObs) {
@@ -151,10 +153,11 @@ class Tlb
 
     /**
      * Hit-only probe of the span kernels (VmSystem::runSpan): a hit
-     * has lookupT<false>'s full effect (hit counted, LRU stamp
-     * refreshed); a miss has no effect at all, because the caller
-     * re-probes that VPN through lookupT, which counts it. Same
-     * legality as lookupT<false>.
+     * refreshes the LRU stamp but counts nothing, because a span cut
+     * short re-probes its tail; the kernel credits the hits of the
+     * records a span kept through creditHits(). A miss has no effect
+     * at all: the caller re-probes that VPN through lookupT, which
+     * counts it. Same legality as lookupT<false>.
      */
     bool
     lookupHit(Vpn vpn)
@@ -162,11 +165,13 @@ class Tlb
         unsigned s = findSlot(vpn);
         if (s == kNoSlot)
             return false;
-        ++hits_;
         if (params_.repl == TlbRepl::LRU)
             stamps_[s] = ++stamp_;
         return true;
     }
+
+    /** Count @p n hits that lookupHit() found. */
+    void creditHits(Counter n) { hits_ += n; }
 
     /** Probe without touching statistics or LRU state. */
     bool contains(Vpn vpn) const { return findSlot(vpn) != kNoSlot; }
@@ -188,8 +193,19 @@ class Tlb
     /** Drop every mapping (context switch without ASIDs). */
     void invalidateAll();
 
-    /** Drop @p vpn (under the current ASID) if resident. */
-    void invalidate(Vpn vpn);
+    /**
+     * Drop @p vpn (under the current ASID) if resident. The probe is
+     * inline, so the common absent case makes no call.
+     * @return whether @p vpn was resident.
+     */
+    bool
+    invalidate(Vpn vpn)
+    {
+        if (findSlot(vpn) == kNoSlot)
+            return false;
+        eraseResident(vpn);
+        return true;
+    }
 
     /** Drop every non-protected mapping belonging to @p asid. */
     void invalidateAsid(Asid asid);
@@ -203,7 +219,6 @@ class Tlb
 
     /** Switch address spaces (meaningful only when tagged). */
     void setCurrentAsid(Asid asid);
-    Asid currentAsid() const { return curAsid_; }
 
     const TlbParams &params() const { return params_; }
 
@@ -258,12 +273,12 @@ class Tlb
      */
     void attachResidency(Histogram *lifetime, Histogram *reuse);
 
-    /** Lookup probes since attachResidency() (0 when unattached). */
-    Counter residencyProbes() const { return probes_; }
-
   private:
     /** findSlot()'s "not resident" answer. */
     static constexpr unsigned kNoSlot = SlotIndex::kNone;
+
+    /** invalidate()'s erase, once findSlot() has found @p vpn. */
+    void eraseResident(Vpn vpn);
 
     /**
      * Slot tag: VPN plus ASID. Protected/global entries use

@@ -189,8 +189,6 @@ class TraceCache
     acquire(const std::string &workload, std::uint64_t seed,
             Counter records);
 
-    std::size_t budgetBytes() const { return budget_; }
-
     TraceCacheStats stats() const;
 
   private:

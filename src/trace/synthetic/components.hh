@@ -80,8 +80,6 @@ class ZipfSampler
         return i;
     }
 
-    std::uint64_t numItems() const { return cdf_.size(); }
-
     /** Guide-table entry @p b: lookup()'s first candidate in bucket b. */
     std::uint32_t guideEntry(std::uint64_t b) const { return guide_[b]; }
 
@@ -258,11 +256,6 @@ class CodeModel
 
     /** Total bytes of text the model spans. */
     std::uint64_t codeBytes() const { return codeBytes_; }
-
-    unsigned numFunctions() const
-    {
-        return static_cast<unsigned>(funcs_.size());
-    }
 
   private:
     struct Function

@@ -867,9 +867,66 @@ TEST(SpanKernels, DeferredHandlerFetchesReplayInScalarOrder)
 }
 
 /**
+ * 48 frames behind a 32-entry TLB (8 protected) on @p cores cores,
+ * which share a 64-entry L2 TLB when there are several.
+ */
+SimConfig
+budgetedSpanConfig(SystemKind kind, TlbRepl repl, ReclaimPolicy reclaim,
+                   unsigned cores)
+{
+    SimConfig cfg = spanConfig(kind);
+    cfg.physFrames = 48;
+    cfg.reclaimPolicy = reclaim;
+    cfg.tlbEntries = 32;
+    cfg.tlbProtectedSlots = 8;
+    cfg.tlbRepl = repl;
+    cfg.cores = cores;
+    cfg.coreQuantum = 1500;
+    if (cores > 1)
+        cfg.l2TlbEntries = 64;
+    return cfg;
+}
+
+/**
+ * Under a frame budget a D-pass eviction can drop an entry from the
+ * span core's I-TLB, so the span ends after that record and the
+ * kernel re-probes the rest. 48 frames behind a 32-entry TLB keep
+ * evicting pages the I-TLB holds. The grid crosses every I-TLB
+ * replacement policy (an LRU I-TLB sees the re-probed hits' stamps
+ * refreshed twice) with every reclaim policy, at one core and at four
+ * cores sharing an L2 TLB; a last leg adds context switches with
+ * ASID-tagged TLBs. BASE, which touches no page, runs its budgeted
+ * blocks as one span.
+ */
+TEST(SpanKernels, IdenticalToScalarUnderAFrameBudget)
+{
+    for (SystemKind kind : kSpanKinds) {
+        for (TlbRepl repl : {TlbRepl::Random, TlbRepl::LRU, TlbRepl::FIFO})
+            for (ReclaimPolicy reclaim :
+                 {ReclaimPolicy::Fifo, ReclaimPolicy::Lru,
+                  ReclaimPolicy::Clock})
+                for (unsigned cores : {1u, 4u})
+                    expectSpanIdentity(
+                        budgetedSpanConfig(kind, repl, reclaim, cores),
+                        "gcc",
+                        "repl " + std::to_string(int(repl)) + " reclaim " +
+                            reclaimPolicyName(reclaim) + " cores " +
+                            std::to_string(cores));
+        for (unsigned cores : {1u, 4u}) {
+            SimConfig cfg = budgetedSpanConfig(kind, TlbRepl::LRU,
+                                               ReclaimPolicy::Clock, cores);
+            cfg.tlbAsidBits = 8;
+            cfg.ctxSwitchInterval = 997;
+            expectSpanIdentity(cfg, "vortex",
+                               "asid 8 cores " + std::to_string(cores));
+        }
+    }
+}
+
+/**
  * Where spansLegal() is false the bare kernel keeps the per-record
- * order: a unified L2, a frame budget and a latency collector must
- * each still match the scalar loop.
+ * order: a unified L2 and a latency collector must each still match
+ * the scalar loop.
  */
 TEST(SpanKernels, FallbacksMatchScalar)
 {
@@ -879,12 +936,6 @@ TEST(SpanKernels, FallbacksMatchScalar)
         unified.l1 = CacheParams{8_KiB, 32};
         unified.l2 = CacheParams{32_KiB, 64};
         expectSpanIdentity(unified, "gcc", "unified L2");
-
-        SimConfig budget = spanConfig(kind);
-        budget.physFrames = 64;
-        budget.tlbEntries = 32;
-        budget.tlbProtectedSlots = 8;
-        expectSpanIdentity(budget, "vortex", "frame budget");
 
         SimConfig cfg = spanConfig(kind);
         LatencyCollector lat;

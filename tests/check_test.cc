@@ -415,5 +415,27 @@ TEST(LiveTlb, FreshWarmupFreeRunSatisfiesTlbLaws)
     EXPECT_GT(rep.lawsChecked(), 0u);
 }
 
+TEST(LivePhysMem, BudgetedRunsKeepEveryFrameAccountedFor)
+{
+    // 48 frames: PA-RISC and HW-INVERTED recycle the frames their
+    // hashed tables assign, and the index behind them doubles several
+    // times on the way.
+    for (SystemKind kind : kAllKinds) {
+        SimConfig c = cfg(kind);
+        c.physFrames = 48;
+        c.reclaimPolicy = ReclaimPolicy::Lru;
+        System sys(c);
+        GccLikeWorkload trace(c.seed);
+        sys.run(trace, 30000, "gcc", 5000);
+        CheckReport rep;
+        checkLivePhysMem(sys.physMem(), rep);
+        EXPECT_TRUE(rep.ok()) << kindName(kind) << ": " << rep.toString();
+        EXPECT_EQ(rep.lawsChecked(), 1u);
+        if (kind == SystemKind::Parisc || kind == SystemKind::HwInverted) {
+            EXPECT_GT(sys.vm().vmStats().evictions, 0u) << kindName(kind);
+        }
+    }
+}
+
 } // anonymous namespace
 } // namespace vmsim
