@@ -11,6 +11,8 @@
 
 #include <cstddef>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace vmsim {
@@ -49,6 +51,8 @@ using AlignedVec = std::vector<T, CacheAlignedAlloc<T>>;
 // from the brk heap and the process's resident peak grows with the
 // heap's fragmentation. Mapping them directly returns every page to
 // the OS on free. Buffers below kMinMappedBytes use operator new.
+// A value-less construct() leaves the element unwritten, so resize()
+// before a bulk fill writes each element once instead of twice.
 template <class T>
 struct PageMappedAlloc {
     using value_type = T;
@@ -75,6 +79,18 @@ struct PageMappedAlloc {
             ::operator delete(p);
         else
             ::munmap(p, bytes);
+    }
+
+    template <class U>
+    void construct(U *) noexcept {
+        static_assert(std::is_trivially_copyable_v<U> &&
+                          std::is_trivially_destructible_v<U>,
+                      "only implicit-lifetime elements may stay unwritten");
+    }
+
+    template <class U, class... Args>
+    void construct(U *p, Args &&...args) {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
     }
 
     template <class U>

@@ -284,6 +284,34 @@ DiffRunner::runCase(const FuzzTuple &t) const
         compareLegs(scalar, cached, "cached");
     }
 
+    // A shared front end: the VM's own cache accesses, recorded under
+    // a second cache geometry and replayed into this one, must
+    // reproduce the batched leg's Results.
+    if (!t.faults && batched.ok && frontEndShareable(cfg)) {
+        SimConfig other = cfg;
+        other.l1 = CacheParams{4_KiB, 128};
+        other.l2 = CacheParams{512_KiB, 128};
+        CheckReport sub;
+        try {
+            FrontEnd fe;
+            RunHooks rec;
+            rec.batch = t.batch;
+            rec.record = &fe.log;
+            fe.results = runOnce(other, t.workload, t.instrs, t.warmup, rec);
+            RunHooks replay;
+            replay.replay = &fe;
+            sub.merge(diffResults(
+                batched.r,
+                runOnce(cfg, t.workload, t.instrs, t.warmup, replay),
+                "batched", "shared"));
+        } catch (...) {
+            sub.check(false, "outcome", "the shared leg failed: ",
+                      errorFromException(std::current_exception())
+                          .toString());
+        }
+        rep.mergePrefixed(sub, "shared.");
+    }
+
     // Latency histograms and a live progress counter must be invisible
     // to the simulation: counters bit-identical to the bare scalar leg.
     LatencyCollector lat;

@@ -88,7 +88,9 @@ class DiffRunner
 
     /**
      * Run one tuple through every leg: scalar reference, batched,
-     * observed (+ full invariant audit), cached replay, and — for
+     * observed (+ full invariant audit), cached replay, shared (a
+     * front end recorded under a second cache geometry and replayed,
+     * for fault-free frontEndShareable() tuples), and — for
      * warmup-free fault-free tuples — the live-TLB laws. Violation
      * law names are prefixed with the failing leg.
      */

@@ -158,6 +158,8 @@ CheckReport diffResults(const Results &a, const Results &b,
  * checkCacheIndependence() applies: the six TLB organizations and
  * BASE. NOTLB and SPUR are excluded because their refills fire on user
  * L2-cache misses, so their VmStats move with the cache geometry.
+ * Sweep cells of these organizations share one VM front end across
+ * cache geometries (frontEndShareable(), DESIGN.md §6).
  */
 bool cacheBlindVm(SystemKind kind);
 

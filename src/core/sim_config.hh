@@ -92,6 +92,8 @@ struct CostModel
      * Applies only to hardware-walked organizations.
      */
     double hwWalkOverlap = 0.0;
+
+    bool operator==(const CostModel &) const = default;
 };
 
 /** Full configuration of one simulation run. */
@@ -222,6 +224,8 @@ struct SimConfig
 
     /** One-line description for table headers / logs. */
     std::string toString() const;
+
+    bool operator==(const SimConfig &) const = default;
 };
 
 } // namespace vmsim

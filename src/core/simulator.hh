@@ -310,6 +310,27 @@ Results runOnce(const SimConfig &config, const std::string &workload,
                 Counter instrs,
                 std::optional<Counter> warmup_instrs = std::nullopt);
 
+/**
+ * True when runs of @p config that differ only in cache geometry and
+ * prices (l1, l2, costs) may share one VM front end (DESIGN.md §6,
+ * "Shared front ends"): one of the six TLB organizations (cacheBlindVm()
+ * with a TLB; BASE's VM makes no cache access to share) on one core,
+ * with no frame budget and a split L2, so that no VM decision reads a
+ * cache outcome and the I and D cache sides share no state.
+ */
+bool frontEndShareable(const SimConfig &config);
+
+/**
+ * A recorded VM front end: the cache accesses one run's VM made on its
+ * own behalf, and that run's Results, whose VmStats every replay
+ * reports as its own.
+ */
+struct FrontEnd
+{
+    ServiceLog log;
+    Results results;
+};
+
 /** A trace source together with the display name for its Results. */
 struct NamedTraceSource
 {
@@ -364,6 +385,22 @@ struct RunHooks
 
     /** Trace-fetch batch size; 0 = default, 1 = scalar loop. */
     std::size_t batch = 0;
+
+    /**
+     * Shared front ends: log the VM's own cache accesses into *record
+     * (not owned). Needs frontEndShareable() and no sink, sampler,
+     * latency collector or trace wrapper.
+     */
+    ServiceLog *record = nullptr;
+
+    /**
+     * Run no VM: replay the trace merged with *replay's logged accesses
+     * through this config's own caches, and report *replay's VmStats.
+     * The recording run had this config but for l1, l2 and costs, and
+     * the same workload, instructions and warmup. Not owned; same
+     * preconditions as @c record.
+     */
+    const FrontEnd *replay = nullptr;
 };
 
 /** runOnce() with observability hooks attached to the measured run. */

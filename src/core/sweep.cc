@@ -496,9 +496,14 @@ cellEventPath(const std::string &base, std::size_t flat, std::size_t n)
     return n == 1 ? base : base + ".cell" + std::to_string(flat);
 }
 
+/** FrontEndUse names, in declaration order. */
+constexpr const char *kFrontEndUseNames[] = {"own", "recorded",
+                                             "replayed"};
+
 /**
  * Render the sweep's wall-clock schedule as a Chrome trace: one
- * complete slice per cell on its worker's track of the pid-0 timeline.
+ * complete slice per cell on its worker's track of the pid-0 timeline,
+ * naming how the cell's VM side ran (FrontEndUse).
  */
 void
 writeWallTrace(const std::string &path, const SweepResults &res)
@@ -516,7 +521,10 @@ writeWallTrace(const std::string &path, const SweepResults &res)
             {{"system", kindName(cell.config.kind)},
              {"workload", cell.workload},
              {"cell", std::to_string(i)},
-             {"instrs_per_sec", ips}});
+             {"instrs_per_sec", ips},
+             {"front_end",
+              kFrontEndUseNames[static_cast<unsigned>(
+                  res.outcomeAt(i).frontEnd)]}});
     }
     writer.finish();
 }
@@ -591,6 +599,44 @@ writeSweepStats(const std::string &path, const SweepResults &res,
     os << doc.dump(2) << '\n';
 }
 
+/**
+ * --check's cross-cell audit: checkCacheIndependence() over each
+ * front-end group's succeeded cells, the law that sharing rests on. A
+ * violation fails every member of the group.
+ */
+void
+auditFrontEndGroups(const SweepSpec &spec,
+                    const std::vector<Results> &results,
+                    std::vector<CellOutcome> &outcomes)
+{
+    const std::vector<std::size_t> groups = frontEndGroups(spec);
+    std::vector<std::vector<std::size_t>> members;
+    for (std::size_t flat = 0; flat < groups.size(); ++flat) {
+        if (groups[flat] == kNoFrontEndGroup || !outcomes[flat].ok)
+            continue;
+        if (groups[flat] >= members.size())
+            members.resize(groups[flat] + 1);
+        members[groups[flat]].push_back(flat);
+    }
+    for (const std::vector<std::size_t> &cells : members) {
+        std::vector<Results> rs;
+        std::vector<std::string> labels;
+        for (std::size_t flat : cells) {
+            rs.push_back(results[flat]);
+            labels.push_back("cell " + std::to_string(flat));
+        }
+        const CheckReport rep = checkCacheIndependence(rs, labels);
+        if (rep.ok())
+            continue;
+        for (std::size_t flat : cells) {
+            outcomes[flat].ok = false;
+            outcomes[flat].error =
+                makeError(ErrorCode::Internal,
+                          "cell " + std::to_string(flat), rep.toString());
+        }
+    }
+}
+
 } // anonymous namespace
 
 std::uint64_t
@@ -620,6 +666,148 @@ specFingerprint(const SweepSpec &spec)
     return h;
 }
 
+std::vector<std::size_t>
+frontEndGroups(const SweepSpec &spec)
+{
+    // The key's config: l1, l2 and costs never reach the VM side.
+    struct Key
+    {
+        SimConfig config;
+        std::string workload;
+        std::vector<std::size_t> cells;
+    };
+    // Bucketed by a few fields so a long sweep compares few keys; the
+    // defaulted operator== decides. The spec fixes instrs and warmup.
+    std::unordered_map<std::uint64_t, std::vector<Key>> buckets;
+    const SimConfig defaults;
+    for (std::size_t flat = 0; flat < spec.numCells(); ++flat) {
+        SweepCell cell = spec.cell(flat);
+        if (!frontEndShareable(cell.config))
+            continue;
+        SimConfig &c = cell.config;
+        c.l1 = defaults.l1;
+        c.l2 = defaults.l2;
+        c.costs = defaults.costs;
+        const std::uint64_t h =
+            std::hash<std::string>{}(cell.workload) ^
+            (c.seed * 0x9E3779B97F4A7C15ull) ^
+            (static_cast<std::uint64_t>(c.kind) << 56) ^
+            (std::uint64_t{c.tlbEntries} << 40) ^ c.ctxSwitchInterval;
+        std::vector<Key> &bucket = buckets[h];
+        auto it = std::find_if(bucket.begin(), bucket.end(),
+                               [&](const Key &k) {
+                                   return k.config == c &&
+                                          k.workload == cell.workload;
+                               });
+        if (it == bucket.end()) {
+            bucket.push_back({c, cell.workload, {}});
+            it = bucket.end() - 1;
+        }
+        it->cells.push_back(flat);
+    }
+    std::vector<std::size_t> group(spec.numCells(), kNoFrontEndGroup);
+    std::vector<const Key *> keys;
+    for (const auto &[h, bucket] : buckets)
+        for (const Key &k : bucket)
+            if (k.cells.size() > 1)
+                keys.push_back(&k);
+    // Dense ids in first-member order, whatever the buckets' order.
+    std::sort(keys.begin(), keys.end(), [](const Key *a, const Key *b) {
+        return a->cells.front() < b->cells.front();
+    });
+    for (std::size_t g = 0; g < keys.size(); ++g)
+        for (std::size_t flat : keys[g]->cells)
+            group[flat] = g;
+    return group;
+}
+
+/**
+ * The shared front ends of one CellRunner: per frontEndGroups() group,
+ * the published FrontEnd, whether a member is recording one, and how
+ * many members have yet to succeed. Thread-safe; a published FrontEnd
+ * is immutable, and a replaying cell keeps its own reference.
+ */
+class CellRunner::FrontEnds
+{
+  public:
+    explicit FrontEnds(const SweepSpec &spec)
+        : groupOf_(frontEndGroups(spec)), done_(groupOf_.size(), 0)
+    {
+        for (std::size_t g : groupOf_) {
+            if (g == kNoFrontEndGroup)
+                continue;
+            if (g >= groups_.size())
+                groups_.resize(g + 1);
+            ++groups_[g].left;
+        }
+    }
+
+    /** What cell @p flat does: record, replay, or neither. */
+    struct Role
+    {
+        std::size_t group = kNoFrontEndGroup;
+        bool record = false;
+        std::shared_ptr<const FrontEnd> replay;
+    };
+
+    /** Settle cell @p flat's role. */
+    Role
+    claim(std::size_t flat)
+    {
+        Role role;
+        role.group = groupOf_[flat];
+        if (role.group == kNoFrontEndGroup)
+            return role;
+        std::lock_guard<std::mutex> lock(mutex_);
+        Group &g = groups_[role.group];
+        if (g.published) {
+            role.replay = g.published;
+        } else if (!g.recording && g.left > 0) {
+            role.record = g.recording = true;
+        }
+        return role;
+    }
+
+    /**
+     * Cell @p flat ended: @p ok is its Results on success, else null.
+     * A recording member publishes @p log with them; the group's last
+     * member to succeed frees the published log.
+     */
+    void
+    finish(std::size_t flat, const Role &role, ServiceLog &log,
+           const Results *ok)
+    {
+        if (role.group == kNoFrontEndGroup)
+            return;
+        std::lock_guard<std::mutex> lock(mutex_);
+        Group &g = groups_[role.group];
+        if (role.record) {
+            g.recording = false;
+            if (ok && !log.overflow)
+                g.published = std::make_shared<const FrontEnd>(
+                    FrontEnd{std::move(log), *ok});
+        }
+        if (ok && !done_[flat]) {
+            done_[flat] = 1;
+            if (--g.left == 0)
+                g.published.reset();
+        }
+    }
+
+  private:
+    struct Group
+    {
+        std::size_t left = 0; ///< members that have not yet succeeded
+        bool recording = false;
+        std::shared_ptr<const FrontEnd> published;
+    };
+
+    std::mutex mutex_;
+    std::vector<std::size_t> groupOf_;
+    std::vector<char> done_;
+    std::vector<Group> groups_;
+};
+
 CellRunner::CellRunner(const SweepSpec &spec, const ObsOptions &obs,
                        RetryPolicy retry, const FaultSpec &faults,
                        std::size_t batchSize, bool verify,
@@ -627,7 +815,13 @@ CellRunner::CellRunner(const SweepSpec &spec, const ObsOptions &obs,
     : spec_(spec), obs_(obs), retry_(retry), faults_(faults),
       batchSize_(batchSize), verify_(verify), wantLatency_(wantLatency),
       cache_(cache)
-{}
+{
+    // Observers see the VM's own events and latencies, and faults
+    // corrupt each cell's trace alone: such cells run their own VM.
+    if (obs_.traceEvents.empty() && obs_.interval == 0 && !wantLatency_ &&
+        !faults_.any())
+        frontEnds_ = std::make_shared<FrontEnds>(spec_);
+}
 
 CellExecution
 CellRunner::run(std::size_t flat) const
@@ -638,7 +832,31 @@ CellRunner::run(std::size_t flat) const
 CellExecution
 CellRunner::run(std::size_t flat, const Hooks &extra) const
 {
+    if (!frontEnds_)
+        return runAttempts(flat, extra, nullptr, nullptr);
+    const FrontEnds::Role role = frontEnds_->claim(flat);
+    ServiceLog log;
     CellExecution out;
+    try {
+        out = runAttempts(flat, extra, role.record ? &log : nullptr,
+                          role.replay.get());
+    } catch (...) {
+        frontEnds_->finish(flat, role, log, nullptr);
+        throw;
+    }
+    frontEnds_->finish(flat, role, log,
+                       out.outcome.ok ? &out.results : nullptr);
+    return out;
+}
+
+CellExecution
+CellRunner::runAttempts(std::size_t flat, const Hooks &extra,
+                        ServiceLog *record, const FrontEnd *replay) const
+{
+    CellExecution out;
+    out.outcome.frontEnd = replay ? FrontEndUse::Replayed
+                           : record ? FrontEndUse::Recorded
+                                    : FrontEndUse::Own;
     const SweepCell cell = spec_.cell(flat);
     const Counter instrs = spec_.instructionCount();
     // What the cell actually executes (warmup included) — the record
@@ -696,6 +914,11 @@ CellRunner::run(std::size_t flat, const Hooks &extra) const
             }
             hooks.cancel = extra.cancel;
             hooks.batch = batchSize_;
+            if (record) {
+                *record = ServiceLog{}; // a retry logs afresh
+                hooks.record = record;
+            }
+            hooks.replay = replay;
             std::shared_ptr<const RecordedTrace> replayed;
             if (cache_) {
                 // Replay the shared recording when it fits; the
@@ -980,6 +1203,25 @@ SweepRunner::run(const SweepSpec &spec) const
                              : 0.0;
     };
 
+    if (jobs_ > 1 && cellRunner.sharesFrontEnds()) {
+        // One member of every front-end group first, so its siblings
+        // find the group's log published when they start.
+        const std::vector<std::size_t> groups = frontEndGroups(spec);
+        std::vector<char> led(n, 0);
+        std::vector<std::size_t> leaders, rest;
+        for (std::size_t flat : pending) {
+            const std::size_t g = groups[flat];
+            if (g != kNoFrontEndGroup && !led[g]) {
+                led[g] = 1;
+                leaders.push_back(flat);
+            } else {
+                rest.push_back(flat);
+            }
+        }
+        pending = std::move(leaders);
+        pending.insert(pending.end(), rest.begin(), rest.end());
+    }
+
     try {
         map(pending.size(), [&](std::size_t k) {
             runCell(pending[k]);
@@ -1008,6 +1250,8 @@ SweepRunner::run(const SweepSpec &spec) const
             rep.orThrow();
         }
     }
+    if (verify_)
+        auditFrontEndGroups(spec, results, outcomes);
 
     SweepResults res(spec, std::move(results), std::move(timings),
                      std::move(outcomes));

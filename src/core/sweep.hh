@@ -459,6 +459,14 @@ struct RetryPolicy
     bool any() const { return maxRetries > 0; }
 };
 
+/** How a cell's VM side ran (DESIGN.md §6, "Shared front ends"). */
+enum class FrontEndUse : std::uint8_t
+{
+    Own,      ///< ran its own VM and shared nothing
+    Recorded, ///< ran its VM and logged the front end for its group
+    Replayed, ///< ran no VM: replayed its group's recorded front end
+};
+
 /**
  * How one sweep cell ended. Failed cells keep their slot in the
  * grid-ordered results table (with a default Results) so passing
@@ -470,6 +478,7 @@ struct CellOutcome
     Error error{};          ///< set when !ok
     unsigned attempts = 1;  ///< total attempts (1 = no retries needed)
     bool fromJournal = false; ///< loaded from a checkpoint, not re-run
+    FrontEndUse frontEnd = FrontEndUse::Own; ///< of the last attempt
 };
 
 /** Mean and spread of a metric across seed replications. */
@@ -571,6 +580,19 @@ class SweepResults
 
 class TraceCache; // trace/recorded.hh
 
+/** frontEndGroups()'s id for a cell that shares with no other. */
+inline constexpr std::size_t kNoFrontEndGroup = ~std::size_t{0};
+
+/**
+ * Group @p spec's cells by front-end key (DESIGN.md §6, "Shared front
+ * ends"): the cell's SimConfig with l1, l2 and costs reset to their
+ * defaults, its workload, and the spec's instruction count and warmup.
+ * Only frontEndShareable() configs have a key. @return one dense group
+ * id per grid position, or kNoFrontEndGroup for a cell whose key no
+ * other cell shares.
+ */
+std::vector<std::size_t> frontEndGroups(const SweepSpec &spec);
+
 /** Everything one executed cell produced, beyond its journal entry. */
 struct CellExecution
 {
@@ -589,6 +611,15 @@ struct CellExecution
  * this one path, so a cell's Results are byte-identical no matter
  * which execution strategy — in-process pool, N crash-prone worker
  * processes, or a resume after either — actually ran it.
+ *
+ * Cells of one frontEndGroups() group share a VM front end when the
+ * runner attaches no event log, interval sampler, latency collector
+ * or fault injection: the first member to run logs its VM's own cache
+ * accesses, and once it succeeds every later member replays that log
+ * through its own caches instead of running a VM (RunHooks::replay).
+ * A member that finds no log yet runs its own VM; none ever waits. A
+ * group's log is freed once each member has succeeded. Results are
+ * byte-identical either way; CellOutcome::frontEnd says which ran.
  *
  * Holds references to the spec, observability options, and trace
  * cache; all must outlive the runner.
@@ -643,7 +674,17 @@ class CellRunner
     CellExecution run(std::size_t flat) const;
     CellExecution run(std::size_t flat, const Hooks &extra) const;
 
+    /** True when this runner's cells may share front ends. */
+    bool sharesFrontEnds() const { return frontEnds_ != nullptr; }
+
   private:
+    class FrontEnds; // per-group logs, in sweep.cc
+
+    /** run() with this cell's front-end role settled. */
+    CellExecution runAttempts(std::size_t flat, const Hooks &extra,
+                              ServiceLog *record,
+                              const FrontEnd *replay) const;
+
     const SweepSpec &spec_;
     const ObsOptions &obs_;
     RetryPolicy retry_;
@@ -652,6 +693,7 @@ class CellRunner
     bool verify_;
     bool wantLatency_;
     TraceCache *cache_;
+    std::shared_ptr<FrontEnds> frontEnds_; ///< null: no sharing
 };
 
 /**
@@ -769,7 +811,10 @@ class SweepRunner
      * Audit every cell's Results with the InvariantChecker before
      * accepting it: a cell whose counters break a conservation or
      * Table-4 law is marked failed (ErrorCode::Internal) instead of
-     * silently contributing wrong numbers to the sweep.
+     * silently contributing wrong numbers to the sweep. After the
+     * last cell, checkCacheIndependence() audits each frontEndGroups()
+     * group, the law front-end sharing rests on; a violation fails
+     * every member of the group the same way.
      */
     SweepRunner &
     verify(bool on)
@@ -798,6 +843,8 @@ class SweepRunner
      * Run every cell of @p spec. Cell failures land in the outcomes
      * table, never propagate out of run(); only infrastructure errors
      * (an unwritable journal, a resume-fingerprint mismatch) throw.
+     * On more than one job, one member of every front-end group
+     * starts before any sibling, so the siblings find its log.
      */
     SweepResults run(const SweepSpec &spec) const;
 

@@ -50,6 +50,8 @@ struct CacheParams
 
     /** Render as e.g. "64KB/32B/direct". */
     std::string toString() const;
+
+    bool operator==(const CacheParams &) const = default;
 };
 
 /**

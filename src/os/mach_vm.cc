@@ -49,9 +49,8 @@ MachVm::walk(Addr vaddr, CoreId core, Tlb &target)
             fetchHandler(EventLevel::Root, kRootHandlerBase,
                          costs_.rootInstrs, kpte_page);
             for (unsigned i = 0; i < costs_.adminLoads; ++i)
-                noteServiceAccess(mem_.dataAccess(pt_.adminDataAddr(i),
-                                                  kDataBytes, false,
-                                                  AccessClass::PteRoot));
+                serviceLoad(pt_.adminDataAddr(i), kDataBytes,
+                            AccessClass::PteRoot);
             pteFetch(pt_.rptEntryAddr(kpte_page), kHierPteSize,
                      AccessClass::PteRoot, kpte_page);
             insertKernelMapping(kpte_page, core);

@@ -207,7 +207,9 @@ class TlbVm : public VmSystem
                 i = k;
             }
             const TraceRecord &r = blk.recs[i];
-            if constexpr (kObs)
+            // Observed bodies stamp events; a span's ending record is
+            // where a recorded run logs its I-TLB walk (logService).
+            if constexpr (K != KernelBody::Bare)
                 setCurrentInstr(blk.firstInstr + i);
             a.addr = r.pc;
             a.store = false;

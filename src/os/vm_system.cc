@@ -246,13 +246,45 @@ VmSystem::doEmit(EventKind kind, EventLevel level, Addr vaddr, Vpn vpn,
     sink_->event(ev);
 }
 
+void
+VmSystem::logService(bool inst, AccessClass cls, Addr addr, unsigned n)
+{
+    // Inside a span's D pass curInstr_ still holds the block head.
+    const Counter rec =
+        deferFetches_ ? spanFirst_ + deferRec_ : curInstr_;
+    // Only a D-TLB miss's handler fetches follow their record's own
+    // access on their side; every D-side access precedes it.
+    const Counter slot = 2 * rec + (inst && svcAfter_);
+    ServiceAccess a;
+    a.addr = addr;
+    a.slot = slot;
+    a.n = n;
+    a.cls = static_cast<unsigned>(cls);
+    std::deque<ServiceAccess> &side = inst ? svcLog_->inst : svcLog_->data;
+    if (a.slot != slot || a.n != n ||
+        side.size() >= ServiceLog::kMaxPerSide) {
+        svcLog_->overflow = true; // a field did not fit, or the log is full
+        return;
+    }
+    side.push_back(a);
+}
+
+MemLevel
+VmSystem::serviceLoad(Addr addr, unsigned size, AccessClass cls)
+{
+    if (svcLog_)
+        logService(false, cls, addr, size);
+    MemLevel lvl = mem_.dataAccess(addr, size, false, cls);
+    if (lat_)
+        svcAcc_ += memPenalty(lvl);
+    return lvl;
+}
+
 MemLevel
 VmSystem::pteFetch(Addr entry_addr, unsigned size, AccessClass cls, Vpn v)
 {
-    MemLevel lvl = mem_.dataAccess(entry_addr, size, false, cls);
+    MemLevel lvl = serviceLoad(entry_addr, size, cls);
     ++stats_.pteLoads;
-    if (lat_)
-        svcAcc_ += memPenalty(lvl);
     if (sink_) {
         // AccessClass::PteUser/PteKernel/PteRoot map onto the
         // user/kernel/root page-table levels in declaration order.
@@ -287,6 +319,8 @@ VmSystem::fetchHandler(EventLevel level, Addr base, unsigned n, Vpn v)
             static_cast<unsigned>(level));
     ++*calls;
     *instrs += n;
+    if (svcLog_)
+        logService(true, AccessClass::HandlerFetch, base, n);
     emitEvent(EventKind::HandlerEnter, level, base, v, n);
     if (lat_) {
         // Each handler instruction costs its base cycle plus whatever

@@ -51,6 +51,7 @@
 #define VMSIM_OS_VM_SYSTEM_HH
 
 #include <cstddef>
+#include <deque>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -135,6 +136,8 @@ struct HandlerCosts
     unsigned rootInstrs = 20;   ///< root-level miss handler length
     unsigned adminLoads = 0;    ///< MACH root path administrative loads
     unsigned hwWalkCycles = 7;  ///< FSM sequential work per walk (INTEL)
+
+    bool operator==(const HandlerCosts &) const = default;
 };
 
 /**
@@ -289,6 +292,37 @@ static_assert(distinctFields(kCoreStatsFields) &&
                       std::size(kCoreStatsFields) * sizeof(Counter),
               "every CoreStats counter needs one kCoreStatsFields entry");
 /** @} */
+
+/**
+ * One cache access a VM made on its own behalf: a PTE load, a MACH
+ * administrative load or a handler's code fetch, as a shared front end
+ * logs it (DESIGN.md §6, "Shared front ends"). @c slot places it in
+ * its cache side's stream of user accesses: 2r when it precedes record
+ * r's user access on that side, 2r + 1 when it follows it (the handler
+ * fetches of r's D-TLB miss, which the I caches see after r's fetch).
+ */
+struct ServiceAccess
+{
+    Addr addr = 0;
+    std::uint64_t slot : 40;
+    std::uint64_t n : 21;  ///< bytes loaded, or handler instructions
+    std::uint64_t cls : 3; ///< AccessClass
+};
+
+/**
+ * The service accesses of one run, per cache side, in slot order.
+ * Deques grow in small blocks: no doubling, no copy, and a freed log's
+ * blocks go back to the heap for the next recording to reuse.
+ */
+struct ServiceLog
+{
+    /** Entries past this many on one side (32 MiB) overflow the log. */
+    static constexpr std::size_t kMaxPerSide = std::size_t{1} << 21;
+
+    std::deque<ServiceAccess> inst; ///< handler code fetches
+    std::deque<ServiceAccess> data; ///< PTE and administrative loads
+    bool overflow = false; ///< an access did not fit: never replay it
+};
 
 /**
  * The per-core first-level TLBs of an organization: one I/D pair per
@@ -496,10 +530,19 @@ class VmSystem
     LatencyCollector *latency() const { return lat_; }
 
     /**
+     * Log every cache access this VM makes on its own behalf into
+     * @p log (not owned; nullptr stops), for a shared front end's
+     * replays (core/simulator.hh, FrontEnd). The slots are exact only
+     * for the runs frontEndShareable() admits, with no observer.
+     */
+    void recordService(ServiceLog *log) { svcLog_ = log; }
+
+    /**
      * Timebase for emitted events: the current user-instruction
      * number. The driving Simulator stamps it at each batch head (and
      * before every instruction on the scalar path); observed block
-     * kernels stamp each record from AccessBlock::firstInstr. On a
+     * kernels stamp each record from AccessBlock::firstInstr, span
+     * kernels each record that ends a span. On a
      * multicore this is the global instruction timebase, not any
      * core's local count.
      */
@@ -615,6 +658,7 @@ class VmSystem
     {
         ++stats_.itlbMisses;
         ++stats_.perCore[coreSlot(core)].itlbMisses;
+        svcAfter_ = false;
         beginMissService(core);
         emitEvent(EventKind::ItlbMiss, EventLevel::User, pc, v);
     }
@@ -625,6 +669,7 @@ class VmSystem
     {
         ++stats_.dtlbMisses;
         ++stats_.perCore[coreSlot(core)].dtlbMisses;
+        svcAfter_ = true;
         beginMissService(core);
         emitEvent(EventKind::DtlbMiss, EventLevel::User, addr, v);
     }
@@ -780,15 +825,12 @@ class VmSystem
     }
 
     /**
-     * Accrue the miss penalty of a VM-service memory access performed
-     * outside pteFetch()/fetchHandler() (MACH's administrative loads).
+     * A VM-service load of @p size bytes at @p addr under @p cls: the
+     * D-side cache access, its latency accrual and its service-log
+     * entry. pteFetch() loads through it; MACH's administrative loads
+     * call it directly.
      */
-    void
-    noteServiceAccess(MemLevel lvl)
-    {
-        if (lat_)
-            svcAcc_ += memPenalty(lvl);
-    }
+    MemLevel serviceLoad(Addr addr, unsigned size, AccessClass cls);
 
     /**
      * Record the page touch behind a refill of @p v on @p core: the
@@ -909,6 +951,13 @@ class VmSystem
     void touchPageSlow(Vpn v, CoreId core);
 
     /**
+     * Append one service access to svcLog_ (non-null) on the I side
+     * (@p inst) or the D side. The record is the current instruction,
+     * or inside a span's D pass the record whose data ref is walking.
+     */
+    void logService(bool inst, AccessClass cls, Addr addr, unsigned n);
+
+    /**
      * Evict one victim (never @p exclude) and apply the side effects:
      * invalidate its translations and PTE, broadcast the eviction
      * shootdown on a multicore. Returns the writeback cycles charged
@@ -934,6 +983,8 @@ class VmSystem
     unsigned shootdownEvictions_ = 8;
     EventSink *sink_ = nullptr;
     Counter curInstr_ = 0;
+    ServiceLog *svcLog_ = nullptr; ///< recordService() target
+    bool svcAfter_ = false; ///< the open walk serves a D-TLB miss
 
     /** @name Memory-pressure state (inert while pressure_ is null). @{ */
     PhysMem *pressure_ = nullptr; ///< budgeted frame pool owner
@@ -964,6 +1015,7 @@ class VmSystem
     bool deferFetches_ = false;  ///< fetchHandler() appends to deferred_
     bool spanCut_ = false;       ///< an eviction hit the span's I-TLB
     std::size_t deferRec_ = 0;   ///< record whose data ref is walking
+    Counter spanFirst_ = 0;      ///< global number of the block's record 0
     std::vector<DeferredFetch> deferred_;
     std::vector<std::size_t> spanOps_; ///< the span's memory-op records
     /** @} */
@@ -998,6 +1050,7 @@ VmSystem::runSpan(const AccessBlock &blk, std::size_t lo, std::size_t hi,
     }
     Access a;
     a.core = blk.core;
+    spanFirst_ = blk.firstInstr;
     deferFetches_ = true;
     for (std::size_t j = 0; j < nops; ++j) {
         const TraceRecord &r = blk.recs[ops[j]];

@@ -78,7 +78,7 @@ RecordedTrace::record(TraceSource &source, Counter max_records,
                       std::string name)
 {
     Buffer records;
-    records.resize(max_records);
+    records.resize(max_records); // unwritten until nextBatch fills it
     std::size_t filled = 0;
     while (filled < max_records) {
         std::size_t got =

@@ -56,7 +56,8 @@ class RecordedTrace
     static constexpr std::size_t kCrcChunkRecords = 4096;
 
     /** Record storage: page-mapped, so a freed recording's pages go
-     *  back to the OS instead of staying in the malloc heap. */
+     *  back to the OS instead of staying in the malloc heap. Buffer(n)
+     *  and resize() leave the new records unwritten. */
     using Buffer = std::vector<TraceRecord, PageMappedAlloc<TraceRecord>>;
 
     /**

@@ -372,7 +372,8 @@ TEST(RecordedTrace, VerifyIntegrityNamesTheExactBadOpRecord)
 
 TEST(RecordedTrace, FramingRejectsABadOpAtItsExactRecord)
 {
-    RecordedTrace::Buffer recs(RecordedTrace::kCrcChunkRecords + 10);
+    RecordedTrace::Buffer recs(RecordedTrace::kCrcChunkRecords + 10,
+                               TraceRecord{});
     recs[RecordedTrace::kCrcChunkRecords + 3].op = static_cast<MemOp>(5);
     try {
         RecordedTrace rec(std::move(recs), "bad");

@@ -200,23 +200,44 @@ TEST(DiffResults, EachCounterDivergesAsOneNamedViolation)
 // ------------------------------------------------------ cross-cell laws
 
 /**
- * checkCacheIndependence() over one run of @p kind on @p workload per
- * cache geometry: L1 {4K, 64K} x L2 {256K, 1M}.
+ * checkCacheIndependence() over runs of @p kind on @p workload across
+ * every axis a shared front end's key drops: L1 {4K, 64K} x L2 {256K,
+ * 1M}, line sizes 64/128, 2-way LRU and 2-way Random caches, and a
+ * non-default CostModel.
  */
 CheckReport
 cacheGridReport(SystemKind kind, const std::string &workload)
 {
-    std::vector<Results> cells;
-    std::vector<std::string> labels;
+    std::vector<SimConfig> grid;
     for (std::uint64_t l1 : {4_KiB, 64_KiB}) {
         for (std::uint64_t l2 : {256_KiB, 1_MiB}) {
             SimConfig c = cfg(kind);
             c.l1 = CacheParams{l1, 32};
             c.l2 = CacheParams{l2, 64};
-            cells.push_back(runOnce(c, workload, 100000, 20000));
-            labels.push_back("L1 " + std::to_string(l1) + " L2 " +
-                             std::to_string(l2));
+            grid.push_back(c);
         }
+    }
+    SimConfig c = cfg(kind);
+    c.l1 = CacheParams{16_KiB, 64};
+    c.l2 = CacheParams{1_MiB, 128};
+    grid.push_back(c);
+    c.l1 = CacheParams{16_KiB, 32, 2, CacheRepl::LRU};
+    c.l2 = CacheParams{512_KiB, 64, 2, CacheRepl::LRU};
+    grid.push_back(c);
+    c.l1 = CacheParams{16_KiB, 64, 2, CacheRepl::Random};
+    c.l2 = CacheParams{512_KiB, 128, 2, CacheRepl::Random};
+    grid.push_back(c);
+    c = cfg(kind);
+    c.costs = CostModel{10, 200, 200, 0.5};
+    grid.push_back(c);
+
+    std::vector<Results> cells;
+    std::vector<std::string> labels;
+    for (const SimConfig &g : grid) {
+        cells.push_back(runOnce(g, workload, 100000, 20000));
+        labels.push_back("L1 " + g.l1.toString() + " L2 " +
+                         g.l2.toString() + " int " +
+                         std::to_string(g.costs.interruptCycles));
     }
     return checkCacheIndependence(cells, labels);
 }
@@ -226,7 +247,7 @@ TEST(CacheIndependence, VmCountersIgnoreCacheGeometry)
     for (SystemKind kind : kAllKinds) {
         if (!cacheBlindVm(kind))
             continue;
-        for (const char *wl : {"gcc", "vortex"}) {
+        for (const char *wl : {"gcc", "vortex", "ijpeg"}) {
             CheckReport rep = cacheGridReport(kind, wl);
             EXPECT_TRUE(rep.ok()) << kindName(kind) << ' ' << wl << ": "
                                   << rep.toString();

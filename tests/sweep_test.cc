@@ -259,5 +259,105 @@ TEST(TryKindFromName, KnownAndUnknownNames)
     EXPECT_EQ(kindFromName("mach"), SystemKind::Mach);
 }
 
+// ------------------------------------------------------ shared front ends
+
+/** Every raw counter and every derived CPI of @p r. */
+std::string
+resultBytes(const Results &r)
+{
+    return r.serialize().dump() + r.toJson().dump();
+}
+
+TEST(FrontEndSharing, IdenticalToUnshared)
+{
+    // Each (TLB organization, workload) is one group of eight: two L1
+    // sizes x two line-size pairs x two price lists.
+    SweepSpec spec;
+    spec.systems({SystemKind::Ultrix, SystemKind::Mach, SystemKind::Intel,
+                  SystemKind::Parisc, SystemKind::Notlb, SystemKind::Base,
+                  SystemKind::HwInverted, SystemKind::HwMips,
+                  SystemKind::Spur})
+        .workloads({"gcc", "vortex", "ijpeg"})
+        .l1Sizes({8_KiB, 32_KiB})
+        .lineSizes({{32, 64}, {64, 128}})
+        .variants({{"paper", {}},
+                   {"cheap-l2", [](SimConfig &c) {
+                        c.costs.l2MissCycles = 120;
+                        c.costs.interruptCycles = 200;
+                    }}})
+        .instructions(20000)
+        .warmup(5000);
+    const std::size_t n = spec.numCells();
+    std::vector<std::string> want(n);
+    for (std::size_t flat = 0; flat < n; ++flat) {
+        const SweepCell cell = spec.cell(flat);
+        want[flat] =
+            resultBytes(runOnce(cell.config, cell.workload, 20000, 5000));
+    }
+    constexpr std::size_t kGroups = 6 * 3, kMembers = 8;
+
+    for (bool reverse : {false, true}) {
+        const ObsOptions obs;
+        const FaultSpec faults;
+        CellRunner runner(spec, obs, RetryPolicy{}, faults, 0, false,
+                          false, nullptr);
+        std::size_t recorded = 0, replayed = 0;
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::size_t flat = reverse ? n - 1 - k : k;
+            const CellExecution ex = runner.run(flat);
+            ASSERT_TRUE(ex.outcome.ok) << ex.outcome.error.toString();
+            EXPECT_EQ(resultBytes(ex.results), want[flat])
+                << "cell " << flat << (reverse ? " (reverse)" : "");
+            recorded += ex.outcome.frontEnd == FrontEndUse::Recorded;
+            replayed += ex.outcome.frontEnd == FrontEndUse::Replayed;
+        }
+        EXPECT_EQ(recorded, kGroups);
+        EXPECT_EQ(replayed, kGroups * (kMembers - 1));
+    }
+
+    for (unsigned jobs : {1u, 4u}) {
+        const SweepResults res = SweepRunner(jobs).run(spec);
+        std::size_t replayed = 0;
+        for (std::size_t flat = 0; flat < n; ++flat) {
+            ASSERT_TRUE(res.okAt(flat));
+            EXPECT_EQ(resultBytes(res.at(flat)), want[flat])
+                << "cell " << flat << " at --jobs=" << jobs;
+            replayed +=
+                res.outcomeAt(flat).frontEnd == FrontEndUse::Replayed;
+        }
+        // In order, every sibling replays; in parallel, a sibling that
+        // starts before its group's log is published runs its own VM.
+        if (jobs == 1)
+            EXPECT_EQ(replayed, kGroups * (kMembers - 1));
+        else
+            EXPECT_GT(replayed, 0u);
+    }
+}
+
+TEST(FrontEndSharing, GroupsIgnoreOnlyCacheGeometryAndPrices)
+{
+    SweepSpec spec;
+    spec.systems({SystemKind::Ultrix, SystemKind::Notlb})
+        .workloads({"gcc", "vortex"})
+        .l1Sizes({8_KiB, 32_KiB})
+        .variants({{"paper", {}},
+                   {"small-tlb", [](SimConfig &c) { c.tlbEntries = 64; }},
+                   {"unified", [](SimConfig &c) { c.unifiedL2 = true; }}});
+    const std::vector<std::size_t> groups = frontEndGroups(spec);
+    for (std::size_t flat = 0; flat < spec.numCells(); ++flat) {
+        const SweepCell cell = spec.cell(flat);
+        const bool shares = cell.config.kind == SystemKind::Ultrix &&
+                            !cell.config.unifiedL2;
+        EXPECT_EQ(groups[flat] != kNoFrontEndGroup, shares) << flat;
+        for (std::size_t other = 0; other < flat && shares; ++other) {
+            const SweepCell o = spec.cell(other);
+            const bool same = o.index.variant == cell.index.variant &&
+                              o.workload == cell.workload;
+            EXPECT_EQ(groups[other] == groups[flat], same)
+                << flat << " vs " << other;
+        }
+    }
+}
+
 } // anonymous namespace
 } // namespace vmsim
