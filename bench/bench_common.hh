@@ -51,16 +51,15 @@ paperSweep(const BenchOptions &opts)
 
 /** The sweep executor configured by --jobs, the --trace-events /
  *  --chrome-trace / --stats-json / --interval observability flags, the
- *  --retries / --cell-timeout / --journal / --resume / --inject-faults
- *  robustness flags, the --batch / --trace-cache-mb pipeline flags,
- *  and the --check invariant audit. */
+ *  --retries / --journal / --resume / --inject-faults robustness
+ *  flags, the --batch / --trace-cache-mb pipeline flags, and the
+ *  --check invariant audit. */
 inline SweepRunner
 makeRunner(const BenchOptions &opts)
 {
     SweepRunner runner(opts.jobs);
     runner.observe(opts.obs);
     runner.retry({opts.retries, opts.retryBackoff});
-    runner.cellTimeout(opts.cellTimeout);
     if (!opts.journal.empty())
         runner.journal(opts.journal);
     runner.resume(opts.resume);
@@ -97,9 +96,8 @@ reportFailures(const SweepResults &res)
  * Sharded bench execution (--shard-dir): run one worker process over
  * the shared shard directory, then merge every worker's log into
  * grid-ordered results. Concurrency comes from launching the binary N
- * times (or from `vmsim_cli --supervise=N`), not from --jobs; the
- * merged results are byte-identical to a single-process run of the
- * same spec.
+ * times, not from --jobs; the merged results are byte-identical to a
+ * single-process run of the same spec.
  */
 inline SweepResults
 runShardedSweep(const BenchOptions &opts, const SweepSpec &spec)

@@ -54,8 +54,6 @@
  *                         while the run executes; goes to stderr
  *                         unless --progress-out redirects it
  *   --progress-out=FILE   append JSONL telemetry heartbeats to FILE
- *   --metrics-out=FILE    rewrite a Prometheus text exposition at
- *                         FILE on every heartbeat (atomic rename)
  *
  * --stats-json and --check additionally attach a LatencyCollector, so
  * the stats dump carries per-episode miss/walk/shootdown latency and
@@ -81,21 +79,16 @@
  * Sharded sweeps (see docs/robustness.md): with --shard-dir the
  * process stops being a single run and becomes one worker of a
  * crash-tolerant sweep over a grid built from the config above plus
- * --seeds / --sweep-systems. Workers print a one-line summary to
- * stderr; the merged CSV comes from --shard-merge or --supervise.
+ * --seeds / --sweep-systems. Start as many workers as you like (and
+ * restart any that die) over one directory; each prints a one-line
+ * summary to stderr, and the merged CSV comes from --shard-merge.
  *   --shard-dir=D         shared shard directory (created if absent)
  *   --shard-owner=ID      stable worker identity        [pid<pid>]
  *   --lease-seconds=S     stale-lease reclaim horizon   [30]
  *   --seeds=N             seed-replicated cells in the grid [4]
  *   --sweep-systems=A,B   sweep these systems as a second axis
- *   --heartbeat=S         telemetry heartbeats every S seconds to
- *                         <dir>/heartbeat-<owner>.jsonl [0 = off]
  *   --shard-merge         merge the directory and print the CSV;
  *                         runs no cells; exit 1 if cells are missing
- *   --supervise=N         spawn N workers of this sweep, restart
- *                         crashed or stalled ones with bounded
- *                         exponential backoff, then merge + print CSV
- *   --max-restarts=N      per-worker restart budget     [8]
  *   --crash-after=SPEC    test hook: worker crash plan
  *                         "after=N[,torn=1][,throw=1]"
  *   --crash-fuzz=N        run N process-level SIGKILL campaigns
@@ -109,18 +102,11 @@
  * with status 75 (kExitInterrupted).
  */
 
-#include <algorithm>
-#include <chrono>
-#include <csignal>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "vmsim.hh"
@@ -129,169 +115,6 @@ namespace
 {
 
 using namespace vmsim;
-
-bool
-matches(const char *arg, const char *prefix)
-{
-    return std::strncmp(arg, prefix, std::strlen(prefix)) == 0;
-}
-
-/**
- * --supervise=N: spawn N shard workers of this very invocation (same
- * binary, same flags, one --shard-owner each), restart any that crash
- * with bounded exponential backoff, SIGKILL any whose heartbeat file
- * goes silent, and print the merged CSV once the grid completes.
- */
-int
-runSupervisor(int argc, char **argv, const SweepSpec &spec,
-              const std::string &dir, unsigned nWorkers,
-              unsigned maxRestarts, double heartbeatSeconds)
-{
-    namespace fs = std::filesystem;
-    using Clock = std::chrono::steady_clock;
-
-    // Workers re-run our own command line minus the supervision flags;
-    // heartbeats are forced on so stall detection has a signal.
-    std::vector<std::string> base;
-    base.push_back(argv[0]);
-    bool saw_heartbeat = false;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (matches(arg, "--supervise=") ||
-            matches(arg, "--max-restarts=") ||
-            matches(arg, "--shard-owner="))
-            continue;
-        if (matches(arg, "--heartbeat="))
-            saw_heartbeat = true;
-        base.push_back(arg);
-    }
-    if (!saw_heartbeat) {
-        heartbeatSeconds = 0.5;
-        base.push_back("--heartbeat=0.5");
-    }
-    const double stall_horizon = std::max(10.0 * heartbeatSeconds, 5.0);
-
-    struct Child
-    {
-        std::string owner;
-        std::string heartbeat;
-        pid_t pid = -1;
-        unsigned restarts = 0;
-        double backoff = 0.05; ///< seconds until retry, doubles
-        Clock::time_point spawnedAt{};
-        Clock::time_point restartAt{};
-        bool done = false;   ///< exited cleanly (or drained)
-        bool gaveUp = false; ///< restart budget exhausted
-    };
-
-    auto spawn = [&](Child &c) {
-        std::vector<std::string> cmd = base;
-        cmd.push_back("--shard-owner=" + c.owner);
-        c.pid = spawnProcess(cmd).orThrow();
-        c.spawnedAt = Clock::now();
-    };
-
-    std::vector<Child> children(nWorkers);
-    for (unsigned w = 0; w < nWorkers; ++w) {
-        // Appended, not "w" + std::string: GCC 12 misreports the
-        // temporary under -Wrestrict (GCC bug 105651).
-        children[w].owner = 'w';
-        children[w].owner += std::to_string(w);
-        children[w].heartbeat =
-            dir + "/heartbeat-" + children[w].owner + ".jsonl";
-    }
-    installShutdownHandler();
-    for (Child &c : children)
-        spawn(c);
-
-    bool forwarded = false;
-    while (true) {
-        if (shutdownRequested() && !forwarded) {
-            // Forward the shutdown once: workers drain, flush their
-            // logs, and exit kExitInterrupted on their own.
-            forwarded = true;
-            for (Child &c : children)
-                if (c.pid > 0)
-                    killProcess(c.pid, SIGTERM);
-        }
-        bool busy = false;
-        const Clock::time_point now = Clock::now();
-        for (Child &c : children) {
-            if (c.done || c.gaveUp)
-                continue;
-            if (c.pid <= 0) { // waiting out a restart backoff
-                if (forwarded) {
-                    c.done = true;
-                    continue;
-                }
-                if (now >= c.restartAt)
-                    spawn(c);
-                busy = true;
-                continue;
-            }
-            ExitStatus st = pollProcess(c.pid).orThrow();
-            if (st.pid == -1) { // still running
-                busy = true;
-                if (!forwarded && heartbeatSeconds > 0 &&
-                    std::chrono::duration<double>(now - c.spawnedAt)
-                            .count() > stall_horizon) {
-                    std::error_code ec;
-                    const auto mtime = fs::last_write_time(
-                        c.heartbeat, ec);
-                    const double age =
-                        ec ? stall_horizon + 1
-                           : std::chrono::duration<double>(
-                                 fs::file_time_type::clock::now() -
-                                 mtime)
-                                 .count();
-                    if (age > stall_horizon) {
-                        warn("supervisor: worker '", c.owner,
-                             "' silent for ", age,
-                             "s; killing for restart");
-                        killProcess(c.pid, SIGKILL);
-                    }
-                }
-                continue;
-            }
-            c.pid = -1;
-            if ((st.exited && st.exitCode == 0) || forwarded) {
-                c.done = true;
-                continue;
-            }
-            warn("supervisor: worker '", c.owner, "' ",
-                 st.toString());
-            if (c.restarts >= maxRestarts) {
-                c.gaveUp = true;
-                warn("supervisor: worker '", c.owner,
-                     "' exhausted its ", maxRestarts,
-                     " restarts; giving up on it");
-                continue;
-            }
-            ++c.restarts;
-            c.restartAt = now + std::chrono::duration_cast<
-                                    Clock::duration>(
-                                    std::chrono::duration<double>(
-                                        c.backoff));
-            c.backoff = std::min(c.backoff * 2, 2.0);
-            busy = true;
-        }
-        if (!busy)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-
-    if (shutdownRequested()) {
-        std::cerr << "supervisor interrupted; rerun with the same "
-                     "--shard-dir to resume\n";
-        return kExitInterrupted;
-    }
-    ShardMerge merged = mergeShardDir(dir, spec).orThrow();
-    merged.results.writeCsv(std::cout);
-    std::cerr << "supervise: " << merged.completed << "/"
-              << spec.numCells() << " cells committed, "
-              << merged.missing << " missing\n";
-    return merged.missing == 0 ? 0 : 1;
-}
 
 int
 runCli(int argc, char **argv)
@@ -306,10 +129,7 @@ runCli(int argc, char **argv)
     bool json = false;
     std::string fuzz_report_path;
     std::vector<SystemKind> sweep_systems;
-    double heartbeat_seconds = 0;
     bool shard_merge = false;
-    unsigned supervise = 0;
-    unsigned max_restarts = 8;
     CrashPlan crash_plan;
     std::size_t crash_fuzz = 0;
 
@@ -360,12 +180,7 @@ runCli(int argc, char **argv)
                  pos = comma + 1;
              }
          }},
-        {.name = "--heartbeat", .metavar = "S", .dest = &heartbeat_seconds,
-         .positive = true},
         {.name = "--shard-merge", .dest = &shard_merge},
-        {.name = "--supervise", .metavar = "N", .dest = &supervise,
-         .positive = true},
-        {.name = "--max-restarts", .metavar = "N", .dest = &max_restarts},
         {.name = "--crash-after", .metavar = "SPEC",
          .dest = [&](const char *v) {
              crash_plan = CrashPlan::parse(v).orThrow();
@@ -418,15 +233,15 @@ runCli(int argc, char **argv)
     }
 
     fatalIf(opts.shardDir.empty() &&
-                (shard_merge || supervise > 0 ||
-                 !opts.shardOwner.empty() || crash_plan.armed()),
-            "--shard-merge/--supervise/--shard-owner/--crash-after "
-            "need --shard-dir=D");
+                (shard_merge || !opts.shardOwner.empty() ||
+                 crash_plan.armed()),
+            "--shard-merge/--shard-owner/--crash-after need "
+            "--shard-dir=D");
 
     // Sharded-sweep modes: the grid is the config above crossed with
-    // the --seeds and --sweep-systems axes — every worker, the
-    // supervisor, and the merge must be launched with identical
-    // sweep-defining flags (meta.json fingerprinting enforces it).
+    // the --seeds and --sweep-systems axes — every worker and the
+    // merge must be launched with identical sweep-defining flags
+    // (meta.json fingerprinting enforces it).
     if (!opts.shardDir.empty()) {
         SweepSpec spec;
         spec.base(cfg)
@@ -444,10 +259,6 @@ runCli(int argc, char **argv)
                       << merged.missing << " missing\n";
             return merged.missing == 0 ? 0 : 1;
         }
-        if (supervise > 0)
-            return runSupervisor(argc, argv, spec, opts.shardDir,
-                                 supervise, max_restarts,
-                                 heartbeat_seconds);
         installShutdownHandler();
         ShardOptions sopts;
         sopts.dir = opts.shardDir;
@@ -456,7 +267,6 @@ runCli(int argc, char **argv)
         sopts.faults = opts.faults;
         sopts.batchSize = opts.batch;
         sopts.verify = opts.check;
-        sopts.heartbeatSeconds = heartbeat_seconds;
         sopts.crash = crash_plan;
         std::size_t committed = runShardWorker(spec, sopts);
         if (shutdownRequested()) {
@@ -518,7 +328,6 @@ runCli(int argc, char **argv)
         topts.periodSeconds =
             opts.obs.progressSeconds > 0 ? opts.obs.progressSeconds : 2.0;
         topts.progressPath = opts.obs.progressOut;
-        topts.metricsPath = opts.obs.metricsOut;
         topts.toStderr =
             opts.obs.progressSeconds > 0 && opts.obs.progressOut.empty();
         telemetry = std::make_unique<SweepTelemetry>(topts, 1, 1);

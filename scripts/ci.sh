@@ -28,7 +28,7 @@ echo "== line-count ceilings =="
 # .hh file under the tree, cat | wc -l) must stay at or under its
 # committed ceiling. Lower a ceiling when a change shrinks its tree;
 # raising one needs a reason in CHANGES.md.
-for tree in src:21798 bench:2297 tests:14207; do
+for tree in src:21464 bench:2295 tests:14339 examples:1162; do
     dir=${tree%%:*}
     ceiling=${tree#*:}
     count=$(find "$dir" \( -name '*.cc' -o -name '*.hh' \) -print0 |
@@ -163,6 +163,13 @@ for bad in --tlb=4294967360 --l1-line=4294967328 --cores=4294967297 \
     refuse build/examples/vmsim_cli --instructions=1000 "$bad"
 done
 refuse $FIG6 --cores=0
+# Retired flags (the per-cell watchdog, the Prometheus file, the
+# process supervisor) are unknown arguments, not silently ignored.
+for gone in --cell-timeout=1 --metrics-out=F --supervise=2 \
+            --max-restarts=1 --heartbeat=1; do
+    refuse build/examples/vmsim_cli --instructions=1000 "$gone"
+    refuse $FIG6 --instructions=1000 "$gone"
+done
 refuse $FIG6 --tlb=4294967360
 refuse "$FIGURES" --figure=nosuch
 refuse build/examples/trace_stats /nonexistent
@@ -212,24 +219,21 @@ cmp "$SMOKE_DIR/pressure_parallel.csv" "$SMOKE_DIR/pressure_scalar.csv"
 cmp "$SMOKE_DIR/pressure_parallel.json" "$SMOKE_DIR/pressure_scalar.json"
 
 echo "== sweep telemetry =="
-# A telemetry-enabled sweep must produce a valid Prometheus exposition
-# and well-formed JSONL heartbeats whose final record accounts for the
-# whole grid — and must not change a single byte of the sweep CSV.
+# A telemetry-enabled sweep must write well-formed JSONL heartbeats
+# whose final record accounts for the whole grid — and must not change
+# a single byte of the sweep CSV.
 $FIG6 --csv --instructions=20000 \
     --warmup=5000 --jobs=2 --progress=0.2 \
     --progress-out="$SMOKE_DIR/fig6_progress.jsonl" \
-    --metrics-out="$SMOKE_DIR/fig6_metrics.prom" \
     > "$SMOKE_DIR/fig6_telemetry.csv"
 cmp "$SMOKE_DIR/fig6_cached.csv" "$SMOKE_DIR/fig6_telemetry.csv"
-python3 - "$SMOKE_DIR/fig6_progress.jsonl" "$SMOKE_DIR/fig6_metrics.prom" <<'EOF'
+python3 - "$SMOKE_DIR/fig6_progress.jsonl" <<'EOF'
 import json, sys
-
-jsonl_path, prom_path = sys.argv[1], sys.argv[2]
 
 # Every heartbeat is one JSON object per line; the final one must
 # account for the whole grid (done + failed == total, pending == 0).
 records = []
-with open(jsonl_path) as f:
+with open(sys.argv[1]) as f:
     for n, line in enumerate(f, 1):
         line = line.strip()
         if not line:
@@ -244,59 +248,48 @@ assert records, "no heartbeat records"
 last = records[-1]
 assert last["done"] + last["failed"] == last["cells_total"], last
 assert last["pending"] == 0, last
-
-# Tiny Prometheus text-format parser: every sample line must be
-# "name[{labels}] value" with a float value, and every metric family
-# must carry # HELP and # TYPE headers.
-helped, typed, samples = set(), set(), 0
-with open(prom_path) as f:
-    for n, line in enumerate(f, 1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("# HELP "):
-            helped.add(line.split()[2])
-            continue
-        if line.startswith("# TYPE "):
-            parts = line.split()
-            assert parts[3] == "gauge", f"line {n}: {line!r}"
-            typed.add(parts[2])
-            continue
-        assert not line.startswith("#"), f"line {n}: {line!r}"
-        name_part, _, value = line.rpartition(" ")
-        float(value)
-        name = name_part.split("{", 1)[0]
-        base = name
-        assert base in typed, f"line {n}: sample for untyped {base!r}"
-        assert base in helped, f"line {n}: sample for unhelped {base!r}"
-        samples += 1
-expected = {"vmsim_sweep_cells_total", "vmsim_sweep_cells_done",
-            "vmsim_sweep_cells_failed", "vmsim_sweep_cells_pending",
-            "vmsim_sweep_instrs_total", "vmsim_sweep_eta_seconds"}
-missing = expected - typed
-assert not missing, f"missing metrics: {sorted(missing)}"
-assert samples >= len(typed), "fewer samples than metric families"
-print(f"telemetry ok: {len(records)} heartbeats, "
-      f"{samples} prometheus samples")
+print(f"telemetry ok: {len(records)} heartbeats")
 EOF
 
 echo "== crash-tolerant sharded sweeps =="
-# Headline guarantee (docs/robustness.md): a supervised 4-worker run
-# of a grid — every worker booby-trapped to SIGKILL itself with a torn
-# final record, restarted by the supervisor with backoff — must merge
-# to a CSV byte-identical to one uninterrupted single-process worker.
+# Headline guarantee (docs/robustness.md): four workers over one grid,
+# each booby-trapped to SIGKILL itself with a torn final record and
+# restarted by a shell loop until it exits 0 (at most 8 restarts per
+# worker), must merge to a CSV byte-identical to one uninterrupted
+# single-process worker.
 SHARD_ARGS="--instructions=20000 --seeds=8 --sweep-systems=ULTRIX,MACH"
 build/examples/vmsim_cli $SHARD_ARGS \
     --shard-dir="$SMOKE_DIR/shard_base" > /dev/null 2>&1
 build/examples/vmsim_cli $SHARD_ARGS \
     --shard-dir="$SMOKE_DIR/shard_base" --shard-merge \
     > "$SMOKE_DIR/shard_base.csv" 2> /dev/null
+pids=""
+for owner in w0 w1 w2 w3; do
+    (
+        restarts=0
+        until build/examples/vmsim_cli $SHARD_ARGS \
+                --shard-dir="$SMOKE_DIR/shard_crash" --shard-owner=$owner \
+                --lease-seconds=1 --crash-after=after=6,torn=1 \
+                > /dev/null 2>&1; do
+            if [ "$restarts" -ge 8 ]; then
+                echo "crash stage: worker $owner exhausted its 8" \
+                     "restarts" >&2
+                exit 1
+            fi
+            restarts=$((restarts + 1))
+            echo "$owner" >> "$SMOKE_DIR/shard_restarts.txt"
+        done
+    ) &
+    pids="$pids $!"
+done
+for pid in $pids; do
+    wait "$pid"
+done
 build/examples/vmsim_cli $SHARD_ARGS \
-    --shard-dir="$SMOKE_DIR/shard_crash" --supervise=4 \
-    --lease-seconds=1 --crash-after=after=6,torn=1 \
-    > "$SMOKE_DIR/shard_crash.csv" 2> "$SMOKE_DIR/shard_crash.err"
-# The supervisor must have actually seen kills and restarted workers.
-grep -q "supervisor: worker" "$SMOKE_DIR/shard_crash.err"
+    --shard-dir="$SMOKE_DIR/shard_crash" --shard-merge \
+    > "$SMOKE_DIR/shard_crash.csv" 2> /dev/null
+# The workers must have actually been killed and restarted.
+test -s "$SMOKE_DIR/shard_restarts.txt"
 cmp "$SMOKE_DIR/shard_base.csv" "$SMOKE_DIR/shard_crash.csv"
 # Seeded kill campaigns: rounds of random SIGKILLs (torn tails
 # included) against real forked workers; any journal-integrity or
@@ -321,6 +314,37 @@ $FIG6 $JOURNAL_ARGS \
     --journal="$SMOKE_DIR/fig6.journal" --resume \
     > "$SMOKE_DIR/journal_resumed.csv" 2> /dev/null
 cmp "$SMOKE_DIR/journal_clean.csv" "$SMOKE_DIR/journal_resumed.csv"
+
+echo "== graceful SIGINT drain =="
+# SIGINT drains a journaled sweep: in-flight cells are canceled at
+# their next cancel poll, finished cells stay journaled, and the
+# process exits 75 (kExitInterrupted). Rerun with --resume, it must
+# print the uninterrupted run's CSV byte for byte. The signal goes out
+# once a heartbeat reports a finished cell, so it lands mid-sweep.
+DRAIN_ARGS="--csv --instructions=500000 --warmup=100000 --jobs=2"
+$FIG6 $DRAIN_ARGS > "$SMOKE_DIR/drain_clean.csv"
+$FIG6 $DRAIN_ARGS --journal="$SMOKE_DIR/drain.journal" \
+    --progress=0.05 --progress-out="$SMOKE_DIR/drain_progress.jsonl" \
+    > /dev/null 2>&1 &
+drain_pid=$!
+until grep -qE '"done":[1-9]' "$SMOKE_DIR/drain_progress.jsonl" \
+        2> /dev/null; do
+    kill -0 "$drain_pid" 2> /dev/null || {
+        echo "graceful drain: the sweep ended before any heartbeat" >&2
+        exit 1
+    }
+    sleep 0.05
+done
+kill -s INT "$drain_pid"
+status=0
+wait "$drain_pid" || status=$?
+if [ "$status" -ne 75 ]; then
+    echo "graceful drain: SIGINT sweep exited $status, expected 75" >&2
+    exit 1
+fi
+$FIG6 $DRAIN_ARGS --journal="$SMOKE_DIR/drain.journal" --resume \
+    > "$SMOKE_DIR/drain_resumed.csv" 2> /dev/null
+cmp "$SMOKE_DIR/drain_clean.csv" "$SMOKE_DIR/drain_resumed.csv"
 
 echo "== golden replay manifest =="
 # Counters, event streams and interval series for all nine

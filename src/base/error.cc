@@ -17,7 +17,6 @@ errorCodeName(ErrorCode code)
       case ErrorCode::ParseError:      return "parse_error";
       case ErrorCode::Truncated:       return "truncated";
       case ErrorCode::Unsupported:     return "unsupported";
-      case ErrorCode::Timeout:         return "timeout";
       case ErrorCode::Canceled:        return "canceled";
       case ErrorCode::Internal:        return "internal";
       case ErrorCode::Unknown:         return "unknown";

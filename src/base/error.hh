@@ -48,14 +48,13 @@ enum class ErrorCode : std::uint8_t
     ParseError,      ///< bytes were readable but not decodable
     Truncated,       ///< input ended before its header said it would
     Unsupported,     ///< recognized but unsupported (format version)
-    Timeout,         ///< watchdog canceled a runaway operation
     Canceled,        ///< cooperative cancellation was requested
     Internal,        ///< an invariant violation crossed an isolation
                      ///  boundary (a PanicError captured by the runner)
     Unknown,         ///< a foreign exception with no classification
 };
 
-/** Stable lowercase identifier ("io_error", "timeout", ...). */
+/** Stable lowercase identifier ("io_error", "canceled", ...). */
 const char *errorCodeName(ErrorCode code);
 
 /**

@@ -49,8 +49,7 @@ fsyncParentDir(const std::string &path)
 }
 
 Status
-atomicWriteFile(const std::string &path, const std::string &content,
-                bool durable)
+atomicWriteFile(const std::string &path, const std::string &content)
 {
     // Pid-unique scratch name: concurrent writers (e.g. shard workers
     // racing to create meta.json) must not steal each other's tmp file
@@ -67,21 +66,17 @@ atomicWriteFile(const std::string &path, const std::string &content,
         std::remove(tmp.c_str());
         return err;
     }
-    if (durable) {
-        if (Status s = fsyncStream(f, tmp); !s.ok()) {
-            std::fclose(f);
-            std::remove(tmp.c_str());
-            return s;
-        }
+    if (Status s = fsyncStream(f, tmp); !s.ok()) {
+        std::fclose(f);
+        std::remove(tmp.c_str());
+        return s;
     }
     if (std::fclose(f) != 0)
         return errnoError(tmp, "cannot close '" + tmp + "'");
     if (std::rename(tmp.c_str(), path.c_str()) != 0)
         return errnoError(path, "cannot rename '" + tmp + "' to '" +
                                     path + "'");
-    if (durable)
-        return fsyncParentDir(path);
-    return Status();
+    return fsyncParentDir(path);
 }
 
 AppendLog::~AppendLog()

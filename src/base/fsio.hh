@@ -40,15 +40,14 @@ Status fsyncStream(std::FILE *file, const std::string &path);
 Status fsyncParentDir(const std::string &path);
 
 /**
- * Atomically replace @p path with @p content: write to a pid-unique
- * "<path>.tmp.<pid>", optionally fsync, then rename over the
- * destination (and fsync the directory when @p durable). A crash at
- * any point leaves either the old complete file or the new complete
- * file, never a mix; concurrent writers race safely (the last rename
- * wins with an intact file).
+ * Atomically and durably replace @p path with @p content: write to a
+ * pid-unique "<path>.tmp.<pid>", fsync it, rename it over the
+ * destination and fsync the directory. A crash at any point leaves
+ * either the old complete file or the new complete file, never a mix;
+ * concurrent writers race safely (the last rename wins with an intact
+ * file).
  */
-Status atomicWriteFile(const std::string &path,
-                       const std::string &content, bool durable = true);
+Status atomicWriteFile(const std::string &path, const std::string &content);
 
 /**
  * Append-only line log with crash-safe framing. Each append() issues

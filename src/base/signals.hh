@@ -7,7 +7,7 @@
  * polls that flag (shutdownToken() plugs directly into the existing
  * cancel-poll sites), cancels in-flight cells, drains, flushes its
  * journal, and the process exits with kExitInterrupted — distinct
- * from both success (0) and failure (1) so supervisors and scripts
+ * from both success (0) and failure (1) so restart loops and scripts
  * can tell "resumable, journal intact" from "broken".
  *
  * A second SIGINT/SIGTERM while shutdown is already pending restores

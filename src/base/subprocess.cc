@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -20,34 +19,6 @@ ExitStatus::toString() const
     if (exited)
         return "exit " + std::to_string(exitCode);
     return "running";
-}
-
-Expected<pid_t>
-spawnProcess(const std::vector<std::string> &argv)
-{
-    if (argv.empty())
-        return makeError(ErrorCode::InvalidArgument, "spawn",
-                         "spawnProcess needs a non-empty argv");
-    std::vector<char *> cargv;
-    cargv.reserve(argv.size() + 1);
-    for (const std::string &a : argv)
-        cargv.push_back(const_cast<char *>(a.c_str()));
-    cargv.push_back(nullptr);
-
-    pid_t pid = ::fork();
-    if (pid < 0)
-        return errnoError(argv[0], "fork failed for '" + argv[0] + "'");
-    if (pid == 0) {
-        ::execvp(cargv[0], cargv.data());
-        // Only async-signal-safe reporting after a failed exec.
-        const char msg[] = "subprocess: exec failed: ";
-        ssize_t r = ::write(2, msg, sizeof(msg) - 1);
-        r = ::write(2, argv[0].c_str(), argv[0].size());
-        r = ::write(2, "\n", 1);
-        (void)r;
-        ::_exit(127);
-    }
-    return pid;
 }
 
 Expected<pid_t>
@@ -72,14 +43,16 @@ spawnFunction(const std::function<int()> &fn)
     return pid;
 }
 
-namespace
+Expected<ExitStatus>
+waitProcess(pid_t pid)
 {
-
-ExitStatus
-decodeStatus(pid_t pid, int status)
-{
+    int status = 0;
+    while (::waitpid(pid, &status, 0) != pid) {
+        if (errno != EINTR)
+            return errnoError("wait", "waitpid(" + std::to_string(pid) +
+                                          ") failed");
+    }
     ExitStatus st;
-    st.pid = pid;
     if (WIFEXITED(status)) {
         st.exited = true;
         st.exitCode = WEXITSTATUS(status);
@@ -88,49 +61,6 @@ decodeStatus(pid_t pid, int status)
         st.signal = WTERMSIG(status);
     }
     return st;
-}
-
-} // anonymous namespace
-
-Expected<ExitStatus>
-waitProcess(pid_t pid)
-{
-    int status = 0;
-    while (true) {
-        pid_t r = ::waitpid(pid, &status, 0);
-        if (r == pid)
-            return decodeStatus(pid, status);
-        if (r < 0 && errno == EINTR)
-            continue;
-        return errnoError("wait", "waitpid(" + std::to_string(pid) +
-                                      ") failed");
-    }
-}
-
-Expected<ExitStatus>
-pollProcess(pid_t pid)
-{
-    int status = 0;
-    while (true) {
-        pid_t r = ::waitpid(pid, &status, WNOHANG);
-        if (r == 0)
-            return ExitStatus{}; // still running (pid == -1 sentinel)
-        if (r == pid)
-            return decodeStatus(pid, status);
-        if (r < 0 && errno == EINTR)
-            continue;
-        return errnoError("wait", "waitpid(" + std::to_string(pid) +
-                                      ") failed");
-    }
-}
-
-Status
-killProcess(pid_t pid, int sig)
-{
-    if (::kill(pid, sig) != 0 && errno != ESRCH)
-        return errnoError("kill", "kill(" + std::to_string(pid) + ", " +
-                                      std::to_string(sig) + ") failed");
-    return Status();
 }
 
 } // namespace vmsim

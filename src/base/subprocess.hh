@@ -1,14 +1,10 @@
 /**
  * @file
- * Minimal POSIX subprocess helpers for the shard supervisor and the
- * process-level crash fuzzer: spawn a command (fork + execvp) or a
- * callable (fork, run, _exit), wait for exits, and deliver signals.
- *
- * The API deliberately stays tiny — everything a restart loop needs
- * and nothing more. ExitStatus distinguishes "exited with code N"
- * from "killed by signal S", which is the whole point: a SIGKILLed
- * shard worker and one that exited kExitInterrupted get different
- * supervisor treatment.
+ * Minimal POSIX subprocess helpers for the process-level crash fuzzer:
+ * fork a callable (fork, run, _exit) and wait for it to exit.
+ * ExitStatus distinguishes "exited with code N" from "killed by
+ * signal S", which is the whole point: a SIGKILLed shard worker and
+ * one that exited kExitInterrupted are different outcomes.
  */
 
 #ifndef VMSIM_BASE_SUBPROCESS_HH
@@ -16,7 +12,6 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include <sys/types.h>
 
@@ -28,24 +23,14 @@ namespace vmsim
 /** How a child ended. */
 struct ExitStatus
 {
-    pid_t pid = -1;
     bool exited = false;   ///< ended via exit()/_exit()
     int exitCode = 0;      ///< valid when exited
     bool signaled = false; ///< killed by a signal
     int signal = 0;        ///< valid when signaled
 
-    bool ok() const { return exited && exitCode == 0; }
-
     /** "exit 0" / "signal 9 (SIGKILL)" style rendering. */
     std::string toString() const;
 };
-
-/**
- * fork + execvp @p argv (argv[0] is the program; PATH is searched).
- * Returns the child pid, or an Error when fork fails. exec failure
- * in the child reports on stderr and _exits 127.
- */
-Expected<pid_t> spawnProcess(const std::vector<std::string> &argv);
 
 /**
  * fork and run @p fn in the child, then _exit with its return value.
@@ -60,15 +45,6 @@ Expected<pid_t> spawnFunction(const std::function<int()> &fn);
  * (ECHILD) is an Error.
  */
 Expected<ExitStatus> waitProcess(pid_t pid);
-
-/**
- * Non-blocking poll of @p pid: nullopt-style — returns an ExitStatus
- * with pid == -1 when the child is still running.
- */
-Expected<ExitStatus> pollProcess(pid_t pid);
-
-/** Send @p sig to @p pid (ESRCH — already gone — is not an error). */
-Status killProcess(pid_t pid, int sig);
 
 } // namespace vmsim
 

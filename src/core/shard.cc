@@ -19,7 +19,6 @@
 #include "base/json.hh"
 #include "base/logging.hh"
 #include "base/signals.hh"
-#include "obs/telemetry.hh"
 #include "trace/recorded.hh"
 
 namespace vmsim
@@ -79,8 +78,8 @@ codeFromName(const std::string &name)
         ErrorCode::InvalidArgument, ErrorCode::InvalidConfig,
         ErrorCode::IoError,         ErrorCode::ParseError,
         ErrorCode::Truncated,       ErrorCode::Unsupported,
-        ErrorCode::Timeout,         ErrorCode::Canceled,
-        ErrorCode::Internal,        ErrorCode::Unknown,
+        ErrorCode::Canceled,        ErrorCode::Internal,
+        ErrorCode::Unknown,
     };
     for (ErrorCode c : kCodes)
         if (name == errorCodeName(c))
@@ -437,7 +436,7 @@ writeOrCheckMeta(const std::string &dir, const SweepSpec &spec)
     meta.set("version", kShardVersion);
     meta.set("fingerprint", fp);
     meta.set("cells", static_cast<std::uint64_t>(spec.numCells()));
-    return atomicWriteFile(path, meta.dump() + "\n", /*durable=*/true);
+    return atomicWriteFile(path, meta.dump() + "\n");
 }
 
 /** Sorted "shard-*.jsonl" names in @p dir. */
@@ -651,20 +650,6 @@ runShardWorker(const SweepSpec &spec, const ShardOptions &opts)
                       opts.batchSize, opts.verify,
                       /*wantLatency=*/false, cache.get());
 
-    // Liveness heartbeats for the supervisor: the telemetry emitter
-    // appends on its own cadence, so the file's mtime advances even
-    // while one long cell is in flight.
-    std::unique_ptr<SweepTelemetry> telemetry;
-    if (opts.heartbeatSeconds > 0) {
-        TelemetryOptions topts;
-        topts.periodSeconds = opts.heartbeatSeconds;
-        topts.progressPath =
-            opts.dir + "/heartbeat-" + owner + ".jsonl";
-        telemetry = std::make_unique<SweepTelemetry>(
-            topts, static_cast<std::uint64_t>(n), 1);
-        telemetry->start();
-    }
-
     const auto leaseSpanMs =
         static_cast<std::uint64_t>(opts.leaseSeconds * 1000.0);
     std::size_t committed = 0;
@@ -701,16 +686,10 @@ runShardWorker(const SweepSpec &spec, const ShardOptions &opts)
                  " from stale lease by '", scan.leaseOwner[pick], "'");
 
         log.lease(pick, now + leaseSpanMs);
-        if (telemetry)
-            telemetry->beginCell(0, pick);
         CellRunner::Hooks extra;
         if (opts.graceful)
             extra.cancel = shutdownToken();
-        if (telemetry)
-            extra.progress = telemetry->progressCounter(0);
         CellExecution exec = runner.run(pick, extra);
-        if (telemetry)
-            telemetry->endCell(0, exec.outcome.ok);
         if (!exec.outcome.ok && opts.graceful && shutdownRequested())
             break; // drained mid-cell: leave the lease to expire
         if (exec.outcome.ok)
@@ -719,8 +698,6 @@ runShardWorker(const SweepSpec &spec, const ShardOptions &opts)
             log.fail(pick, exec.outcome.error);
         ++committed;
     }
-    if (telemetry)
-        telemetry->stop();
     return committed;
 }
 

@@ -30,7 +30,6 @@
  *   meta.json            spec fingerprint + cell count, written
  *                        atomically (base/fsio.hh) by the first worker
  *   shard-<owner>.jsonl  one shard log per worker
- *   heartbeat-<owner>.jsonl  telemetry heartbeats (when enabled)
  *
  * Coordination is *advisory leases*, not locks: a worker claims a cell
  * by appending a lease record (owner + absolute expiry) to its own
@@ -84,11 +83,6 @@ struct ShardOptions
     /** Honor SIGINT/SIGTERM (base/signals.hh): cancel the in-flight
      *  cell, keep its lease unrecorded, and return early. */
     bool graceful = true;
-
-    /** Heartbeat period for telemetry JSONL at
-     *  "<dir>/heartbeat-<owner>.jsonl"; 0 = no heartbeats. The
-     *  supervisor watches these files' mtimes for stalls. */
-    double heartbeatSeconds = 0;
 
     /** Test hook: crash (or tear, or throw) at a seeded append. */
     CrashPlan crash;

@@ -102,9 +102,9 @@ class Simulator
     /**
      * Cooperative cancellation: run() polls @p token at batch
      * boundaries (every ~2K instructions on the scalar path) and
-     * throws VmsimError(Canceled) when it becomes true. The watchdog
-     * in SweepRunner uses this to reclaim runaway cells. Not owned;
-     * nullptr detaches.
+     * throws VmsimError(Canceled) when it becomes true. Graceful
+     * shutdown hands every sweep cell the SIGINT/SIGTERM flag here.
+     * Not owned; nullptr detaches.
      */
     void setCancel(const std::atomic<bool> *token) { cancel_ = token; }
 

@@ -1,7 +1,6 @@
 #include "core/sweep.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -200,7 +199,6 @@ RunOptions::flags()
          .dest = &obs.progressSeconds, .positive = true, .bare = 2.0},
         {.name = "--progress-out", .metavar = "F",
          .dest = &obs.progressOut},
-        {.name = "--metrics-out", .metavar = "F", .dest = &obs.metricsOut},
         {.name = "--inject-faults", .metavar = "SPEC",
          .dest = [this](const char *v) {
              faults = FaultSpec::parse(v).orThrow();
@@ -263,8 +261,6 @@ BenchOptions::parse(int argc, char **argv)
         {.name = "--retries", .metavar = "N", .dest = &opts.retries},
         {.name = "--retry-backoff", .metavar = "S",
          .dest = &opts.retryBackoff},
-        {.name = "--cell-timeout", .metavar = "S",
-         .dest = &opts.cellTimeout},
         {.name = "--journal", .metavar = "F", .dest = &opts.journal},
         {.name = "--resume", .dest = &opts.resume},
         {.name = "--trace-cache-mb", .metavar = "N",
@@ -869,8 +865,6 @@ CellRunner::runAttempts(std::size_t flat, const Hooks &extra,
     while (true) {
         ++attempts;
         try {
-            if (extra.onAttempt)
-                extra.onAttempt();
             RunHooks hooks;
             std::unique_ptr<JsonlEventWriter> events;
             if (!obs_.traceEvents.empty()) {
@@ -978,8 +972,6 @@ CellRunner::runAttempts(std::size_t flat, const Hooks &extra,
             return out;
         } catch (...) {
             Error err = errorFromException(std::current_exception());
-            if (extra.classify)
-                extra.classify(err);
             if (err.transient && attempts < maxAttempts) {
                 if (extra.onRetry)
                     extra.onRetry();
@@ -1057,7 +1049,6 @@ SweepRunner::run(const SweepSpec &spec) const
         topts.periodSeconds =
             obs_.progressSeconds > 0 ? obs_.progressSeconds : 2.0;
         topts.progressPath = obs_.progressOut;
-        topts.metricsPath = obs_.metricsOut;
         topts.toStderr =
             obs_.progressSeconds > 0 && obs_.progressOut.empty();
         telemetry = std::make_unique<SweepTelemetry>(
@@ -1078,47 +1069,6 @@ SweepRunner::run(const SweepSpec &spec) const
             static_cast<unsigned>(workers.size()));
         return it->second;
     };
-
-    // Watchdog: workers publish a wall-clock deadline per cell; one
-    // scanner thread trips the cell's cancel token when it passes, and
-    // the simulation loop turns that into a Canceled throw. Both
-    // vectors are sized once — never reallocated — so workers and
-    // watchdog touch disjoint atomics without locks. The same scanner
-    // fans the process-wide shutdown flag (base/signals.hh) out to
-    // every cell's token when graceful shutdown is armed.
-    const bool watch = cellTimeoutSeconds_ > 0;
-    const bool cancelPoll = watch || graceful_;
-    std::vector<std::atomic<std::int64_t>> deadlines(watch ? n : 0);
-    std::vector<std::atomic<bool>> cancels(cancelPoll ? n : 0);
-    std::atomic<bool> watchdogStop{false};
-    std::thread watchdog;
-    auto nowNs = [] {
-        return std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   std::chrono::steady_clock::now().time_since_epoch())
-            .count();
-    };
-    if (cancelPoll) {
-        watchdog = std::thread([&] {
-            while (!watchdogStop.load(std::memory_order_acquire)) {
-                if (graceful_ && shutdownRequested())
-                    for (std::size_t i = 0; i < n; ++i)
-                        cancels[i].store(true,
-                                         std::memory_order_release);
-                if (watch) {
-                    const std::int64_t now = nowNs();
-                    for (std::size_t i = 0; i < n; ++i) {
-                        std::int64_t d =
-                            deadlines[i].load(std::memory_order_acquire);
-                        if (d != 0 && now > d)
-                            cancels[i].store(true,
-                                             std::memory_order_release);
-                    }
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(5));
-            }
-        });
-    }
 
     const auto sweepStart = std::chrono::steady_clock::now();
     CellRunner cellRunner(spec, obs_, retry_, faults_, batchSize_,
@@ -1147,36 +1097,9 @@ SweepRunner::run(const SweepSpec &spec) const
                     telemetry->noteRetry(worker);
                 };
             }
-            if (cancelPoll) {
-                extra.cancel = &cancels[i];
-                extra.onAttempt = [&, i] {
-                    cancels[i].store(false, std::memory_order_release);
-                    if (watch)
-                        deadlines[i].store(
-                            nowNs() + static_cast<std::int64_t>(
-                                          cellTimeoutSeconds_ * 1e9),
-                            std::memory_order_release);
-                };
-                extra.classify = [&, i](Error &err) {
-                    if (watch)
-                        deadlines[i].store(0, std::memory_order_release);
-                    // A shutdown-tripped token keeps its Canceled
-                    // error; only the watchdog's own trip becomes a
-                    // Timeout.
-                    if (graceful_ && shutdownRequested())
-                        return;
-                    if (watch &&
-                        cancels[i].load(std::memory_order_acquire))
-                        err = makeError(
-                            ErrorCode::Timeout,
-                            "cell " + std::to_string(i), "cell ", i,
-                            " exceeded its ", cellTimeoutSeconds_,
-                            "s wall-clock budget and was canceled");
-                };
-            }
+            if (graceful_)
+                extra.cancel = shutdownToken();
             exec = cellRunner.run(i, extra);
-            if (watch)
-                deadlines[i].store(0, std::memory_order_release);
         }
 
         if (obs_.interval)
@@ -1222,24 +1145,10 @@ SweepRunner::run(const SweepSpec &spec) const
         pending.insert(pending.end(), rest.begin(), rest.end());
     }
 
-    try {
-        map(pending.size(), [&](std::size_t k) {
-            runCell(pending[k]);
-            return 0;
-        });
-    } catch (...) {
-        // Journal I/O failure or similar infrastructure error: stop
-        // the watchdog before letting it propagate.
-        if (cancelPoll) {
-            watchdogStop.store(true, std::memory_order_release);
-            watchdog.join();
-        }
-        throw;
-    }
-    if (cancelPoll) {
-        watchdogStop.store(true, std::memory_order_release);
-        watchdog.join();
-    }
+    map(pending.size(), [&](std::size_t k) {
+        runCell(pending[k]);
+        return 0;
+    });
     if (telemetry) {
         // Final heartbeat: every cell ended, so done + failed covers
         // the grid. Under --check the accounting laws are audited too.

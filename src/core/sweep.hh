@@ -104,16 +104,11 @@ struct ObsOptions
     /** JSONL heartbeat file for live telemetry (--progress-out). */
     std::string progressOut;
 
-    /** Prometheus text-exposition file, atomically rewritten every
-     *  heartbeat (--metrics-out). */
-    std::string metricsOut;
-
     /** True when any live-telemetry output was requested. */
     bool
     telemetry() const
     {
-        return progressSeconds > 0 || !progressOut.empty() ||
-               !metricsOut.empty();
+        return progressSeconds > 0 || !progressOut.empty();
     }
 
     bool
@@ -171,7 +166,7 @@ struct RunOptions
     unsigned seeds = 1;        ///< --seeds=N replications (seed, seed+1, ...)
     ObsOptions obs;            ///< --trace-events, --chrome-trace,
                                ///< --stats-json, --interval, --progress,
-                               ///< --progress-out, --metrics-out
+                               ///< --progress-out
     FaultSpec faults;          ///< --inject-faults=SPEC
     std::size_t batch = 0;     ///< --batch=N trace fetch; 0 = default
     unsigned cores = 1;        ///< --cores=N simulated cores
@@ -223,7 +218,6 @@ struct BenchOptions : RunOptions
     unsigned jobs = 0;         ///< --jobs=N; 0 = hardware_concurrency
     unsigned retries = 0;      ///< --retries=N transient-failure retries
     double retryBackoff = 0.0; ///< --retry-backoff=S base seconds
-    double cellTimeout = 0.0;  ///< --cell-timeout=S per cell; 0 = none
     std::string journal;       ///< --journal=F checkpoint; empty = off
     bool resume = false;       ///< --resume: load the journal first
     std::size_t traceCacheMb = 256; ///< --trace-cache-mb=N; 0 = off
@@ -448,8 +442,8 @@ struct CellTiming
 /**
  * Retry policy for cells that fail with a *transient* error (an
  * interrupted write, an injected ENOSPC). Deterministic failures —
- * invalid configs, corrupt traces, timeouts — are never retried: they
- * would fail identically again.
+ * invalid configs, corrupt traces, cancellations — are never
+ * retried: they would fail identically again.
  */
 struct RetryPolicy
 {
@@ -628,8 +622,8 @@ class CellRunner
 {
   public:
     /**
-     * Per-call extensions for the caller's own machinery (watchdog,
-     * telemetry, graceful shutdown). All optional.
+     * Per-call extensions for the caller's own machinery (telemetry,
+     * graceful shutdown). All optional.
      */
     struct Hooks
     {
@@ -639,19 +633,8 @@ class CellRunner
         /** Instruction-progress counter (live telemetry). */
         std::atomic<std::uint64_t> *progress = nullptr;
 
-        /** Runs at the start of every attempt (arm a watchdog). */
-        std::function<void()> onAttempt;
-
         /** Runs before each retry of a transient failure. */
         std::function<void()> onRetry;
-
-        /**
-         * Rewrites a failure before the retry decision — the watchdog
-         * turns a Canceled from its own cancel token into a Timeout
-         * here. A classification that clears Error::transient
-         * suppresses the retry.
-         */
-        std::function<void(Error &)> classify;
     };
 
     /**
@@ -706,8 +689,7 @@ class CellRunner
  * failed in the outcomes table (with the structured Error) and the
  * sweep continues — one corrupt trace or invalid variant never takes
  * down a campaign. Transient failures can be retried with backoff
- * (retry()), runaway cells canceled by a wall-clock watchdog
- * (cellTimeout()), and completed cells checkpointed to a JSONL journal
+ * (retry()), and completed cells checkpointed to a JSONL journal
  * (journal()/resume()) so a killed sweep restarts where it left off.
  * See docs/robustness.md.
  */
@@ -738,17 +720,6 @@ class SweepRunner
     retry(RetryPolicy policy)
     {
         retry_ = policy;
-        return *this;
-    }
-
-    /**
-     * Cancel any cell still running after @p seconds of wall clock;
-     * the cell is marked failed with a Timeout error. 0 disables.
-     */
-    SweepRunner &
-    cellTimeout(double seconds)
-    {
-        cellTimeoutSeconds_ = seconds;
         return *this;
     }
 
@@ -825,8 +796,9 @@ class SweepRunner
 
     /**
      * Honor SIGINT/SIGTERM (base/signals.hh) as a cooperative drain:
-     * once a shutdown signal arrives, in-flight cells are canceled at
-     * the next poll boundary, not-yet-started cells are marked
+     * every cell polls shutdownToken() as its cancel token, so once a
+     * shutdown signal arrives, in-flight cells are canceled at the
+     * next poll boundary, not-yet-started cells are marked
      * Canceled without running, and run() returns normally with the
      * journal flushed — the caller exits kExitInterrupted and the
      * sweep resumes with --resume. The caller must have installed the
@@ -864,7 +836,6 @@ class SweepRunner
     unsigned jobs_;
     ObsOptions obs_;
     RetryPolicy retry_;
-    double cellTimeoutSeconds_ = 0.0;
     std::string journalPath_;
     bool resume_ = false;
     FaultSpec faults_;

@@ -1,9 +1,7 @@
 #include "obs/telemetry.hh"
 
 #include <cstdio>
-#include <sstream>
 
-#include "base/fsio.hh"
 #include "base/logging.hh"
 
 namespace vmsim
@@ -14,16 +12,6 @@ namespace
 
 /** Smoothing factor for the throughput EWMAs (per tick). */
 constexpr double kEwmaAlpha = 0.3;
-
-/** One Prometheus sample with its # HELP / # TYPE preamble. */
-void
-promMetric(std::ostream &os, const std::string &name,
-           const std::string &help, double value)
-{
-    os << "# HELP " << name << ' ' << help << '\n'
-       << "# TYPE " << name << " gauge\n"
-       << name << ' ' << value << '\n';
-}
 
 } // anonymous namespace
 
@@ -51,58 +39,6 @@ TelemetrySnapshot::toJson() const
     }
     j.set("workers", std::move(ws));
     return j;
-}
-
-std::string
-TelemetrySnapshot::toPrometheus() const
-{
-    std::ostringstream os;
-    promMetric(os, "vmsim_sweep_cells_total",
-               "Cells in the sweep grid.",
-               static_cast<double>(totalCells));
-    promMetric(os, "vmsim_sweep_cells_done",
-               "Cells completed successfully (resumed cells included).",
-               static_cast<double>(done));
-    promMetric(os, "vmsim_sweep_cells_failed",
-               "Cells that exhausted their retries.",
-               static_cast<double>(failed));
-    promMetric(os, "vmsim_sweep_cells_retried",
-               "Retry attempts across all cells.",
-               static_cast<double>(retried));
-    promMetric(os, "vmsim_sweep_cells_pending",
-               "Cells not yet finished.",
-               static_cast<double>(pending));
-    promMetric(os, "vmsim_sweep_instrs_total",
-               "Simulated instructions executed (in-flight included).",
-               static_cast<double>(instrs));
-    promMetric(os, "vmsim_sweep_instrs_per_second",
-               "Aggregate simulated-instruction throughput (EWMA).",
-               instrsPerSec);
-    promMetric(os, "vmsim_sweep_eta_seconds",
-               "Estimated seconds to completion (0 = unknown).",
-               etaSeconds);
-    promMetric(os, "vmsim_sweep_elapsed_seconds",
-               "Seconds since the sweep started.", elapsedSeconds);
-
-    os << "# HELP vmsim_worker_current_cell Linear cell index a worker "
-          "is running (-1 = idle).\n"
-       << "# TYPE vmsim_worker_current_cell gauge\n";
-    for (std::size_t w = 0; w < workers.size(); ++w)
-        os << "vmsim_worker_current_cell{worker=\"" << w << "\"} "
-           << workers[w].cell << '\n';
-    os << "# HELP vmsim_worker_instrs Instructions into the worker's "
-          "current cell.\n"
-       << "# TYPE vmsim_worker_instrs gauge\n";
-    for (std::size_t w = 0; w < workers.size(); ++w)
-        os << "vmsim_worker_instrs{worker=\"" << w << "\"} "
-           << static_cast<double>(workers[w].instrs) << '\n';
-    os << "# HELP vmsim_worker_instrs_per_second Per-worker simulated "
-          "throughput (EWMA).\n"
-       << "# TYPE vmsim_worker_instrs_per_second gauge\n";
-    for (std::size_t w = 0; w < workers.size(); ++w)
-        os << "vmsim_worker_instrs_per_second{worker=\"" << w << "\"} "
-           << workers[w].instrsPerSec << '\n';
-    return os.str();
 }
 
 SweepTelemetry::SweepTelemetry(const TelemetryOptions &opts,
@@ -309,15 +245,6 @@ SweepTelemetry::emit(TelemetrySnapshot &snap)
     if (jsonl_.is_open()) {
         jsonl_ << snap.toJson().dump() << '\n';
         jsonl_.flush();
-    }
-    if (!opts_.metricsPath.empty()) {
-        // Atomic replace so a concurrent scraper never reads a torn
-        // exposition; not durable — a heartbeat is not worth an fsync.
-        Status st = atomicWriteFile(opts_.metricsPath,
-                                    snap.toPrometheus(),
-                                    /*durable=*/false);
-        if (!st.ok())
-            warn("telemetry: ", st.error().message);
     }
 }
 

@@ -1,12 +1,9 @@
 /**
  * @file
  * Live sweep telemetry: a background thread that periodically snapshots
- * per-worker progress counters and publishes them as
- *
- *  - append-only JSONL heartbeats (one object per tick, machine
- *    readable, safe to tail while the sweep runs), and
- *  - a Prometheus-style text exposition rewritten atomically
- *    (write-to-temp + rename) so a scraper never sees a torn file.
+ * per-worker progress counters and publishes them as append-only JSONL
+ * heartbeats (one object per tick, machine readable, safe to tail
+ * while the sweep runs) and/or one-line stderr updates.
  *
  * The workers' side of the contract is three relaxed atomic stores:
  * beginCell() notes which cell a worker entered, the RunHooks progress
@@ -40,16 +37,12 @@ namespace vmsim
 /** Where and how often SweepTelemetry publishes. */
 struct TelemetryOptions
 {
-    /** Seconds between heartbeats (also the Prometheus rewrite rate). */
+    /** Seconds between heartbeats. */
     double periodSeconds = 2.0;
 
     /** JSONL heartbeat stream, appended one object per tick; empty
      *  disables the stream. */
     std::string progressPath;
-
-    /** Prometheus text exposition, atomically replaced every tick;
-     *  empty disables it. */
-    std::string metricsPath;
 
     /** Also print a one-line human-readable heartbeat to stderr. */
     bool toStderr = false;
@@ -57,7 +50,7 @@ struct TelemetryOptions
     bool
     any() const
     {
-        return toStderr || !progressPath.empty() || !metricsPath.empty();
+        return toStderr || !progressPath.empty();
     }
 };
 
@@ -71,7 +64,7 @@ struct WorkerSnapshot
 
 /**
  * A consistent view of sweep progress at one instant. Produced by
- * SweepTelemetry::snapshot(); also the unit both emitters serialize.
+ * SweepTelemetry::snapshot(); also the unit the emitters serialize.
  */
 struct TelemetrySnapshot
 {
@@ -89,9 +82,6 @@ struct TelemetrySnapshot
 
     /** One heartbeat object (the JSONL record). */
     Json toJson() const;
-
-    /** Prometheus text exposition (# HELP / # TYPE + samples). */
-    std::string toPrometheus() const;
 };
 
 /**
@@ -116,7 +106,7 @@ class SweepTelemetry
     void start();
 
     /**
-     * Emit one final heartbeat/exposition and join the thread. The
+     * Emit one final heartbeat and join the thread. The
      * final JSONL record therefore reflects the completed sweep:
      * done + failed == totalCells. Idempotent.
      */

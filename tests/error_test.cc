@@ -30,7 +30,6 @@ TEST(ErrorCodeName, CoversEveryCode)
     EXPECT_STREQ(errorCodeName(ErrorCode::ParseError), "parse_error");
     EXPECT_STREQ(errorCodeName(ErrorCode::Truncated), "truncated");
     EXPECT_STREQ(errorCodeName(ErrorCode::Unsupported), "unsupported");
-    EXPECT_STREQ(errorCodeName(ErrorCode::Timeout), "timeout");
     EXPECT_STREQ(errorCodeName(ErrorCode::Canceled), "canceled");
     EXPECT_STREQ(errorCodeName(ErrorCode::Internal), "internal");
     EXPECT_STREQ(errorCodeName(ErrorCode::Unknown), "unknown");
@@ -105,7 +104,7 @@ TEST(VmsimErrorTest, IsAFatalError)
 
 TEST(ErrorFromException, PreservesVmsimError)
 {
-    Error in = makeError(ErrorCode::Timeout, "cell 3", "too slow");
+    Error in = makeError(ErrorCode::Canceled, "cell 3", "shut down");
     in.transient = false;
     Error out;
     try {
@@ -113,8 +112,8 @@ TEST(ErrorFromException, PreservesVmsimError)
     } catch (...) {
         out = errorFromException(std::current_exception());
     }
-    EXPECT_EQ(out.code, ErrorCode::Timeout);
-    EXPECT_EQ(out.message, "too slow");
+    EXPECT_EQ(out.code, ErrorCode::Canceled);
+    EXPECT_EQ(out.message, "shut down");
     EXPECT_EQ(out.context, "cell 3");
 }
 

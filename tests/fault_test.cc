@@ -2,8 +2,8 @@
  * @file
  * Tests for the deterministic fault-injection subsystem and its
  * integration with the sweep engine: spec parsing, seeded decision
- * streams, the trace/sink wrappers, per-cell failure isolation,
- * transient-retry semantics, and the wall-clock watchdog.
+ * streams, the trace/sink wrappers, per-cell failure isolation, and
+ * transient-retry semantics.
  */
 
 #include <gtest/gtest.h>
@@ -344,28 +344,6 @@ TEST(SweepFaults, RetriedTransientFailureRecordsAttempts)
     for (std::size_t i = 0; i < res.size(); ++i)
         maxAttempts = std::max(maxAttempts, res.outcomeAt(i).attempts);
     EXPECT_GT(maxAttempts, 1u);
-}
-
-TEST(SweepFaults, WatchdogTimesOutRunawayCells)
-{
-    setQuiet(true);
-    SimConfig base;
-    base.l1 = CacheParams{4_KiB, 32};
-    base.l2 = CacheParams{1_MiB, 64};
-    SweepSpec spec;
-    // Enough instructions that 50ms of wall clock cannot finish them.
-    spec.base(base).workloads({"gcc"}).instructions(200'000'000)
-        .warmup(0);
-    SweepResults res = SweepRunner(1).cellTimeout(0.05).run(spec);
-    setQuiet(false);
-
-    ASSERT_EQ(res.size(), 1u);
-    const CellOutcome &out = res.outcomeAt(0);
-    ASSERT_FALSE(out.ok);
-    EXPECT_EQ(out.error.code, ErrorCode::Timeout);
-    EXPECT_NE(out.error.message.find("wall-clock"), std::string::npos);
-    // Timeouts are deterministic failures: never retried.
-    EXPECT_EQ(out.attempts, 1u);
 }
 
 TEST(SweepFaults, FailedCellsAppearInCsv)

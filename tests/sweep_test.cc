@@ -3,16 +3,28 @@
  * Tests for the declarative sweep engine: SweepSpec grid indexing and
  * cell materialization, SweepRunner determinism (a parallel run's
  * SweepResults must be identical to a serial run's), seed statistics,
- * the new BenchOptions flags, and tryKindFromName().
+ * the graceful SIGINT drain and its resume, the new BenchOptions
+ * flags, and tryKindFromName().
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <csignal>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "base/json.hh"
 #include "base/logging.hh"
+#include "base/signals.hh"
 #include "core/sim_config.hh"
 #include "core/simulator.hh"
 #include "core/sweep.hh"
@@ -205,6 +217,161 @@ TEST(SweepRunner, SeedReplicationsDiffer)
     EXPECT_EQ(res.meanMetric({.seed = 0},
                              [](const Results &) { return 1.25; }),
               1.25);
+}
+
+// -------------------------------------------------------- graceful drain
+
+std::string
+csvOf(const SweepResults &res)
+{
+    std::ostringstream os;
+    res.writeCsv(os);
+    return os.str();
+}
+
+/** A path under the test temp dir, unique to this process, with no
+ *  file at it yet. */
+std::string
+freshPath(const std::string &name)
+{
+    std::string path = testing::TempDir() + "sweep_test_" +
+                       std::to_string(::getpid()) + "_" + name;
+    std::remove(path.c_str());
+    return path;
+}
+
+/**
+ * Resume @p spec from @p journal and check that exactly the cells
+ * marked in @p journaled load from it and that the CSV is
+ * byte-identical to an uninterrupted sweep's.
+ */
+void
+expectResumeMatchesClean(const SweepSpec &spec, const std::string &journal,
+                         const std::vector<bool> &journaled)
+{
+    SweepResults resumed =
+        SweepRunner(2).journal(journal).resume().run(spec);
+    ASSERT_TRUE(resumed.allOk());
+    for (std::size_t i = 0; i < spec.numCells(); ++i)
+        EXPECT_EQ(resumed.outcomeAt(i).fromJournal, journaled[i])
+            << "cell " << i;
+    EXPECT_EQ(csvOf(resumed), csvOf(SweepRunner(2).run(spec)));
+}
+
+TEST(GracefulShutdown, SignalBeforeRunCancelsEveryCell)
+{
+    installShutdownHandler();
+    const SweepSpec spec = smallSpec();
+    const std::string journal = freshPath("drain_before.journal");
+
+    std::raise(SIGINT);
+    ASSERT_TRUE(shutdownRequested());
+    SweepResults res =
+        SweepRunner(2).gracefulShutdown(true).journal(journal).run(spec);
+    resetShutdownForTest();
+
+    ASSERT_EQ(res.size(), spec.numCells());
+    for (std::size_t i = 0; i < res.size(); ++i) {
+        const CellOutcome &o = res.outcomeAt(i);
+        EXPECT_FALSE(o.ok) << "cell " << i;
+        EXPECT_EQ(o.error.code, ErrorCode::Canceled) << "cell " << i;
+        EXPECT_EQ(o.attempts, 0u) << "cell " << i;
+    }
+    expectResumeMatchesClean(spec, journal,
+                             std::vector<bool>(spec.numCells(), false));
+    std::remove(journal.c_str());
+}
+
+TEST(GracefulShutdown, SignalMidCellCancelsItAndJournalsFinishedCells)
+{
+    installShutdownHandler();
+    // Long cells: the in-flight cell is caught under a quarter of the
+    // way in, so the signal lands with most of it still to run.
+    const Counter instrs = 3'000'000;
+    SimConfig base;
+    base.l1 = CacheParams{8_KiB, 32};
+    base.l2 = CacheParams{1_MiB, 64};
+    SweepSpec spec;
+    spec.base(base)
+        .systems({SystemKind::Ultrix, SystemKind::Mach, SystemKind::Intel})
+        .seeds(2)
+        .instructions(instrs)
+        .warmup(Counter{0});
+    const std::string journal = freshPath("drain_mid.journal");
+
+    // The trigger reads each worker's progress counter as the
+    // telemetry heartbeats publish it: once two cells are done, it
+    // raises SIGINT while a worker's cell is in flight.
+    ObsOptions obs;
+    obs.progressSeconds = 0.001;
+    obs.progressOut = freshPath("drain_mid_progress.jsonl");
+    std::atomic<bool> sweepDone{false};
+    std::int64_t target = -1;
+    std::thread trigger([&] {
+        std::size_t offset = 0;
+        while (target < 0 && !sweepDone.load()) {
+            std::ifstream in(obs.progressOut);
+            const std::string text(std::istreambuf_iterator<char>(in),
+                                   {});
+            for (std::size_t eol;
+                 target < 0 &&
+                 (eol = text.find('\n', offset)) != std::string::npos;
+                 offset = eol + 1) {
+                Expected<Json> rec =
+                    Json::parse(text.substr(offset, eol - offset));
+                if (!rec.ok()) {
+                    ADD_FAILURE() << rec.error().toString();
+                    return;
+                }
+                if (rec.value().find("done")->asUint() < 2)
+                    continue;
+                const Json &workers = *rec.value().find("workers");
+                for (std::size_t w = 0; w < workers.size(); ++w) {
+                    const std::int64_t cell =
+                        workers.at(w).find("cell")->asInt();
+                    const Counter at =
+                        workers.at(w).find("instrs")->asUint();
+                    if (cell >= 0 && at > 0 && at < instrs / 4) {
+                        target = cell;
+                        std::raise(SIGINT);
+                        break;
+                    }
+                }
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    });
+    SweepResults res = SweepRunner(2)
+                           .gracefulShutdown(true)
+                           .journal(journal)
+                           .observe(obs)
+                           .run(spec);
+    sweepDone.store(true);
+    trigger.join();
+    const bool interrupted = shutdownRequested();
+    resetShutdownForTest();
+
+    ASSERT_GE(target, 0) << "no cell was seen in flight";
+    ASSERT_TRUE(interrupted);
+    const CellOutcome &hit =
+        res.outcomeAt(static_cast<std::size_t>(target));
+    EXPECT_FALSE(hit.ok);
+    EXPECT_EQ(hit.error.code, ErrorCode::Canceled);
+    EXPECT_EQ(hit.attempts, 1u);
+    std::vector<bool> finished(spec.numCells());
+    std::size_t nFinished = 0;
+    for (std::size_t i = 0; i < res.size(); ++i) {
+        const CellOutcome &o = res.outcomeAt(i);
+        finished[i] = o.ok;
+        nFinished += o.ok;
+        EXPECT_TRUE(o.ok || o.error.code == ErrorCode::Canceled)
+            << "cell " << i << ": " << o.error.toString();
+    }
+    EXPECT_GE(nFinished, 2u);
+    EXPECT_LT(nFinished, spec.numCells());
+    expectResumeMatchesClean(spec, journal, finished);
+    std::remove(journal.c_str());
+    std::remove(obs.progressOut.c_str());
 }
 
 // ---------------------------------------------------------- BenchOptions
