@@ -76,12 +76,11 @@
  *   --fuzz-report=FILE    write the fuzz report JSON to FILE instead
  *                         of stdout
  *
- * Sharded sweeps (see docs/robustness.md): with --shard-dir the
- * process stops being a single run and becomes one worker of a
- * crash-tolerant sweep over a grid built from the config above plus
- * --seeds / --sweep-systems. Start as many workers as you like (and
- * restart any that die) over one directory; each prints a one-line
- * summary to stderr, and the merged CSV comes from --shard-merge.
+ * Sharded sweeps (see docs/robustness.md): with --shard-dir the process
+ * is one worker of a crash-tolerant sweep over the config above crossed
+ * with --seeds / --sweep-systems, and refuses the observation flags.
+ * Start any number of workers (restart any that die) on one directory;
+ * each prints a summary line to stderr; --shard-merge prints the CSV.
  *   --shard-dir=D         shared shard directory (created if absent)
  *   --shard-owner=ID      stable worker identity        [pid<pid>]
  *   --lease-seconds=S     stale-lease reclaim horizon   [30]
@@ -191,6 +190,7 @@ runCli(int argc, char **argv)
     std::vector<Flag> shared = opts.flags();
     flags.insert(flags.end(), shared.begin(), shared.end());
     parseFlags(argc, argv, flags);
+    opts.refuseShardObservers();
     cfg.l2.assoc = cfg.l1.assoc; // --assoc sets both levels
     opts.applyTo(cfg);
 

@@ -32,9 +32,9 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 # (fork + threads is a known TSan blind spot) but is ASan-clean.
 "$BUILD_DIR"/tests/shard_test
 # Lifetime checks on the zero-copy replay path: lent record
-# pointers must stay inside the shared recording. Its SpanKernels
-# suite indexes the span passes' memory-op list and replays deferred
-# handler fetches by record index.
+# pointers must stay inside the shared recording. Its SplitBlocks
+# suite indexes the back end's memory-op list and walks each block's
+# service log by deque cursor.
 "$BUILD_DIR"/tests/batch_test
 # The Zipf guide table is built by a cursor that walks the CDF without
 # a bounds check of its own.

@@ -27,8 +27,8 @@
 # collector), so the summary-only rows last run the same budget config
 # for the six TLB organizations at one and four cores with neither
 # --stats-json nor --trace-events: no observer attaches, and the run
-# takes the unobserved kernels, whose budgeted blocks cut their
-# miss-free spans at evictions.
+# splits its budgeted blocks into a cache-free front end, which meets
+# every eviction in scalar order, and the back end.
 # ci.sh cmp's the output against the committed
 # tests/golden/replay_sha256.txt: any refactor that changes a single
 # output byte — one counter, one event, one interval sample — fails

@@ -168,9 +168,10 @@ bool cacheBlindVm(SystemKind kind);
  * cacheBlindVm() organization on one input that differ only in cache
  * geometry, must agree on every VmStats counter and every per-core
  * slice, since nothing in the cache model feeds back into a TLB, a
- * page table or a refill decision. The bare kernels' I/D span passes
- * (VmSystem::runSpan) rest on the same fact. @p labels name the cells
- * (one per cell) in violations, which are tagged
+ * page table or a refill decision. Split blocks (VmSystem::splitBlock:
+ * a cache-free front end, then the back end) rest on the same fact,
+ * with or without a frame budget and on any number of cores. @p labels
+ * name the cells (one per cell) in violations, which are tagged
  * "cache-independence.".
  */
 CheckReport checkCacheIndependence(const std::vector<Results> &cells,

@@ -308,125 +308,8 @@ namespace
 {
 
 /**
- * A shared front end's back end: one MemSystem fed the trace's user
- * accesses merged with a FrontEnd's logged service accesses. With a
- * split L2 the I and D sides share no state, so each side only needs
- * its own order: a block runs as a D pass, then an I pass, as
- * VmSystem::runSpan does.
- */
-class ServiceReplay
-{
-  public:
-    ServiceReplay(const SimConfig &c, const ServiceLog &log)
-        : mem_(c.l1, c.l2, c.seed, false), inst_(log.inst.begin()),
-          instEnd_(log.inst.end()), data_(log.data.begin()),
-          dataEnd_(log.data.end())
-    {}
-
-    MemSystem &mem() { return mem_; }
-
-    void block(const TraceRecord *recs, std::size_t n, Counter first);
-
-    /** Issue every logged access before record @p end on both sides. */
-    void
-    flush(Counter end)
-    {
-        if (end == 0)
-            return;
-        issueData(2 * end - 1);
-        issueInst(2 * end - 1);
-    }
-
-  private:
-    using Cursor = std::deque<ServiceAccess>::const_iterator;
-
-    static Counter
-    slotOf(Cursor a, Cursor end)
-    {
-        return a == end ? ~Counter{0} : Counter{a->slot};
-    }
-
-    /**
-     * The first record of the block at @p first whose access slot
-     * @p s precedes (s <= 2r), capped at the block's @p n records.
-     */
-    static std::size_t
-    stopAt(Counter s, Counter first, std::size_t n)
-    {
-        const Counter r = s / 2 + (s & 1);
-        return r <= first ? 0 : std::min<Counter>(r - first, n);
-    }
-
-    /** Issue the D-side accesses with slots up to @p slot. */
-    void
-    issueData(Counter slot)
-    {
-        for (; data_ != dataEnd_ && data_->slot <= slot; ++data_)
-            mem_.dataAccess(data_->addr, static_cast<unsigned>(data_->n),
-                            false, static_cast<AccessClass>(data_->cls));
-        nextData_ = slotOf(data_, dataEnd_);
-    }
-
-    /** Issue the I-side handler fetches with slots up to @p slot. */
-    void
-    issueInst(Counter slot)
-    {
-        for (; inst_ != instEnd_ && inst_->slot <= slot; ++inst_)
-            for (std::uint64_t k = 0; k < inst_->n; ++k)
-                mem_.instFetch(inst_->addr + k * kInstrBytes,
-                               AccessClass::HandlerFetch);
-        nextInst_ = slotOf(inst_, instEnd_);
-    }
-
-    MemSystem mem_;
-    Cursor inst_;
-    Cursor instEnd_;
-    Cursor data_;
-    Cursor dataEnd_;
-    Counter nextInst_ = slotOf(inst_, instEnd_);
-    Counter nextData_ = slotOf(data_, dataEnd_);
-    std::vector<std::size_t> ops_;
-};
-
-// LINT-KERNEL-BEGIN (replay)
-/**
- * Records [@p first, @p first + @p n) of the trace: every load/store
- * after the D-side accesses logged at or before its slot, then every
- * fetch after the I-side ones. Between two logged accesses each pass
- * runs a plain loop bounded by stopAt(), like runSpan's passes.
- */
-void
-ServiceReplay::block(const TraceRecord *recs, std::size_t n, Counter first)
-{
-    if (ops_.size() < n)
-        ops_.resize(n);
-    std::size_t *ops = ops_.data();
-    std::size_t nops = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        ops[nops] = i;
-        nops += recs[i].isMemOp();
-    }
-    std::size_t stop = stopAt(nextData_, first, n);
-    for (std::size_t j = 0; j < nops; ++j) {
-        const std::size_t i = ops[j];
-        if (i >= stop) {
-            issueData(2 * (first + i));
-            stop = stopAt(nextData_, first, n);
-        }
-        mem_.dataAccess(recs[i].daddr, kDataBytes, recs[i].isStore(),
-                        AccessClass::User);
-    }
-    for (std::size_t i = 0;; issueInst(2 * (first + i))) {
-        for (stop = stopAt(nextInst_, first, n); i < stop; ++i)
-            mem_.instFetch(recs[i].pc, AccessClass::User);
-        if (i == n)
-            break;
-    }
-}
-// LINT-KERNEL-END (replay)
-
-/**
- * runOnce()'s RunHooks::replay path: the trace through a ServiceReplay,
+ * runOnce()'s RunHooks::replay path: the trace through the back end
+ * alone (ServiceReplay) over a MemSystem of this config's geometry,
  * warmup first (its statistics discarded), as System::finishRun does.
  */
 Results
@@ -435,7 +318,9 @@ replayFrontEnd(const SimConfig &config, TraceSource &trace, Counter instrs,
                const FrontEnd &fe, const RunHooks &hooks)
 {
     panicIf(fe.log.overflow, "replay of an overflowed service log");
-    ServiceReplay rep(config, fe.log);
+    MemSystem mem(config.l1, config.l2, config.seed, false);
+    ServiceReplay rep(mem);
+    rep.start(fe.log);
     std::vector<TraceRecord> buf;
     Counter done = 0; // records replayed, warmup included
     auto phase = [&](Counter len) {
@@ -466,12 +351,12 @@ replayFrontEnd(const SimConfig &config, TraceSource &trace, Counter instrs,
         return k;
     };
     phase(warmup);
-    rep.mem().resetStats();
+    mem.resetStats();
     const Counter executed = phase(instrs);
     if (hooks.progress)
         hooks.progress->store(done, std::memory_order_relaxed);
     return Results(fe.results.system(), workload_name, executed,
-                   rep.mem().stats(), fe.results.vmStats(), config.costs);
+                   mem.stats(), fe.results.vmStats(), config.costs);
 }
 
 } // anonymous namespace
@@ -547,6 +432,9 @@ runOnce(const SimConfig &config, const std::string &workload,
                  hooks.sampler || hooks.latency || hooks.wrapTrace),
             "a shared front end needs a frontEndShareable() config and "
             "no observer or trace wrapper");
+    panicIf(hooks.record && hooks.batch == 1,
+            "recording a front end needs batched blocks, not the scalar "
+            "loop");
     if (hooks.replay) {
         Results r = replayFrontEnd(config, *source, instrs, name, warmup,
                                    *hooks.replay, hooks);

@@ -388,8 +388,8 @@ struct RunHooks
 
     /**
      * Shared front ends: log the VM's own cache accesses into *record
-     * (not owned). Needs frontEndShareable() and no sink, sampler,
-     * latency collector or trace wrapper.
+     * (not owned). Needs frontEndShareable(), a batch size other than
+     * 1, and no sink, sampler, latency collector or trace wrapper.
      */
     ServiceLog *record = nullptr;
 

@@ -250,6 +250,23 @@ RunOptions::physFramesFor(unsigned page_bits) const
     return (physMb << 20) >> page_bits;
 }
 
+void
+RunOptions::refuseShardObservers() const
+{
+    const std::pair<const char *, bool> observers[] = {
+        {"--trace-events", !obs.traceEvents.empty()},
+        {"--chrome-trace", !obs.chromeTrace.empty()},
+        {"--stats-json", !obs.statsJson.empty()},
+        {"--interval", obs.interval != 0},
+        {"--progress", obs.progressSeconds != 0},
+        {"--progress-out", !obs.progressOut.empty()},
+    };
+    for (const auto &[flag, given] : observers)
+        fatalIf(given && !shardDir.empty(), flag,
+                " cannot be combined with --shard-dir (shard workers run "
+                "their cells without observers)");
+}
+
 BenchOptions
 BenchOptions::parse(int argc, char **argv)
 {
@@ -273,6 +290,7 @@ BenchOptions::parse(int argc, char **argv)
     std::vector<Flag> shared = opts.flags();
     flags.insert(flags.end(), shared.begin(), shared.end());
     parseFlags(argc, argv, flags);
+    opts.refuseShardObservers();
     fatalIf(opts.resume && opts.journal.empty(),
             "--resume requires --journal=F");
     fatalIf(!opts.shardOwner.empty() && opts.shardDir.empty(),
@@ -813,9 +831,11 @@ CellRunner::CellRunner(const SweepSpec &spec, const ObsOptions &obs,
       cache_(cache)
 {
     // Observers see the VM's own events and latencies, and faults
-    // corrupt each cell's trace alone: such cells run their own VM.
+    // corrupt each cell's trace alone: such cells run their own VM. So
+    // does every cell of a scalar-loop sweep (--batch=1), which has no
+    // split blocks whose service logs a recording keeps.
     if (obs_.traceEvents.empty() && obs_.interval == 0 && !wantLatency_ &&
-        !faults_.any())
+        !faults_.any() && batchSize_ != 1)
         frontEnds_ = std::make_shared<FrontEnds>(spec_);
 }
 

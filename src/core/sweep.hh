@@ -195,6 +195,14 @@ struct RunOptions
     std::uint64_t physFramesFor(unsigned page_bits) const;
 
     /**
+     * Both front ends' check after parsing: fatal() when an
+     * observation flag (--trace-events, --chrome-trace, --stats-json,
+     * --interval, --progress, --progress-out) comes with --shard-dir,
+     * whose workers run their cells without observers.
+     */
+    void refuseShardObservers() const;
+
+    /**
      * The effective warmup length: --warmup=N or the project-wide
      * default of one quarter of the measured instructions.
      */

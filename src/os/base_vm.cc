@@ -10,8 +10,9 @@ BaseVm::BaseVm(MemSystem &mem)
 void
 BaseVm::refBlock(const AccessBlock &blk)
 {
-    if (spansLegal())
-        refBlockKernel<KernelBody::Spans>(*this, blk);
+    // No VM, so a split block is the back end over an empty log.
+    if (splitLegal())
+        backEnd(blk);
     else
         refBlockFor(*this, blk);
 }

@@ -15,17 +15,18 @@
  * `static_cast<Derived *>(this)` — resolved at compile time, inlined
  * into the batch loop.
  *
- * Each block kernel instantiates three times (KernelBody): the
- * observed body keeps every event-sink and latency-collector test, the
- * bare body compiles them out, and the spans body is the bare one run
- * as D/I passes between TLB misses (under a frame budget a span also
- * ends where a D-pass eviction drops an entry from the core's own
- * I-TLB). refBlock() selects once per batch via
- * VmSystem::observedRefs() and spansLegal() — the per-batch prologue
- * that hoists the observer null tests, the per-core TLB pair, and
- * (inside noteItlbMiss/noteDtlbMiss, which only run on the miss path)
- * the per-core stats lookup out of the per-record loop. The walks
- * probe TLBs through VmSystem::walkLookup(), which is bare unless a
+ * refBlock() tests the observers and the L2 once per block. An
+ * unobserved block with a split L2 runs split (VmSystem::splitBlock()):
+ * the front end is refBlockT<false>, which probes the I- and D-TLBs in
+ * scalar record order, walks, touches pages and marks stores dirty,
+ * and issues no cache access; the back end then merges the block's
+ * service log into its user accesses. Any other block runs
+ * refBlockT<true>, the paper's loop with every cache access inline and
+ * every observer test live. Either way the per-batch prologue hoists
+ * the observer null tests and the per-core TLB pair out of the
+ * per-record loop, and the per-core stats lookup sits inside
+ * noteItlbMiss/noteDtlbMiss, on the miss path only. The walks probe
+ * TLBs through VmSystem::walkLookup(), which is bare unless a
  * collector is attached.
  */
 
@@ -67,68 +68,62 @@ class TlbVm : public VmSystem
     /**
      * Monomorphized instruction-fetch kernel: probe @p itlb (the
      * issuing core's I-TLB, hoisted by the caller), refill via
-     * Derived::walk on a miss, then fetch through the I-side caches.
-     * Both kernels are forced inline: each has several callers (the
-     * block bodies, the span pass, the scalar entry points), and
-     * left to itself the compiler then calls them out of line, a
-     * call per reference.
+     * Derived::walk on a miss, then, with @p kObs, fetch through the
+     * I-side caches. Without it the kernel is a front end's: the miss
+     * stamps block record @p rec for the refill's service log, and the
+     * fetch is the back end's. The kernels are forced inline: with
+     * several callers (the block bodies, the scalar entry points) the
+     * compiler otherwise calls them out of line, a call per reference.
      */
     template <bool kObs>
     [[gnu::always_inline]] void
-    instRefK(const Access &a, Tlb &itlb)
+    instRefK(const Access &a, Tlb &itlb, std::size_t rec)
     {
         const Addr pc = a.addr;
         const Vpn v = pc >> pageBits_;
         if (!itlb.template lookupT<kObs>(v)) {
-            noteItlbMiss(pc, v, a.core);
+            noteItlbMiss(pc, v, a.core, rec);
             self().walk(pc, a.core, itlb);
             endMissService();
         }
-        userInstFetchT<kObs>(pc);
+        if constexpr (kObs)
+            userInstFetchT(pc);
     }
 
-    /** The data-side twin of instRefK(). */
-    template <bool kObs>
+    /** The data-side twin of instRefK<true>(). */
     [[gnu::always_inline]] void
     dataRefK(const Access &a, Tlb &dtlb)
     {
-        const Addr addr = a.addr;
-        const Vpn v = addr >> pageBits_;
-        if (!dtlb.template lookupT<kObs>(v)) {
-            noteDtlbMiss(addr, v, a.core);
-            self().walk(addr, a.core, dtlb);
-            endMissService();
-        }
-        userDataAccessT<kObs>(addr, a.store);
-        notePressureStore(addr, a.store);
+        const Vpn v = a.addr >> pageBits_;
+        if (!dtlb.lookupT<true>(v))
+            dtlbRefill(a, v, dtlb, 0);
+        userDataAccessT(a.addr, a.store);
+        notePressureStore(a.addr, a.store);
     }
 
     void
     instRef(const Access &a) override
     {
-        instRefK<true>(a, tlbs_.itlb(a.core));
+        instRefK<true>(a, tlbs_.itlb(a.core), 0);
     }
 
     void
     dataRef(const Access &a) override
     {
-        dataRefK<true>(a, tlbs_.dtlb(a.core));
+        dataRefK(a, tlbs_.dtlb(a.core));
     }
 
     /**
      * Batched dispatch: one observer test and one core-to-TLB lookup
-     * per block, then the whole block runs through the matching
-     * monomorphized kernel pair.
+     * per block, then the whole block runs split or observed.
      */
     void
     refBlock(const AccessBlock &blk) override
     {
-        if (observedRefs())
-            refBlockT<KernelBody::Observed>(blk);
-        else if (spansLegal())
-            refBlockT<KernelBody::Spans>(blk);
+        if (splitLegal())
+            splitBlock(blk, [this, &blk] { refBlockT<false>(blk); });
         else
-            refBlockT<KernelBody::Bare>(blk);
+            refBlockT<true>(blk);
     }
 
     const Tlb *itlb(CoreId core) const override { return &tlbs_.itlb(core); }
@@ -145,16 +140,13 @@ class TlbVm : public VmSystem
      * core's I/D TLB pair that holds it (targeted invalidates, not
      * random evictions — the invalidated VPN is known exactly).
      */
-    bool
-    invalidateTranslation(Vpn v, CoreId core) override
+    void
+    invalidateTranslation(Vpn v) override
     {
-        bool lost = false;
         for (CoreId c = 0; c < cores(); ++c) {
-            if (tlbs_.itlb(c).invalidate(v) && c == core)
-                lost = true;
+            tlbs_.itlb(c).invalidate(v);
             tlbs_.dtlb(c).invalidate(v);
         }
-        return lost;
     }
 
     CoreTlbs tlbs_;      ///< per-core first-level I/D TLB pairs
@@ -163,61 +155,59 @@ class TlbVm : public VmSystem
   private:
     Derived &self() { return static_cast<Derived &>(*this); }
 
+    /** Refill @p dtlb after block record @p rec missed on @p a. */
+    [[gnu::always_inline]] void
+    dtlbRefill(const Access &a, Vpn v, Tlb &dtlb, std::size_t rec)
+    {
+        noteDtlbMiss(a.addr, v, a.core, rec);
+        self().walk(a.addr, a.core, dtlb);
+        endMissService();
+    }
+
     // LINT-KERNEL-BEGIN (tlb_vm)
     /**
-     * The Spans body splits the block at its I-TLB misses: the I-TLB
-     * is probed from record i up to the first miss k, records [i, k)
-     * run as VmSystem::runSpan's two passes, and record k takes the
-     * per-record body. Exact because no organization's walk touches
-     * the I-TLB except to fill its own target, so the I-TLB sees its
-     * own probes in scalar order, and the D pass runs every walk in
-     * scalar order before k's. Under a frame budget the one other
-     * writer is an eviction; when it drops an entry from this I-TLB,
-     * runSpan keeps only [i, r] and the loop re-probes from r + 1.
-     * Only the kept records' hits are credited. Their tail's LRU
-     * stamps are refreshed twice, in the same order, so the stamps'
-     * relative order stays the scalar one.
+     * The block loop of both bodies, in scalar record order. With
+     * @p kObs it stamps each record as the event timebase. Without it
+     * the loop is a front end and must issue no cache access (the back
+     * end issues them all); it probes the D-TLB on every record and
+     * takes the probe on loads and stores only (Tlb::lookupIf), since
+     * a branch on isMemOp() would mispredict on a third of the records.
+     * A record that is neither probes the last VPN taken.
      */
-    template <KernelBody K>
+    template <bool kObs>
     void
     refBlockT(const AccessBlock &blk)
     {
-        constexpr bool kObs = K == KernelBody::Observed;
         Tlb &itlb = tlbs_.itlb(blk.core);
         Tlb &dtlb = tlbs_.dtlb(blk.core);
         Access a;
         a.core = blk.core;
-        for (std::size_t i = 0; i < blk.n; ++i) {
-            if constexpr (K == KernelBody::Spans) {
-                std::size_t k = i;
-                while (k < blk.n &&
-                       itlb.lookupHit(blk.recs[k].pc >> pageBits_))
-                    ++k;
-                const std::size_t kept =
-                    runSpan(blk, i, k, [this, &dtlb](const Access &d) {
-                        dataRefK<false>(d, dtlb);
-                    });
-                itlb.creditHits(kept - i);
-                if (kept < k) {
-                    i = kept - 1;
-                    continue;
-                }
-                if (k == blk.n)
-                    break;
-                i = k;
-            }
-            const TraceRecord &r = blk.recs[i];
-            // Observed bodies stamp events; a span's ending record is
-            // where a recorded run logs its I-TLB walk (logService).
-            if constexpr (K != KernelBody::Bare)
+        Vpn dv = 0;
+        // Locals: the miss path's calls would reload members per record.
+        const TraceRecord *const recs = blk.recs;
+        const std::size_t n = blk.n;
+        const unsigned pb = pageBits_;
+        for (std::size_t i = 0; i < n; ++i) {
+            const TraceRecord &r = recs[i];
+            if constexpr (kObs)
                 setCurrentInstr(blk.firstInstr + i);
             a.addr = r.pc;
             a.store = false;
-            instRefK<kObs>(a, itlb);
-            if (r.isMemOp()) {
+            instRefK<kObs>(a, itlb, i);
+            if constexpr (kObs) {
+                if (r.isMemOp()) {
+                    a.addr = r.daddr;
+                    a.store = r.isStore();
+                    dataRefK(a, dtlb);
+                }
+            } else {
+                const bool mem = r.isMemOp();
                 a.addr = r.daddr;
                 a.store = r.isStore();
-                dataRefK<kObs>(a, dtlb);
+                dv ^= (dv ^ (a.addr >> pb)) & (Vpn{0} - mem);
+                if (!dtlb.lookupIf(mem, dv))
+                    dtlbRefill(a, dv, dtlb, i);
+                notePressureStore(a.addr, a.store);
             }
         }
     }

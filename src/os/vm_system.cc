@@ -37,6 +37,18 @@ VmSystem::attachLatency(LatencyCollector *lat)
 }
 
 void
+VmSystem::endMissService()
+{
+    if (!lat_)
+        return;
+    endHwWalk();
+    if (missOpen_) {
+        lat_->missService(missCore_).sampleCount(svcAcc_ - missStart_);
+        missOpen_ = false;
+    }
+}
+
+void
 VmSystem::refBlock(const AccessBlock &blk)
 {
     // Fallback for organizations without a devirtualized override:
@@ -199,11 +211,8 @@ VmSystem::evictVictim(Vpn exclude, CoreId core)
     }
     // The victim must not stay reachable through any translation
     // structure: first-level TLBs on every core (the organization's
-    // override), every L2 TLB slice, then its page-table entry. Inside
-    // a span's D pass, losing an entry of this core's I-TLB ends the
-    // span (runSpan()).
-    if (invalidateTranslation(victim.vpn, core) && deferFetches_)
-        spanCut_ = true;
+    // override), every L2 TLB slice, then its page-table entry.
+    invalidateTranslation(victim.vpn);
     for (auto &l2 : l2Tlbs_)
         l2->invalidate(victim.vpn);
     invalidatePte(victim.vpn);
@@ -249,31 +258,91 @@ VmSystem::doEmit(EventKind kind, EventLevel level, Addr vaddr, Vpn vpn,
 void
 VmSystem::logService(bool inst, AccessClass cls, Addr addr, unsigned n)
 {
-    // Inside a span's D pass curInstr_ still holds the block head.
-    const Counter rec =
-        deferFetches_ ? spanFirst_ + deferRec_ : curInstr_;
     // Only a D-TLB miss's handler fetches follow their record's own
     // access on their side; every D-side access precedes it.
-    const Counter slot = 2 * rec + (inst && svcAfter_);
+    const Counter slot = 2 * Counter{svcRec_} + (inst && svcAfter_);
     ServiceAccess a;
     a.addr = addr;
     a.slot = slot;
     a.n = n;
     a.cls = static_cast<unsigned>(cls);
-    std::deque<ServiceAccess> &side = inst ? svcLog_->inst : svcLog_->data;
-    if (a.slot != slot || a.n != n ||
-        side.size() >= ServiceLog::kMaxPerSide) {
-        svcLog_->overflow = true; // a field did not fit, or the log is full
-        return;
-    }
-    side.push_back(a);
+    panicIf(a.slot != slot || a.n != n, "service access of ", n,
+            " at block record ", svcRec_, " does not fit the log");
+    (inst ? blockLog_.inst : blockLog_.data).push_back(a);
 }
+
+void
+VmSystem::keepBlockLog(const AccessBlock &blk)
+{
+    ServiceLog &to = *record_;
+    to.overflow = to.overflow || (2 * (blk.firstInstr + blk.n)) >> 40 != 0 ||
+                  to.inst.size() + blockLog_.inst.size() >
+                      ServiceLog::kMaxPerSide ||
+                  to.data.size() + blockLog_.data.size() >
+                      ServiceLog::kMaxPerSide;
+    if (to.overflow)
+        return; // never replayed
+    for (auto side : {&ServiceLog::inst, &ServiceLog::data})
+        for (ServiceAccess a : blockLog_.*side) {
+            a.slot += 2 * blk.firstInstr;
+            (to.*side).push_back(a);
+        }
+}
+
+void
+VmSystem::backEnd(const AccessBlock &blk)
+{
+    back_.start(blockLog_);
+    back_.block(blk.recs, blk.n, 0);
+    back_.flush(blk.n);
+    if (record_)
+        keepBlockLog(blk);
+    blockLog_.inst.clear();
+    blockLog_.data.clear();
+}
+
+// LINT-KERNEL-BEGIN (back end)
+/**
+ * Between two logged accesses each pass runs a plain loop bounded by
+ * stopAt(). The memory ops are listed without a branch.
+ */
+void
+ServiceReplay::block(const TraceRecord *recs, std::size_t n, Counter first)
+{
+    if (ops_.size() < n)
+        ops_.resize(n);
+    std::size_t *ops = ops_.data();
+    std::size_t nops = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        ops[nops] = i;
+        nops += recs[i].isMemOp();
+    }
+    std::size_t stop = stopAt(nextData_, first, n);
+    for (std::size_t j = 0; j < nops; ++j) {
+        const std::size_t i = ops[j];
+        if (i >= stop) {
+            issueData(2 * (first + i));
+            stop = stopAt(nextData_, first, n);
+        }
+        mem_.dataAccess(recs[i].daddr, kDataBytes, recs[i].isStore(),
+                        AccessClass::User);
+    }
+    for (std::size_t i = 0;; issueInst(2 * (first + i))) {
+        for (stop = stopAt(nextInst_, first, n); i < stop; ++i)
+            mem_.instFetch(recs[i].pc, AccessClass::User);
+        if (i == n)
+            break;
+    }
+}
+// LINT-KERNEL-END (back end)
 
 MemLevel
 VmSystem::serviceLoad(Addr addr, unsigned size, AccessClass cls)
 {
-    if (svcLog_)
+    if (inFrontEnd_) {
         logService(false, cls, addr, size);
+        return MemLevel::L1;
+    }
     MemLevel lvl = mem_.dataAccess(addr, size, false, cls);
     if (lat_)
         svcAcc_ += memPenalty(lvl);
@@ -319,10 +388,10 @@ VmSystem::fetchHandler(EventLevel level, Addr base, unsigned n, Vpn v)
             static_cast<unsigned>(level));
     ++*calls;
     *instrs += n;
-    if (svcLog_)
-        logService(true, AccessClass::HandlerFetch, base, n);
     emitEvent(EventKind::HandlerEnter, level, base, v, n);
-    if (lat_) {
+    if (inFrontEnd_) {
+        logService(true, AccessClass::HandlerFetch, base, n);
+    } else if (lat_) {
         // Each handler instruction costs its base cycle plus whatever
         // the fetch's resolution level implies.
         Cycles cyc = n;
@@ -331,12 +400,10 @@ VmSystem::fetchHandler(EventLevel level, Addr base, unsigned n, Vpn v)
                 mem_.instFetch(base + std::uint64_t{k} * kInstrBytes,
                                AccessClass::HandlerFetch));
         svcAcc_ += cyc;
-    } else if (deferFetches_) {
-        // A span's D pass: the I caches see this code after the user
-        // fetch of the record whose data ref missed (runSpan()).
-        deferred_.push_back({deferRec_, base, n});
     } else {
-        fetchHandlerCode(base, n);
+        for (unsigned k = 0; k < n; ++k)
+            mem_.instFetch(base + std::uint64_t{k} * kInstrBytes,
+                           AccessClass::HandlerFetch);
     }
     emitEvent(EventKind::HandlerExit, level, base, v, n);
 }

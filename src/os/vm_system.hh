@@ -25,13 +25,18 @@
  *         }
  *     }
  *
- * The bare batched kernels keep that loop's counters but not its
- * interleaving: between two TLB misses the I side (I-TLB, L1i, L2i)
- * and the D side (D-TLB, L1d, L2d) share no state, so inside such a
- * miss-free span the two sides run as passes, D then I, and the
- * record that ends the span takes the loop above (runSpan(),
- * spansLegal()). Under a frame budget a D-pass eviction that drops
- * an entry from the span core's I-TLB ends the span early.
+ * The six TLB organizations keep that loop's counters but run each
+ * unobserved block as two passes (splitBlock()), because the VM never
+ * reads a cache outcome (checkCacheIndependence()). The front end
+ * walks the block's records in the order above through the TLBs,
+ * walks, handlers and frame pool, and touches no cache: every access
+ * the VM makes on its own behalf goes into a per-block ServiceLog. The
+ * back end (ServiceReplay) then runs the block's user accesses merged
+ * with that log through the caches, a D pass and then an I pass: with
+ * a split L2 the two sides share no state, so each only needs its own
+ * order. An observer (events and latency episodes carry the
+ * interleaving and the cache levels) or a unified L2 keeps a block on
+ * the loop above, cache accesses inline.
  *
  * The access API is core-indexed: every Access carries the id of the
  * core issuing it, organizations keep one I/D TLB pair per core
@@ -50,6 +55,7 @@
 #ifndef VMSIM_OS_VM_SYSTEM_HH
 #define VMSIM_OS_VM_SYSTEM_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <iterator>
@@ -116,14 +122,6 @@ struct AccessBlock
     Counter firstInstr = 0;
     CoreId core = 0;
 };
-
-/**
- * The body a batched kernel instantiates, chosen once per block:
- * Observed keeps every observer test; Bare compiles them out; Spans
- * is Bare plus the two-pass span split (VmSystem::runSpan), taken
- * only while VmSystem::spansLegal() holds.
- */
-enum class KernelBody : std::uint8_t { Observed, Bare, Spans };
 
 /**
  * Handler lengths and hardware-walk costs (paper Table 4).
@@ -295,11 +293,13 @@ static_assert(distinctFields(kCoreStatsFields) &&
 
 /**
  * One cache access a VM made on its own behalf: a PTE load, a MACH
- * administrative load or a handler's code fetch, as a shared front end
- * logs it (DESIGN.md §6, "Shared front ends"). @c slot places it in
- * its cache side's stream of user accesses: 2r when it precedes record
- * r's user access on that side, 2r + 1 when it follows it (the handler
- * fetches of r's D-TLB miss, which the I caches see after r's fetch).
+ * administrative load or a handler's code fetch, as a front end logs
+ * it. @c slot places it in its cache side's stream of user accesses:
+ * 2r when it precedes record r's user access on that side, 2r + 1 when
+ * it follows it (the handler fetches of r's D-TLB miss, which the I
+ * caches see after r's fetch). In a block's log r counts from the
+ * block's first record; in a recorded run (DESIGN.md §6, "Shared
+ * front ends") it is the global instruction number.
  */
 struct ServiceAccess
 {
@@ -310,9 +310,10 @@ struct ServiceAccess
 };
 
 /**
- * The service accesses of one run, per cache side, in slot order.
- * Deques grow in small blocks: no doubling, no copy, and a freed log's
- * blocks go back to the heap for the next recording to reuse.
+ * Service accesses per cache side, in slot order: one block's, or a
+ * whole recorded run's. Deques grow in small blocks: no doubling, no
+ * copy, and a freed log's blocks go back to the heap for the next
+ * recording to reuse.
  */
 struct ServiceLog
 {
@@ -322,6 +323,100 @@ struct ServiceLog
     std::deque<ServiceAccess> inst; ///< handler code fetches
     std::deque<ServiceAccess> data; ///< PTE and administrative loads
     bool overflow = false; ///< an access did not fit: never replay it
+};
+
+/**
+ * The back end: user accesses merged with a ServiceLog's service
+ * accesses, run through one MemSystem. The one merge in the simulator:
+ * a split front-end block replays its own log into its VM's caches,
+ * and a shared front end's replay (core/simulator.hh, FrontEnd) feeds
+ * a whole recorded run into a cache geometry of its own. With a split
+ * L2 the I and D sides share no state, so each side only needs its own
+ * order: a block runs as a D pass, then an I pass.
+ */
+class ServiceReplay
+{
+  public:
+    explicit ServiceReplay(MemSystem &mem) : mem_(mem) {}
+
+    /** Aim at the start of @p log (not owned), unchanged till replayed. */
+    void
+    start(const ServiceLog &log)
+    {
+        inst_ = log.inst.begin();
+        instEnd_ = log.inst.end();
+        data_ = log.data.begin();
+        dataEnd_ = log.data.end();
+        nextInst_ = slotOf(inst_, instEnd_);
+        nextData_ = slotOf(data_, dataEnd_);
+    }
+
+    /**
+     * Records [@p first, @p first + @p n) of the log's numbering, at
+     * @p recs: every load/store after the D-side accesses logged at or
+     * before its slot, then every fetch after the I-side ones.
+     */
+    void block(const TraceRecord *recs, std::size_t n, Counter first);
+
+    /** Issue every logged access before record @p end on both sides. */
+    void
+    flush(Counter end)
+    {
+        if (end == 0)
+            return;
+        issueData(2 * end - 1);
+        issueInst(2 * end - 1);
+    }
+
+  private:
+    using Cursor = std::deque<ServiceAccess>::const_iterator;
+
+    static Counter
+    slotOf(Cursor a, Cursor end)
+    {
+        return a == end ? ~Counter{0} : Counter{a->slot};
+    }
+
+    /**
+     * The first record of the block at @p first whose access slot
+     * @p s precedes (s <= 2r), capped at the block's @p n records.
+     */
+    static std::size_t
+    stopAt(Counter s, Counter first, std::size_t n)
+    {
+        const Counter r = s / 2 + (s & 1);
+        return r <= first ? 0 : std::min<Counter>(r - first, n);
+    }
+
+    /** Issue the D-side accesses with slots up to @p slot. */
+    void
+    issueData(Counter slot)
+    {
+        for (; data_ != dataEnd_ && data_->slot <= slot; ++data_)
+            mem_.dataAccess(data_->addr, static_cast<unsigned>(data_->n),
+                            false, static_cast<AccessClass>(data_->cls));
+        nextData_ = slotOf(data_, dataEnd_);
+    }
+
+    /** Issue the I-side handler fetches with slots up to @p slot. */
+    void
+    issueInst(Counter slot)
+    {
+        for (; inst_ != instEnd_ && inst_->slot <= slot; ++inst_)
+            for (std::uint64_t k = 0; k < inst_->n; ++k)
+                mem_.instFetch(inst_->addr + k * kInstrBytes,
+                               AccessClass::HandlerFetch);
+        nextInst_ = slotOf(inst_, instEnd_);
+    }
+
+    MemSystem &mem_;
+    Cursor inst_;
+    Cursor instEnd_;
+    Cursor data_;
+    Cursor dataEnd_;
+    Counter nextInst_ = ~Counter{0};
+    Counter nextData_ = ~Counter{0};
+    std::vector<std::size_t> ops_; ///< block()'s memory-op records
 };
 
 /**
@@ -473,49 +568,23 @@ class VmSystem
      * True while any observer (event sink or latency collector) is
      * attached. The batched kernels instantiate twice per
      * organization: an observed body (kObs = true, all per-reference
-     * observer tests live) and a bare body (kObs = false) that elides
-     * them wholesale — legal because observers attach only between
-     * runs, never mid-batch, so a false reading holds for the whole
-     * block.
+     * observer tests live) and a body with them compiled out (kObs =
+     * false) — legal because observers attach only between runs, never
+     * mid-batch, so a false reading holds for the whole block.
      */
     bool observedRefs() const { return sink_ != nullptr || lat_ != nullptr; }
 
     /**
-     * True while a bare block may run its TLB-miss-free spans as two
-     * passes (KernelBody::Spans). The passes reorder the I side
-     * against the D side, which no counter sees only if no observer is
-     * attached (events and latency episodes carry the interleaving)
-     * and the L2 is split (a unified L2 is state both sides share). A
-     * frame budget needs the cut (runSpan()): a D-side refill can
-     * evict a page whose I-TLB hit the span already found.
+     * True while a block may run split (splitBlock()): no observer is
+     * attached (events and latency episodes carry the I/D interleaving
+     * and the cache levels) and the L2 is split (a unified L2 is state
+     * both sides share).
      */
     bool
-    spansLegal() const
+    splitLegal() const
     {
         return !observedRefs() && !mem_.unifiedL2();
     }
-
-    /**
-     * Run records [@p lo, @p hi) of @p blk as a TLB-miss-free span:
-     * first every load/store, through @p data_ref (the organization's
-     * bare data kernel), over a branch-free list of the span's memory
-     * ops; then every user instruction fetch through the I caches. The
-     * caller has already probed the span's I-TLB hits. D-TLB misses
-     * walk inline, but the handler instruction fetches of those walks
-     * are deferred and replayed right after the fetch of the record
-     * that took the miss, so the I caches see the scalar loop's order.
-     *
-     * Under a frame budget, an eviction during record r's data ref
-     * that drops an entry from this core's I-TLB ends the D pass after
-     * r: a later record's I-TLB hit may be a miss in scalar order. The
-     * I pass then fetches [@p lo, r] only, and the caller re-probes
-     * from r + 1. @return the end of the records the span kept (@p hi
-     * unless cut), whose I-TLB hits the caller credits.
-     * @pre spansLegal()
-     */
-    template <class DataRef>
-    std::size_t runSpan(const AccessBlock &blk, std::size_t lo,
-                        std::size_t hi, DataRef &&data_ref);
 
     /**
      * Attach a latency collector (not owned; nullptr detaches). While
@@ -530,19 +599,19 @@ class VmSystem
     LatencyCollector *latency() const { return lat_; }
 
     /**
-     * Log every cache access this VM makes on its own behalf into
-     * @p log (not owned; nullptr stops), for a shared front end's
-     * replays (core/simulator.hh, FrontEnd). The slots are exact only
-     * for the runs frontEndShareable() admits, with no observer.
+     * Keep every split block's service log in @p log (not owned;
+     * nullptr stops), numbered by global instruction, for a shared
+     * front end's replays (core/simulator.hh, FrontEnd). The slots are
+     * exact only for the runs frontEndShareable() admits, batched and
+     * with no observer.
      */
-    void recordService(ServiceLog *log) { svcLog_ = log; }
+    void recordService(ServiceLog *log) { record_ = log; }
 
     /**
      * Timebase for emitted events: the current user-instruction
      * number. The driving Simulator stamps it at each batch head (and
      * before every instruction on the scalar path); observed block
-     * kernels stamp each record from AccessBlock::firstInstr, span
-     * kernels each record that ends a span. On a
+     * kernels stamp each record from AccessBlock::firstInstr. On a
      * multicore this is the global instruction timebase, not any
      * core's local count.
      */
@@ -614,9 +683,6 @@ class VmSystem
     void enablePressure(PhysMem &pm, Cycles read_cycles,
                         Cycles writeback_cycles, unsigned page_bits);
 
-    /** True while frame-budget accounting is active. */
-    bool pressureOn() const { return pressure_ != nullptr; }
-
     /** Core @p core's L2 TLB slice, or nullptr if none is attached. */
     const Tlb *l2tlb(CoreId core) const { return l2SlotFor(core); }
 
@@ -652,23 +718,28 @@ class VmSystem
         emitEvent(EventKind::CtxSwitch, EventLevel::User, 0, 0);
     }
 
-    /** Record a user instruction-fetch TLB miss on @p pc. */
+    /**
+     * Record a user instruction-fetch TLB miss on @p pc by record @p rec
+     * of the block, whose slots a front end logs the refill under.
+     */
     void
-    noteItlbMiss(Addr pc, Vpn v, CoreId core)
+    noteItlbMiss(Addr pc, Vpn v, CoreId core, std::size_t rec)
     {
         ++stats_.itlbMisses;
         ++stats_.perCore[coreSlot(core)].itlbMisses;
+        svcRec_ = rec;
         svcAfter_ = false;
         beginMissService(core);
         emitEvent(EventKind::ItlbMiss, EventLevel::User, pc, v);
     }
 
-    /** Record a user load/store TLB miss on @p addr. */
+    /** Record a user load/store TLB miss on @p addr; see noteItlbMiss(). */
     void
-    noteDtlbMiss(Addr addr, Vpn v, CoreId core)
+    noteDtlbMiss(Addr addr, Vpn v, CoreId core, std::size_t rec)
     {
         ++stats_.dtlbMisses;
         ++stats_.perCore[coreSlot(core)].dtlbMisses;
+        svcRec_ = rec;
         svcAfter_ = true;
         beginMissService(core);
         emitEvent(EventKind::DtlbMiss, EventLevel::User, addr, v);
@@ -692,19 +763,10 @@ class VmSystem
     /**
      * Close the current miss-service episode (and any hardware-walk
      * sub-episode still open inside it), sampling the accrued cycles.
-     * Safe to call with no collector or no open episode.
+     * Safe to call with no collector or no open episode. Out of line:
+     * it sits on every kernel's miss path.
      */
-    void
-    endMissService()
-    {
-        if (!lat_)
-            return;
-        endHwWalk();
-        if (missOpen_) {
-            lat_->missService(missCore_).sampleCount(svcAcc_ - missStart_);
-            missOpen_ = false;
-        }
-    }
+    void endMissService();
 
     /**
      * Close the current hardware-walk episode, sampling its cycles.
@@ -778,9 +840,10 @@ class VmSystem
     /**
      * Simulate execution of the @p level miss handler: fetch @p n
      * instructions through the I-cache hierarchy starting at
-     * page-aligned @p base, account them to the level's call/instr
-     * counters, and bracket the episode with HandlerEnter/HandlerExit
-     * events (@p v is the page being translated).
+     * page-aligned @p base (in a front end, log the fetch), account
+     * them to the level's call/instr counters, and bracket the episode
+     * with HandlerEnter/HandlerExit events (@p v is the page being
+     * translated).
      */
     void fetchHandler(EventLevel level, Addr base, unsigned n, Vpn v);
 
@@ -826,9 +889,10 @@ class VmSystem
 
     /**
      * A VM-service load of @p size bytes at @p addr under @p cls: the
-     * D-side cache access, its latency accrual and its service-log
-     * entry. pteFetch() loads through it; MACH's administrative loads
-     * call it directly.
+     * D-side cache access and its latency accrual, or in a front end
+     * its service-log entry (whose level reads as L1: the six
+     * organizations never read it). pteFetch() loads through it;
+     * MACH's administrative loads call it directly.
      */
     MemLevel serviceLoad(Addr addr, unsigned size, AccessClass cls);
 
@@ -863,11 +927,10 @@ class VmSystem
      * Drop every first-level TLB entry translating @p v, on every
      * core (an evicted page must not stay reachable through any TLB),
      * probing each TLB first so only the holders pay an invalidate.
-     * @return whether core @p core's I-TLB held @p v. Default no-op for
-     * the TLB-less organizations; the base eviction driver clears the
-     * L2 TLB slices itself.
+     * Default no-op for the TLB-less organizations; the base eviction
+     * driver clears the L2 TLB slices itself.
      */
-    virtual bool invalidateTranslation(Vpn, CoreId) { return false; }
+    virtual void invalidateTranslation(Vpn v) { (void)v; }
 
     /**
      * Remove @p v's page-table entry on eviction. Default no-op: most
@@ -891,6 +954,28 @@ class VmSystem
     void l2TlbFill(Vpn v, CoreId core = 0);
 
     /**
+     * Run @p blk split: @p front_end() takes its records in scalar
+     * order through the TLBs, walks, handlers and frame pool, touching
+     * no cache (serviceLoad() and fetchHandler() log into blockLog_),
+     * then backEnd(). @pre splitLegal()
+     */
+    template <class Pass>
+    void
+    splitBlock(const AccessBlock &blk, Pass &&front_end)
+    {
+        inFrontEnd_ = true;
+        front_end();
+        inFrontEnd_ = false;
+        backEnd(blk);
+    }
+
+    /**
+     * A split block's user accesses merged with its service log (empty
+     * for BASE, which has no VM) through mem_; a recording keeps the log.
+     */
+    void backEnd(const AccessBlock &blk);
+
+    /**
      * A walk's probe of @p tlb for @p v: the observed lookup() only
      * while a latency collector (the one owner of TLB residency
      * histograms) is attached, else the bare lookupT<false>, with the
@@ -910,15 +995,6 @@ class VmSystem
     /** Out-of-line slow path of emitEvent(); sink_ is non-null here. */
     void doEmit(EventKind kind, EventLevel level, Addr vaddr, Vpn vpn,
                 Cycles cycles);
-
-    /** Fetch @p n handler instructions from @p base (no latency). */
-    void
-    fetchHandlerCode(Addr base, unsigned n)
-    {
-        for (unsigned k = 0; k < n; ++k)
-            mem_.instFetch(base + std::uint64_t{k} * kInstrBytes,
-                           AccessClass::HandlerFetch);
-    }
 
     /**
      * Cycle penalty the cost model implies for a VM-service access
@@ -951,11 +1027,14 @@ class VmSystem
     void touchPageSlow(Vpn v, CoreId core);
 
     /**
-     * Append one service access to svcLog_ (non-null) on the I side
-     * (@p inst) or the D side. The record is the current instruction,
-     * or inside a span's D pass the record whose data ref is walking.
+     * Append one service access to blockLog_ on the I side
+     * (@p inst) or the D side, under the record the last TLB miss
+     * stamped (svcRec_).
      */
     void logService(bool inst, AccessClass cls, Addr addr, unsigned n);
+
+    /** Append blockLog_ to record_, for the block @p blk. */
+    void keepBlockLog(const AccessBlock &blk);
 
     /**
      * Evict one victim (never @p exclude) and apply the side effects:
@@ -983,8 +1062,10 @@ class VmSystem
     unsigned shootdownEvictions_ = 8;
     EventSink *sink_ = nullptr;
     Counter curInstr_ = 0;
-    ServiceLog *svcLog_ = nullptr; ///< recordService() target
-    bool svcAfter_ = false; ///< the open walk serves a D-TLB miss
+
+    bool inFrontEnd_ = false; ///< serviceLoad()/fetchHandler() log
+    std::size_t svcRec_ = 0; ///< the block record the open walk serves
+    bool svcAfter_ = false;  ///< the open walk serves a D-TLB miss
 
     /** @name Memory-pressure state (inert while pressure_ is null). @{ */
     PhysMem *pressure_ = nullptr; ///< budgeted frame pool owner
@@ -1004,20 +1085,10 @@ class VmSystem
     Cycles walkStart_ = 0;
     /** @} */
 
-    /** @name runSpan() scratch (empty outside a span's D pass). @{ */
-    /** A handler's code fetch, held back until record `rec`'s fetch. */
-    struct DeferredFetch
-    {
-        std::size_t rec;
-        Addr base;
-        unsigned n;
-    };
-    bool deferFetches_ = false;  ///< fetchHandler() appends to deferred_
-    bool spanCut_ = false;       ///< an eviction hit the span's I-TLB
-    std::size_t deferRec_ = 0;   ///< record whose data ref is walking
-    Counter spanFirst_ = 0;      ///< global number of the block's record 0
-    std::vector<DeferredFetch> deferred_;
-    std::vector<std::size_t> spanOps_; ///< the span's memory-op records
+    /** @name Split-block back end (splitBlock()). @{ */
+    ServiceLog blockLog_; ///< the running block's service accesses
+    ServiceReplay back_{mem_};
+    ServiceLog *record_ = nullptr; ///< recordService() target
     /** @} */
 };
 
@@ -1031,64 +1102,13 @@ class VmSystem
  *
  * The LINT-KERNEL markers fence the per-record dispatch region that
  * scripts/ci.sh greps: no virtual call, no raw instRef/dataRef
- * dispatch, no std::unordered_map probe, and no branch on isMemOp()
- * in the span passes may reappear inside it.
+ * dispatch and no std::unordered_map probe may reappear inside it.
  */
 // LINT-KERNEL-BEGIN (vm_system)
-template <class DataRef>
-inline std::size_t
-VmSystem::runSpan(const AccessBlock &blk, std::size_t lo, std::size_t hi,
-                  DataRef &&data_ref)
-{
-    if (spanOps_.size() < blk.n)
-        spanOps_.resize(blk.n);
-    std::size_t *ops = spanOps_.data();
-    std::size_t nops = 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-        ops[nops] = i;
-        nops += blk.recs[i].isMemOp();
-    }
-    Access a;
-    a.core = blk.core;
-    spanFirst_ = blk.firstInstr;
-    deferFetches_ = true;
-    for (std::size_t j = 0; j < nops; ++j) {
-        const TraceRecord &r = blk.recs[ops[j]];
-        deferRec_ = ops[j];
-        a.addr = r.daddr;
-        a.store = r.isStore();
-        data_ref(a);
-        if (spanCut_) {
-            spanCut_ = false;
-            hi = ops[j] + 1;
-            break;
-        }
-    }
-    deferFetches_ = false;
-    std::size_t i = lo;
-    for (const DeferredFetch &d : deferred_) {
-        for (; i <= d.rec; ++i)
-            mem_.instFetch(blk.recs[i].pc, AccessClass::User);
-        fetchHandlerCode(d.base, d.n);
-    }
-    for (; i < hi; ++i)
-        mem_.instFetch(blk.recs[i].pc, AccessClass::User);
-    deferred_.clear();
-    return hi;
-}
-
-template <KernelBody K, class VM>
+template <bool kObs, class VM>
 inline void
 refBlockKernel(VM &vm, const AccessBlock &blk)
 {
-    constexpr bool kObs = K == KernelBody::Observed;
-    if constexpr (K == KernelBody::Spans) {
-        // BASE: no TLB, so the whole block is one miss-free span.
-        vm.runSpan(blk, 0, blk.n, [&vm](const Access &d) {
-            vm.template dataRefK<false>(d);
-        });
-        return;
-    }
     Access a;
     a.core = blk.core;
     for (std::size_t i = 0; i < blk.n; ++i) {
@@ -1112,17 +1132,17 @@ refBlockKernel(VM &vm, const AccessBlock &blk)
  * block through the matching monomorphized kernel. Each organization's
  * refBlock() override is a call to this helper from its own
  * translation unit, where the reference kernels are visible. NOTLB
- * and SPUR never take KernelBody::Spans: they refill on user L2
- * misses, so a cache outcome on one side feeds the other.
+ * and SPUR never split a block: they refill on user L2 misses, so a
+ * cache outcome on one side feeds the VM.
  */
 template <class VM>
 inline void
 refBlockFor(VM &vm, const AccessBlock &blk)
 {
     if (vm.observedRefs())
-        refBlockKernel<KernelBody::Observed>(vm, blk);
+        refBlockKernel<true>(vm, blk);
     else
-        refBlockKernel<KernelBody::Bare>(vm, blk);
+        refBlockKernel<false>(vm, blk);
 }
 
 } // namespace vmsim

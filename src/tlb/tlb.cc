@@ -52,7 +52,7 @@ Tlb::Tlb(const TlbParams &params, std::uint64_t seed)
     curTag_ = 0;
     keys_.assign(params_.entries, 0);
     valid_.assign(divCeil(params_.entries, 64u), 0);
-    stamps_.assign(params_.entries, 0);
+    stamps_.assign(params_.entries + 1, 0);
     if (params_.fullyAssociative())
         index_ = SlotIndex(params_.entries);
 }

@@ -148,30 +148,33 @@ class Tlb
         return true;
     }
 
-    /** Fully-observed probe (safe whether or not histograms attach). */
-    bool lookup(Vpn vpn) { return lookupT<true>(vpn); }
-
     /**
-     * Hit-only probe of the span kernels (VmSystem::runSpan): a hit
-     * refreshes the LRU stamp but counts nothing, because a span cut
-     * short re-probes its tail; the kernel credits the hits of the
-     * records a span kept through creditHits(). A miss has no effect
-     * at all: the caller re-probes that VPN through lookupT, which
-     * counts it. Same legality as lookupT<false>.
+     * lookupT<false>(@p vpn) if @p take, else no effect, with no branch
+     * on @p take (a front end takes its D-TLB probes on loads and
+     * stores, which a trace interleaves at random). A probe not taken
+     * still reads the index: give it a VPN that likely hits.
+     * @return false only for a miss that @p take counts.
      */
-    bool
-    lookupHit(Vpn vpn)
+    [[gnu::always_inline]] bool
+    lookupIf(bool take, Vpn vpn)
     {
-        unsigned s = findSlot(vpn);
-        if (s == kNoSlot)
+        const unsigned s = findSlot(vpn);
+        const unsigned t = take;
+        if ((unsigned{s == kNoSlot} & t) != 0) {
+            ++misses_;
             return false;
-        if (params_.repl == TlbRepl::LRU)
-            stamps_[s] = ++stamp_;
+        }
+        hits_ += t;
+        if (params_.repl == TlbRepl::LRU) {
+            // A probe not taken stamps the spare slot past the last.
+            stamp_ += t;
+            stamps_[t ? s : params_.entries] = stamp_;
+        }
         return true;
     }
 
-    /** Count @p n hits that lookupHit() found. */
-    void creditHits(Counter n) { hits_ += n; }
+    /** Fully-observed probe (safe whether or not histograms attach). */
+    bool lookup(Vpn vpn) { return lookupT<true>(vpn); }
 
     /** Probe without touching statistics or LRU state. */
     bool contains(Vpn vpn) const { return findSlot(vpn) != kNoSlot; }
@@ -327,7 +330,7 @@ class Tlb
     unsigned
     findSlot(Vpn vpn) const
     {
-        if (params_.fullyAssociative()) {
+        if (params_.fullyAssociative()) [[likely]] {
             unsigned s = index_.find(keyOf(vpn, curTag_));
             if (s == kNoSlot && params_.tagged())
                 s = index_.find(keyOf(vpn, kGlobalAsid));
@@ -388,7 +391,8 @@ class Tlb
      */
     AlignedVec<std::uint64_t> keys_;
     AlignedVec<std::uint64_t> valid_;
-    AlignedVec<std::uint64_t> stamps_; ///< LRU: last touch; FIFO: fill
+    AlignedVec<std::uint64_t> stamps_; ///< LRU: last touch; FIFO: fill;
+                                       ///< one spare (lookupIf())
 
     SlotIndex index_; ///< FA: key->slot; empty when set-associative
     Random rng_;

@@ -18,6 +18,7 @@
 
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
+#include "common.hh"
 #include "core/factory.hh"
 #include "core/simulator.hh"
 #include "core/sweep.hh"
@@ -465,10 +466,7 @@ observedRun(SystemKind kind, std::size_t batch)
 
 TEST(BatchedSimulator, BitIdenticalToScalarForAllSystems)
 {
-    for (SystemKind kind :
-         {SystemKind::Ultrix, SystemKind::Mach, SystemKind::Intel,
-          SystemKind::Parisc, SystemKind::Notlb, SystemKind::Base,
-          SystemKind::HwInverted, SystemKind::HwMips, SystemKind::Spur}) {
+    for (SystemKind kind : kAllKinds) {
         ObservedRun scalar = observedRun(kind, 1);
         // 256 divides neither the 997-instruction quantum nor the
         // 1000-instruction sampling interval, so switches and interval
@@ -519,10 +517,7 @@ samplerOnlyRun(SystemKind kind, std::size_t batch, unsigned cores,
 
 TEST(BatchedSimulator, SamplerOnlyBitIdenticalToScalar)
 {
-    for (SystemKind kind :
-         {SystemKind::Ultrix, SystemKind::Mach, SystemKind::Intel,
-          SystemKind::Parisc, SystemKind::Notlb, SystemKind::Base,
-          SystemKind::HwInverted, SystemKind::HwMips, SystemKind::Spur}) {
+    for (SystemKind kind : kAllKinds) {
         for (unsigned cores : {1u, 4u}) {
             // 997: switches and interval boundaries interleave. 1000:
             // switches fire at instructions 999 + 1000j (the first
@@ -702,11 +697,12 @@ TEST(SweepTraceCache, ComposesWithFaultInjection)
 }
 
 /**
- * The six TLB organizations and BASE: the organizations whose bare
- * blocks run their TLB-miss-free spans as an I pass and a D pass
- * (VmSystem::runSpan). NOTLB and SPUR keep the per-record order.
+ * The six TLB organizations and BASE: the organizations whose
+ * unobserved blocks run split (VmSystem::splitBlock), a front end in
+ * scalar order and then the back end's D and I passes. NOTLB and SPUR
+ * keep the per-record order.
  */
-constexpr SystemKind kSpanKinds[] = {
+constexpr SystemKind kSplitKinds[] = {
     SystemKind::Ultrix, SystemKind::Mach,       SystemKind::Intel,
     SystemKind::Parisc, SystemKind::HwInverted, SystemKind::HwMips,
     SystemKind::Base};
@@ -742,8 +738,8 @@ bareRun(const SimConfig &cfg, const std::string &workload,
 
 /** Every batched run of @p cfg equals its scalar run. */
 void
-expectSpanIdentity(const SimConfig &cfg, const std::string &workload,
-                   const std::string &what)
+expectSplitIdentity(const SimConfig &cfg, const std::string &workload,
+                    const std::string &what)
 {
     const std::string scalar = bareRun(cfg, workload, 1);
     for (std::size_t batch : {std::size_t{7}, Simulator::kDefaultBatch})
@@ -753,61 +749,62 @@ expectSpanIdentity(const SimConfig &cfg, const std::string &workload,
 }
 
 SimConfig
-spanConfig(SystemKind kind)
+splitConfig(SystemKind kind)
 {
     SimConfig cfg = batchTestConfig(kind);
     cfg.ctxSwitchInterval = 0;
     return cfg;
 }
 
-TEST(SpanKernels, IdenticalToScalarOnEveryWorkload)
+TEST(SplitBlocks, IdenticalToScalarOnEveryWorkload)
 {
-    for (SystemKind kind : kSpanKinds)
+    for (SystemKind kind : kSplitKinds)
         for (const char *wl : {"gcc", "vortex", "ijpeg"})
-            expectSpanIdentity(spanConfig(kind), wl, "");
+            expectSplitIdentity(splitConfig(kind), wl, "");
 }
 
-TEST(SpanKernels, IdenticalToScalarUnderEveryTlbReplacement)
+TEST(SplitBlocks, IdenticalToScalarUnderEveryTlbReplacement)
 {
-    for (SystemKind kind : kSpanKinds)
+    for (SystemKind kind : kSplitKinds)
         for (TlbRepl repl : {TlbRepl::Random, TlbRepl::LRU, TlbRepl::FIFO}) {
-            SimConfig cfg = spanConfig(kind);
+            SimConfig cfg = splitConfig(kind);
             cfg.tlbRepl = repl;
-            expectSpanIdentity(cfg, "gcc",
-                               "repl " + std::to_string(int(repl)));
+            expectSplitIdentity(cfg, "gcc",
+                                "repl " + std::to_string(int(repl)));
         }
 }
 
-TEST(SpanKernels, IdenticalToScalarAcrossContextSwitches)
+TEST(SplitBlocks, IdenticalToScalarAcrossContextSwitches)
 {
-    for (SystemKind kind : kSpanKinds)
+    for (SystemKind kind : kSplitKinds)
         for (unsigned asid : {0u, 8u}) {
-            SimConfig cfg = spanConfig(kind);
+            SimConfig cfg = splitConfig(kind);
             cfg.tlbAsidBits = asid;
             cfg.ctxSwitchInterval = 997;
-            expectSpanIdentity(cfg, "vortex",
-                               "asid " + std::to_string(asid));
+            expectSplitIdentity(cfg, "vortex",
+                                "asid " + std::to_string(asid));
         }
 }
 
-TEST(SpanKernels, IdenticalToScalarWithASharedL2Tlb)
+TEST(SplitBlocks, IdenticalToScalarWithASharedL2Tlb)
 {
-    for (SystemKind kind : kSpanKinds)
+    for (SystemKind kind : kSplitKinds)
         for (unsigned cores : {1u, 2u, 4u}) {
-            SimConfig cfg = spanConfig(kind);
+            SimConfig cfg = splitConfig(kind);
             cfg.l2TlbEntries = 64;
             cfg.cores = cores;
             cfg.coreQuantum = 1500;
             cfg.ctxSwitchInterval = 997;
-            expectSpanIdentity(cfg, "gcc",
-                               "cores " + std::to_string(cores));
+            expectSplitIdentity(cfg, "gcc",
+                                "cores " + std::to_string(cores));
         }
 }
 
 /**
  * An 8-entry D-TLB behind a 128-entry I-TLB, with a 200-instruction
  * user handler: D-TLB misses are frequent inside long I-TLB-hit runs,
- * so many walks' handler fetches are deferred and replayed mid-span.
+ * so the back end merges many handler fetches after their records'
+ * user fetches (slot 2r + 1).
  */
 std::unique_ptr<VmSystem>
 smallDtlbVm(SystemKind kind, MemSystem &mem, PhysMem &pm)
@@ -857,9 +854,9 @@ smallDtlbRun(SystemKind kind, std::size_t batch)
            tlbCounts(*vm);
 }
 
-TEST(SpanKernels, DeferredHandlerFetchesReplayInScalarOrder)
+TEST(SplitBlocks, HandlerFetchesReplayInScalarOrder)
 {
-    for (SystemKind kind : kSpanKinds) {
+    for (SystemKind kind : kSplitKinds) {
         const std::string scalar = smallDtlbRun(kind, 1);
         for (std::size_t batch : {std::size_t{7}, Simulator::kDefaultBatch})
             EXPECT_EQ(scalar, smallDtlbRun(kind, batch))
@@ -872,10 +869,10 @@ TEST(SpanKernels, DeferredHandlerFetchesReplayInScalarOrder)
  * which share a 64-entry L2 TLB when there are several.
  */
 SimConfig
-budgetedSpanConfig(SystemKind kind, TlbRepl repl, ReclaimPolicy reclaim,
-                   unsigned cores)
+budgetedSplitConfig(SystemKind kind, TlbRepl repl, ReclaimPolicy reclaim,
+                    unsigned cores)
 {
-    SimConfig cfg = spanConfig(kind);
+    SimConfig cfg = splitConfig(kind);
     cfg.physFrames = 48;
     cfg.reclaimPolicy = reclaim;
     cfg.tlbEntries = 32;
@@ -889,56 +886,61 @@ budgetedSpanConfig(SystemKind kind, TlbRepl repl, ReclaimPolicy reclaim,
 }
 
 /**
- * Under a frame budget a D-pass eviction can drop an entry from the
- * span core's I-TLB, so the span ends after that record and the
- * kernel re-probes the rest. 48 frames behind a 32-entry TLB keep
- * evicting pages the I-TLB holds. The grid crosses every I-TLB
- * replacement policy (an LRU I-TLB sees the re-probed hits' stamps
- * refreshed twice) with every reclaim policy, at one core and at four
- * cores sharing an L2 TLB; a last leg adds context switches with
- * ASID-tagged TLBs. BASE, which touches no page, runs its budgeted
- * blocks as one span.
+ * Under a frame budget a D-TLB refill's eviction can drop an entry
+ * from the core's own I-TLB; the front end sees it because it probes
+ * in scalar order. 48 frames behind a 32-entry TLB keep evicting pages
+ * the I-TLB holds. The grid crosses every I-TLB replacement policy
+ * with every reclaim policy, at one core and at four cores sharing an
+ * L2 TLB; a last leg adds context switches with ASID-tagged TLBs.
+ * BASE, which touches no page, runs the back end alone.
  */
-TEST(SpanKernels, IdenticalToScalarUnderAFrameBudget)
+TEST(SplitBlocks, IdenticalToScalarUnderAFrameBudget)
 {
-    for (SystemKind kind : kSpanKinds) {
+    for (SystemKind kind : kSplitKinds) {
         for (TlbRepl repl : {TlbRepl::Random, TlbRepl::LRU, TlbRepl::FIFO})
             for (ReclaimPolicy reclaim :
                  {ReclaimPolicy::Fifo, ReclaimPolicy::Lru,
                   ReclaimPolicy::Clock})
                 for (unsigned cores : {1u, 4u})
-                    expectSpanIdentity(
-                        budgetedSpanConfig(kind, repl, reclaim, cores),
+                    expectSplitIdentity(
+                        budgetedSplitConfig(kind, repl, reclaim, cores),
                         "gcc",
                         "repl " + std::to_string(int(repl)) + " reclaim " +
                             reclaimPolicyName(reclaim) + " cores " +
                             std::to_string(cores));
         for (unsigned cores : {1u, 4u}) {
-            SimConfig cfg = budgetedSpanConfig(kind, TlbRepl::LRU,
-                                               ReclaimPolicy::Clock, cores);
+            SimConfig cfg = budgetedSplitConfig(kind, TlbRepl::LRU,
+                                                ReclaimPolicy::Clock, cores);
             cfg.tlbAsidBits = 8;
             cfg.ctxSwitchInterval = 997;
-            expectSpanIdentity(cfg, "vortex",
-                               "asid 8 cores " + std::to_string(cores));
+            expectSplitIdentity(cfg, "vortex",
+                                "asid 8 cores " + std::to_string(cores));
         }
     }
 }
 
 /**
- * Where spansLegal() is false the bare kernel keeps the per-record
- * order: a unified L2 and a latency collector must each still match
- * the scalar loop.
+ * Where splitLegal() is false a block keeps the per-record order: a
+ * unified L2 (the observed body with no observer, also at four cores
+ * under a frame budget) and a latency collector must match the scalar.
  */
-TEST(SpanKernels, FallbacksMatchScalar)
+TEST(SplitBlocks, FallbacksMatchScalar)
 {
-    for (SystemKind kind : kSpanKinds) {
-        SimConfig unified = spanConfig(kind);
+    for (SystemKind kind : kSplitKinds) {
+        SimConfig unified = splitConfig(kind);
         unified.unifiedL2 = true;
         unified.l1 = CacheParams{8_KiB, 32};
         unified.l2 = CacheParams{32_KiB, 64};
-        expectSpanIdentity(unified, "gcc", "unified L2");
+        expectSplitIdentity(unified, "gcc", "unified L2");
 
-        SimConfig cfg = spanConfig(kind);
+        SimConfig budgeted = budgetedSplitConfig(
+            kind, TlbRepl::LRU, ReclaimPolicy::Clock, 4);
+        budgeted.unifiedL2 = true;
+        budgeted.l1 = unified.l1;
+        budgeted.l2 = unified.l2;
+        expectSplitIdentity(budgeted, "gcc", "unified L2, 48 frames");
+
+        SimConfig cfg = splitConfig(kind);
         LatencyCollector lat;
         EXPECT_EQ(bareRun(cfg, "gcc", 1),
                   bareRun(cfg, "gcc", Simulator::kDefaultBatch, &lat))

@@ -12,8 +12,9 @@
 
 #include "base/intmath.hh"
 #include "check/invariants.hh"
-#include "counter_values.hh"
+#include "common.hh"
 #include "core/simulator.hh"
+#include "counter_values.hh"
 #include "obs/event.hh"
 #include "obs/interval.hh"
 #include "os/ultrix_vm.hh"
@@ -33,12 +34,6 @@ cfg(SystemKind kind)
     c.l2 = CacheParams{1_MiB, 64};
     return c;
 }
-
-constexpr SystemKind kAllKinds[] = {
-    SystemKind::Ultrix, SystemKind::Mach,       SystemKind::Intel,
-    SystemKind::Parisc, SystemKind::Notlb,      SystemKind::Base,
-    SystemKind::HwInverted, SystemKind::HwMips, SystemKind::Spur,
-};
 
 // ------------------------------------------------------------ CheckReport
 
@@ -200,24 +195,24 @@ TEST(DiffResults, EachCounterDivergesAsOneNamedViolation)
 // ------------------------------------------------------ cross-cell laws
 
 /**
- * checkCacheIndependence() over runs of @p kind on @p workload across
+ * checkCacheIndependence() over runs of @p base on @p workload across
  * every axis a shared front end's key drops: L1 {4K, 64K} x L2 {256K,
  * 1M}, line sizes 64/128, 2-way LRU and 2-way Random caches, and a
  * non-default CostModel.
  */
 CheckReport
-cacheGridReport(SystemKind kind, const std::string &workload)
+cacheGridReport(const SimConfig &base, const std::string &workload)
 {
     std::vector<SimConfig> grid;
     for (std::uint64_t l1 : {4_KiB, 64_KiB}) {
         for (std::uint64_t l2 : {256_KiB, 1_MiB}) {
-            SimConfig c = cfg(kind);
+            SimConfig c = base;
             c.l1 = CacheParams{l1, 32};
             c.l2 = CacheParams{l2, 64};
             grid.push_back(c);
         }
     }
-    SimConfig c = cfg(kind);
+    SimConfig c = base;
     c.l1 = CacheParams{16_KiB, 64};
     c.l2 = CacheParams{1_MiB, 128};
     grid.push_back(c);
@@ -227,7 +222,7 @@ cacheGridReport(SystemKind kind, const std::string &workload)
     c.l1 = CacheParams{16_KiB, 64, 2, CacheRepl::Random};
     c.l2 = CacheParams{512_KiB, 128, 2, CacheRepl::Random};
     grid.push_back(c);
-    c = cfg(kind);
+    c = base;
     c.costs = CostModel{10, 200, 200, 0.5};
     grid.push_back(c);
 
@@ -242,17 +237,27 @@ cacheGridReport(SystemKind kind, const std::string &workload)
     return checkCacheIndependence(cells, labels);
 }
 
+/** The law split blocks rest on: unbudgeted, under 48 frames with LRU
+ *  and with CLOCK reclaim, and at four cores sharing an L2 TLB. */
 TEST(CacheIndependence, VmCountersIgnoreCacheGeometry)
 {
     for (SystemKind kind : kAllKinds) {
         if (!cacheBlindVm(kind))
             continue;
-        for (const char *wl : {"gcc", "vortex", "ijpeg"}) {
-            CheckReport rep = cacheGridReport(kind, wl);
-            EXPECT_TRUE(rep.ok()) << kindName(kind) << ' ' << wl << ": "
-                                  << rep.toString();
-            EXPECT_GT(rep.lawsChecked(), 0u);
-        }
+        SimConfig lru = cfg(kind), clock = cfg(kind), cores4 = cfg(kind);
+        lru.physFrames = clock.physFrames = 48;
+        lru.reclaimPolicy = ReclaimPolicy::Lru;
+        clock.reclaimPolicy = ReclaimPolicy::Clock;
+        cores4.cores = 4;
+        cores4.coreQuantum = 1500;
+        cores4.l2TlbEntries = 64;
+        for (const SimConfig &base : {cfg(kind), lru, clock, cores4})
+            for (const char *wl : {"gcc", "vortex", "ijpeg"}) {
+                CheckReport rep = cacheGridReport(base, wl);
+                EXPECT_TRUE(rep.ok()) << base.toString() << ' ' << wl
+                                      << ": " << rep.toString();
+                EXPECT_GT(rep.lawsChecked(), 0u);
+            }
     }
 }
 
@@ -262,7 +267,7 @@ TEST(CacheIndependence, NotlbAndSpurRefillOnCacheMisses)
     // law can fail and the exclusion is needed.
     for (SystemKind kind : {SystemKind::Notlb, SystemKind::Spur}) {
         EXPECT_FALSE(cacheBlindVm(kind)) << kindName(kind);
-        EXPECT_FALSE(cacheGridReport(kind, "vortex").ok())
+        EXPECT_FALSE(cacheGridReport(cfg(kind), "vortex").ok())
             << kindName(kind);
     }
 }

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "base/logging.hh"
+#include "common.hh"
 #include "core/factory.hh"
 #include "core/simulator.hh"
 #include "trace/synthetic/workloads.hh"
@@ -89,10 +90,7 @@ TEST(Factory, HandlerCostOverride)
 
 TEST(Factory, EverySystemKindConstructs)
 {
-    for (SystemKind kind :
-         {SystemKind::Ultrix, SystemKind::Mach, SystemKind::Intel,
-          SystemKind::Parisc, SystemKind::Notlb, SystemKind::Base,
-          SystemKind::HwInverted, SystemKind::HwMips, SystemKind::Spur}) {
+    for (SystemKind kind : kAllKinds) {
         SimConfig cfg;
         cfg.kind = kind;
         cfg.l1 = CacheParams{32_KiB, 32};

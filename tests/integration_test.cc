@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "base/logging.hh"
+#include "common.hh"
 #include "core/factory.hh"
 #include "core/simulator.hh"
 #include "core/sweep.hh"
@@ -41,10 +42,7 @@ quickRun(SystemKind kind, const char *workload = "gcc")
 
 TEST(Integration, AllSystemsRunAllWorkloads)
 {
-    for (SystemKind kind :
-         {SystemKind::Ultrix, SystemKind::Mach, SystemKind::Intel,
-          SystemKind::Parisc, SystemKind::Notlb, SystemKind::Base,
-          SystemKind::HwInverted, SystemKind::HwMips, SystemKind::Spur}) {
+    for (SystemKind kind : kAllKinds) {
         for (const auto &w : workloadNames()) {
             Results r = runOnce(baseConfig(kind), w, 20000, 5000);
             EXPECT_EQ(r.userInstrs(), 20000u);
@@ -257,10 +255,7 @@ TEST(Integration, ConfigValidation)
 
 TEST(Integration, KindNamesRoundTrip)
 {
-    for (SystemKind kind :
-         {SystemKind::Ultrix, SystemKind::Mach, SystemKind::Intel,
-          SystemKind::Parisc, SystemKind::Notlb, SystemKind::Base,
-          SystemKind::HwInverted, SystemKind::HwMips, SystemKind::Spur}) {
+    for (SystemKind kind : kAllKinds) {
         EXPECT_EQ(kindFromName(kindName(kind)), kind);
     }
     EXPECT_EQ(kindFromName("parisc"), SystemKind::Parisc);

@@ -18,6 +18,7 @@
 
 #include "base/aligned.hh"
 #include "base/random.hh"
+#include "common.hh"
 #include "core/simulator.hh"
 #include "obs/event.hh"
 #include "obs/interval.hh"
@@ -215,11 +216,7 @@ layoutTestConfig(SystemKind kind)
  */
 TEST(LayoutKernels, ScalarVsBatchedAllSystemsMulticore)
 {
-    for (SystemKind kind :
-         {SystemKind::Ultrix, SystemKind::Mach, SystemKind::Intel,
-          SystemKind::Parisc, SystemKind::Notlb, SystemKind::Base,
-          SystemKind::HwInverted, SystemKind::HwMips,
-          SystemKind::Spur}) {
+    for (SystemKind kind : kAllKinds) {
         std::string baseline;
         for (std::size_t batch : {std::size_t{1}, std::size_t{256}}) {
             RunHooks hooks;

@@ -28,6 +28,7 @@
 #include "base/error.hh"
 #include "base/logging.hh"
 #include "base/units.hh"
+#include "common.hh"
 #include "core/shard.hh"
 #include "core/sweep.hh"
 
@@ -57,14 +58,6 @@ writeFile(const std::string &path, const std::string &bytes)
 {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os << bytes;
-}
-
-inline std::string
-csvOf(const SweepResults &res)
-{
-    std::ostringstream os;
-    res.writeCsv(os);
-    return os.str();
 }
 
 /**

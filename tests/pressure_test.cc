@@ -25,6 +25,7 @@
 #include "base/units.hh"
 #include "check/diff.hh"
 #include "check/invariants.hh"
+#include "common.hh"
 #include "core/simulator.hh"
 #include "core/sweep.hh"
 #include "mem/frame_pool.hh"
@@ -572,6 +573,7 @@ TEST(StrictParse, SharedFlagTableBoundsEveryValue)
         RunOptions opts;
         parseFlags(static_cast<int>(argv.size()), argv.data(),
                    opts.flags());
+        opts.refuseShardObservers();
         return opts;
     };
     for (const char *bad :
@@ -580,12 +582,18 @@ TEST(StrictParse, SharedFlagTableBoundsEveryValue)
           "--instructions=2e6", "--progress=fast",
           "--lease-seconds=inf"})
         EXPECT_THROW(parse({bad}), VmsimError) << bad;
-    for (const char *bad :
-         {"--seeds=0", "--phys-mb=0", "--interval=0", "--cores=0",
-          "--instructions=0", "--batch=0", "--progress=0",
-          "--trace-events=", "--stats-json=", "--shard-dir=",
-          "--check=1", "--seed", "--full", "--tlb=64"})
-        EXPECT_THROW(parse({bad}), FatalError) << bad;
+    // The last six: a sharded run refuses every observation flag.
+    const std::string shard = "--shard-dir=d";
+    for (const std::vector<std::string> &bad :
+         std::vector<std::vector<std::string>>{
+             {"--seeds=0"}, {"--phys-mb=0"}, {"--interval=0"}, {"--cores=0"},
+             {"--instructions=0"}, {"--batch=0"}, {"--progress=0"},
+             {"--trace-events="}, {"--stats-json="}, {"--shard-dir="},
+             {"--check=1"}, {"--seed"}, {"--full"}, {"--tlb=64"},
+             {shard, "--trace-events=e"}, {shard, "--chrome-trace=c"},
+             {shard, "--stats-json=s"}, {shard, "--interval=100"},
+             {shard, "--progress"}, {shard, "--progress-out=p"}})
+        EXPECT_THROW(parse(bad), FatalError) << bad.back();
 
     RunOptions ok =
         parse({"--phys-mb=4", "--progress", "--cores=2", "--private-l2tlb"});
@@ -610,12 +618,6 @@ pressureCfg(SystemKind kind)
     c.l2 = CacheParams{1_MiB, 64};
     return c;
 }
-
-constexpr SystemKind kAllKinds[] = {
-    SystemKind::Ultrix, SystemKind::Mach,       SystemKind::Intel,
-    SystemKind::Parisc, SystemKind::Notlb,      SystemKind::Base,
-    SystemKind::HwInverted, SystemKind::HwMips, SystemKind::Spur,
-};
 
 TEST(PressureRun, UnbudgetedRunsCarryNoPressureState)
 {

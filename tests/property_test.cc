@@ -10,6 +10,7 @@
 
 #include <tuple>
 
+#include "common.hh"
 #include "core/factory.hh"
 #include "core/simulator.hh"
 #include "core/sweep.hh"
@@ -36,12 +37,6 @@ cfgFor(SystemKind kind, std::uint64_t l1 = 32_KiB,
 
 constexpr Counter kN = 60000;
 constexpr Counter kW = 20000;
-
-const SystemKind kAllKinds[] = {
-    SystemKind::Ultrix, SystemKind::Mach,       SystemKind::Intel,
-    SystemKind::Parisc, SystemKind::Notlb,      SystemKind::Base,
-    SystemKind::HwInverted, SystemKind::HwMips, SystemKind::Spur,
-};
 
 // ------------------------------------------------- accounting invariants
 

@@ -25,6 +25,7 @@
 #include "base/fsio.hh"
 #include "base/subprocess.hh"
 #include "base/units.hh"
+#include "common.hh"
 #include "core/shard.hh"
 #include "core/sweep.hh"
 #include "fault/fault.hh"
@@ -65,14 +66,6 @@ tinySpec()
     SweepSpec spec;
     spec.base(base).instructions(10'000).seeds(3);
     return spec;
-}
-
-std::string
-csvOf(const SweepResults &res)
-{
-    std::ostringstream os;
-    res.writeCsv(os);
-    return os.str();
 }
 
 std::string

@@ -18,6 +18,7 @@
 
 #include "base/intmath.hh"
 #include "base/logging.hh"
+#include "common.hh"
 #include "core/simulator.hh"
 #include "core/sweep.hh"
 #include "os/base_vm.hh"
@@ -181,12 +182,6 @@ TEST(System, SweepCellMatchesRunOnce)
 }
 
 // ------------------------------------------------------- prefetched runs
-
-constexpr SystemKind kAllKinds[] = {
-    SystemKind::Ultrix,     SystemKind::Mach,   SystemKind::Intel,
-    SystemKind::Parisc,     SystemKind::Notlb,  SystemKind::Base,
-    SystemKind::HwInverted, SystemKind::HwMips, SystemKind::Spur,
-};
 
 /** Results::serialize() of a run and of every sampled interval. */
 std::string

@@ -21,6 +21,7 @@
 #include "base/json.hh"
 #include "base/logging.hh"
 #include "base/units.hh"
+#include "common.hh"
 #include "core/sweep.hh"
 #include "log_mutants.hh"
 
@@ -63,14 +64,6 @@ smallSpec()
         .instructions(20'000)
         .warmup(2'000);
     return spec;
-}
-
-std::string
-csvOf(const SweepResults &res)
-{
-    std::ostringstream oss;
-    res.writeCsv(oss);
-    return oss.str();
 }
 
 std::vector<std::string>

@@ -25,6 +25,7 @@
 #include "base/json.hh"
 #include "base/logging.hh"
 #include "base/signals.hh"
+#include "common.hh"
 #include "core/sim_config.hh"
 #include "core/simulator.hh"
 #include "core/sweep.hh"
@@ -120,10 +121,7 @@ TEST(SweepSpec, InterruptCostRepricesOneRun)
     // Interrupt cost is a pure price: no event count depends on it, so
     // one run re-priced through interruptCpiAt() stands in for a run
     // at every cost, and a sweep needs no interrupt-cost axis.
-    for (SystemKind kind :
-         {SystemKind::Ultrix, SystemKind::Mach, SystemKind::Intel,
-          SystemKind::Parisc, SystemKind::Notlb, SystemKind::Base,
-          SystemKind::HwInverted, SystemKind::HwMips, SystemKind::Spur}) {
+    for (SystemKind kind : kAllKinds) {
         SimConfig cfg;
         cfg.kind = kind;
         cfg.l1 = CacheParams{4_KiB, 32};
@@ -220,14 +218,6 @@ TEST(SweepRunner, SeedReplicationsDiffer)
 }
 
 // -------------------------------------------------------- graceful drain
-
-std::string
-csvOf(const SweepResults &res)
-{
-    std::ostringstream os;
-    res.writeCsv(os);
-    return os.str();
-}
 
 /** A path under the test temp dir, unique to this process, with no
  *  file at it yet. */
@@ -440,10 +430,7 @@ TEST(FrontEndSharing, IdenticalToUnshared)
     // Each (TLB organization, workload) is one group of eight: two L1
     // sizes x two line-size pairs x two price lists.
     SweepSpec spec;
-    spec.systems({SystemKind::Ultrix, SystemKind::Mach, SystemKind::Intel,
-                  SystemKind::Parisc, SystemKind::Notlb, SystemKind::Base,
-                  SystemKind::HwInverted, SystemKind::HwMips,
-                  SystemKind::Spur})
+    spec.systems({std::begin(kAllKinds), std::end(kAllKinds)})
         .workloads({"gcc", "vortex", "ijpeg"})
         .l1Sizes({8_KiB, 32_KiB})
         .lineSizes({{32, 64}, {64, 128}})
