@@ -17,7 +17,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
     --target base_test obs_test simulator_test trace_test error_test \
     fault_test sweep_resume_test shard_test batch_test check_test \
     check_fuzz multicore_test pressure_test synthetic_test tlb_index_test \
-    phys_mem_test pt_intel_test vmsim_cli
+    phys_mem_test pt_intel_test vmsim_cli vmsim_bench
 
 "$BUILD_DIR"/tests/base_test
 "$BUILD_DIR"/tests/obs_test
@@ -56,6 +56,12 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 # finds it full; INTEL's PTE pages live in that index.
 "$BUILD_DIR"/tests/phys_mem_test
 "$BUILD_DIR"/tests/pt_intel_test
+
+# At --jobs=1 the four-core budgeted cells hand each split block's back
+# end to a worker thread, which reads the cell's recording until the
+# run drains it.
+"$BUILD_DIR"/bench/vmsim_bench --figure=fig6_vmcpi_gcc --instructions=20000 \
+    --warmup=5000 --cores=4 --phys-mb=1 --reclaim=clock --jobs=1 > /dev/null
 
 # Smoke test: a fully-instrumented CLI run whose Chrome trace must be
 # valid JSON (python3 json.tool is the arbiter when available).

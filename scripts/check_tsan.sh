@@ -1,9 +1,9 @@
 #!/bin/sh
 # Build the simulator with ThreadSanitizer and run the concurrency-
-# sensitive test suites (thread pool, sweep engine, trace prefetcher)
-# plus a small parallel bench sweep. Catches data races in the
-# SweepRunner / ThreadPool / Logger / PrefetchedTrace stack that plain
-# unit tests can miss.
+# sensitive test suites (thread pool, sweep engine, trace prefetcher,
+# back-end worker) plus small bench sweeps. Catches data races in the
+# SweepRunner / ThreadPool / Logger / PrefetchedTrace / back-end worker
+# stack that plain unit tests can miss.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -eu
@@ -34,7 +34,8 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 "$BUILD_DIR"/tests/simulator_test
 # batch_test hammers the TraceCache from concurrent sweep workers
 # (promise/shared_future publication, budget accounting under the
-# mutex) — the shared-recording paths TSan exists to check.
+# mutex) — the shared-recording paths TSan exists to check — and runs
+# split blocks with their back ends on the worker thread.
 "$BUILD_DIR"/tests/batch_test
 # The fuzzer's cached leg shares TraceCache recordings exactly like
 # parallel sweep workers do.
@@ -59,5 +60,11 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 # the log one member records, published under the runner's mutex.
 "$BUILD_DIR"/bench/vmsim_bench --figure=fig6_vmcpi_gcc --instructions=20000 \
     --warmup=5000 --jobs=4 > /dev/null
+
+# At --jobs=1 the four-core budgeted cells hand each split block's back
+# end to a worker thread: the service logs, the records and the caches
+# change hands through the ring's release/acquire counters.
+"$BUILD_DIR"/bench/vmsim_bench --figure=fig6_vmcpi_gcc --instructions=20000 \
+    --warmup=5000 --cores=4 --phys-mb=1 --reclaim=clock --jobs=1 > /dev/null
 
 echo "TSan checks passed."

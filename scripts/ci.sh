@@ -28,7 +28,7 @@ echo "== line-count ceilings =="
 # .hh file under the tree, cat | wc -l) must stay at or under its
 # committed ceiling. Lower a ceiling when a change shrinks its tree;
 # raising one needs a reason in CHANGES.md.
-for tree in src:21463 bench:2295 tests:14329 examples:1162; do
+for tree in src:21763 bench:2295 tests:14329 examples:1162; do
     dir=${tree%%:*}
     ceiling=${tree#*:}
     count=$(find "$dir" \( -name '*.cc' -o -name '*.hh' \) -print0 |
@@ -103,6 +103,18 @@ $FIG6 --csv --instructions=20000 \
 cmp "$SMOKE_DIR/fig6_shared1.csv" "$SMOKE_DIR/fig6_unshared.csv"
 cmp "$SMOKE_DIR/fig6_shared4.csv" "$SMOKE_DIR/fig6_unshared.csv"
 cmp "$SMOKE_DIR/fig6_cached.csv" "$SMOKE_DIR/fig6_unshared.csv"
+# Pipelined back ends (DESIGN.md section 6, "Split blocks"): at --jobs=1
+# these four-core budgeted cells run each split block's back end on a
+# worker thread where the host has a hardware thread to spare; --check
+# (observed blocks) and --batch=1 (the scalar loop) run no split block.
+# All three must agree byte for byte.
+PIPE="--csv --instructions=20000 --warmup=5000 --cores=4 --phys-mb=1 \
+    --reclaim=clock"
+$FIG6 $PIPE --jobs=1 > "$SMOKE_DIR/fig6_pipelined.csv"
+$FIG6 $PIPE --jobs=4 --check > "$SMOKE_DIR/fig6_inline.csv"
+$FIG6 $PIPE --jobs=1 --batch=1 > "$SMOKE_DIR/fig6_pipe_scalar.csv"
+cmp "$SMOKE_DIR/fig6_pipelined.csv" "$SMOKE_DIR/fig6_inline.csv"
+cmp "$SMOKE_DIR/fig6_pipelined.csv" "$SMOKE_DIR/fig6_pipe_scalar.csv"
 
 echo "== multicore determinism =="
 # The quantum scheduler keeps scalar/batched and serial/parallel runs

@@ -139,6 +139,19 @@ InvariantChecker::check(const Results &r, CheckReport &rep) const
               "mem.handler-fetches", "expected ", handler_instrs,
               " handler I-fetches, got ",
               m.instOf(AccessClass::HandlerFetch).accesses);
+    // The data-side twin: each PTE load, and each of the adminLoads
+    // bookkeeping loads MACH adds per root-level miss, reaches the D
+    // caches once per line it spans.
+    const Counter pte_lines =
+        vm.pteLoads * pteLinesPerLoad(config_) +
+        (config_.kind == SystemKind::Mach
+             ? vm.rhandlerCalls * costs_.adminLoads
+             : 0);
+    const Counter pte_data = m.dataOf(AccessClass::PteUser).accesses +
+                             m.dataOf(AccessClass::PteKernel).accesses +
+                             m.dataOf(AccessClass::PteRoot).accesses;
+    rep.check(pte_data == pte_lines, "mem.pte-loads", "expected ",
+              pte_lines, " PTE-class data line accesses, got ", pte_data);
     rep.check(m.dataOf(AccessClass::HandlerFetch).accesses == 0,
               "mem.handler-data", "handler-fetch class counted ",
               m.dataOf(AccessClass::HandlerFetch).accesses,

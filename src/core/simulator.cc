@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "base/handoff.hh"
 #include "check/invariants.hh"
 #include "core/factory.hh"
 #include "trace/prefetch.hh"
@@ -11,6 +12,36 @@
 
 namespace vmsim
 {
+
+namespace
+{
+
+/** forceBackEndPipelineForTest(): -1 automatic, 0 inline, 1 pipelined. */
+std::atomic<int> forcedPipeline{-1};
+
+/** Pipelines @p vm's back end for one scope; leaving it drains. */
+struct PipelineScope
+{
+    PipelineScope(VmSystem &vm, bool on) : vm(vm)
+    {
+        vm.pipelineBackEnd(on);
+    }
+    ~PipelineScope()
+    {
+        // A run that ends drained in endRun(); one that throws reports
+        // its own exception, not a replay's.
+        try {
+            vm.pipelineBackEnd(false);
+        } catch (...) {
+        }
+    }
+    PipelineScope(const PipelineScope &) = delete;
+    PipelineScope &operator=(const PipelineScope &) = delete;
+
+    VmSystem &vm;
+};
+
+} // anonymous namespace
 
 Simulator::Simulator(VmSystem &vm, TraceSource &trace,
                      Counter ctx_switch_interval)
@@ -59,6 +90,7 @@ Simulator::rotateCore()
 Counter
 Simulator::endRun(Counter n)
 {
+    vm_.pipelineBackEnd(false);
     flushQuantum();
     executed_ += n;
     noteProgress(executed_);
@@ -110,9 +142,25 @@ Simulator::runScalar(Counter max_instrs)
     return endRun(n);
 }
 
+bool
+Simulator::pipelinable() const
+{
+    const int forced = forcedPipeline.load(std::memory_order_relaxed);
+    if (sampler_ || forced == 0)
+        return false;
+    for (const TraceSource *src : sources_)
+        if (!src->lendsStableRecords())
+            return false;
+    return forced == 1 || helperThreadFree();
+}
+
 Counter
 Simulator::runBatched(Counter max_instrs)
 {
+    // Leaving the run, at endRun() or by a throw (a cancel poll
+    // included), drains the worker before anything reads or resets the
+    // caches and before a caller frees the records it reads.
+    const PipelineScope pipeline(vm_, pipelinable());
     Counter n = 0;
     while (n < max_instrs) {
         // Hoisted cancel poll / progress store: once per block instead
@@ -390,15 +438,26 @@ runsInFlight()
     return liveRuns.load(std::memory_order_relaxed);
 }
 
+bool
+helperThreadFree()
+{
+    return helperThreadAffordable(std::max(1u, runsInFlight()),
+                                  std::thread::hardware_concurrency());
+}
+
+void
+forceBackEndPipelineForTest(std::optional<bool> on)
+{
+    forcedPipeline.store(on ? int{*on} : -1, std::memory_order_relaxed);
+}
+
 std::unique_ptr<TraceSource>
 liveGenerator(std::unique_ptr<TraceSource> gen, const SimConfig &config,
               Counter records)
 {
     // Multicore runs record their trace before simulating, so there is
     // nothing to overlap.
-    if (config.cores > 1 ||
-        !prefetchAffordable(runsInFlight(),
-                            std::thread::hardware_concurrency()))
+    if (config.cores > 1 || !helperThreadFree())
         return gen;
     return std::make_unique<PrefetchedTrace>(std::move(gen), records);
 }

@@ -130,6 +130,14 @@ class Simulator
     Counter runBatched(Counter max_instrs);
 
     /**
+     * Whether runBatched() may run split blocks' back ends on the VM's
+     * worker (VmSystem::pipelineBackEnd()): no sampler is attached (its
+     * block-head tick reads the caches), every source lends records
+     * that outlive the run, and helperThreadFree() holds.
+     */
+    bool pipelinable() const;
+
+    /**
      * More than one source: the quantum scheduler rotates cores and
      * credits per-core instruction slices. A single source does
      * neither, exactly like the pre-multicore simulator.
@@ -412,11 +420,28 @@ Results runOnce(const SimConfig &config, const std::string &workload,
 unsigned runsInFlight();
 
 /**
+ * The one guard on helper threads (a trace prefetcher's producer, a
+ * split back end's worker): helperThreadAffordable() for this
+ * process's runs in flight, the caller's counted at least once, and
+ * the host's hardware threads. It sees no other process's load. A run
+ * never holds both helpers: only a generated source is prefetched,
+ * and only one lending stable records is pipelined.
+ */
+bool helperThreadFree();
+
+/**
+ * Tests only: run every batched run's back end inline (false), or on
+ * the worker wherever a run qualifies but for helperThreadFree()
+ * (true); std::nullopt restores the automatic choice.
+ */
+void forceBackEndPipelineForTest(std::optional<bool> on);
+
+/**
  * The live source for a run of @p config over @p records records of
- * the generator @p gen: on one core, while prefetchAffordable() holds
- * for runsInFlight() and the host's hardware threads, @p gen behind a
- * PrefetchedTrace that generates ahead on its own thread; otherwise
- * @p gen itself. Either way the run sees the same records.
+ * the generator @p gen: on one core, while helperThreadFree() holds,
+ * @p gen behind a PrefetchedTrace that generates ahead on its own
+ * thread; otherwise @p gen itself. Either way the run sees the same
+ * records.
  */
 std::unique_ptr<TraceSource>
 liveGenerator(std::unique_ptr<TraceSource> gen, const SimConfig &config,

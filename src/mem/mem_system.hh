@@ -89,8 +89,10 @@ struct MemSystemStats
  * populates both levels (L2 is accessed only when L1 misses, and both
  * allocate on miss). Blocking behavior means cost is purely additive
  * per miss, which is exactly how the paper charges 20 / 500 cycles.
+ * Cache-line aligned: a split back end's worker thread may write it
+ * while the simulation thread writes the objects beside it.
  */
-class MemSystem
+class alignas(64) MemSystem
 {
   public:
     /**

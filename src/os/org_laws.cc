@@ -26,19 +26,16 @@ constexpr OrgLaws kOrgLawsTable[] = {
     {SystemKind::Spur,         false, false, false, false, true,  false},
 };
 
-/**
- * Cache lines touched by one aligned page-table entry load. Hashed
- * PTEs are 16 bytes at 16-aligned addresses, so a narrower line sees
- * exactly 16/line lines per load; hierarchical 4-byte PTEs always
- * fit one line (the cache enforces lineSize >= 4).
- */
-Counter
-linesPerEntry(unsigned entry_bytes, unsigned line_size)
-{
-    return entry_bytes > line_size ? entry_bytes / line_size : 1;
-}
-
 } // namespace
+
+Counter
+pteLinesPerLoad(const SimConfig &config)
+{
+    const bool hashed = config.kind == SystemKind::Parisc ||
+                        config.kind == SystemKind::HwInverted;
+    const unsigned line = config.l1.lineSize;
+    return hashed && kHashedPteSize > line ? kHashedPteSize / line : 1;
+}
 
 const OrgLaws &
 orgLaws(SystemKind kind)
@@ -177,7 +174,7 @@ checkOrgLaws(const SimConfig &config, const HandlerCosts &costs,
                   "interrupts ", I, " != handler calls ", U);
         rep.check(P >= U, "parisc.chain",
                   "PTE loads ", P, " below one probe per miss (", U, ")");
-        pteU = P * linesPerEntry(kHashedPteSize, config.l1.lineSize);
+        pteU = P * pteLinesPerLoad(config);
         break;
 
       case SystemKind::Notlb:
@@ -211,7 +208,7 @@ checkOrgLaws(const SimConfig &config, const HandlerCosts &costs,
         rep.check(P >= W, "hw-inverted.chain",
                   "PTE loads ", P, " below one probe per walk (", W,
                   ")");
-        pteU = P * linesPerEntry(kHashedPteSize, config.l1.lineSize);
+        pteU = P * pteLinesPerLoad(config);
         // Base cost per walk plus one cycle per extra chain probe.
         cycles = W * basec + (P - W) + H * hitc;
         break;

@@ -41,6 +41,14 @@ struct OrgLaws
 const OrgLaws &orgLaws(SystemKind kind);
 
 /**
+ * Cache lines one aligned PTE load of @p config's organization
+ * touches: a hashed PTE is 16 bytes at a 16-aligned address, so a
+ * narrower L1 line sees exactly 16/line lines; a hierarchical 4-byte
+ * PTE always fits one line (the cache enforces lineSize >= 4).
+ */
+Counter pteLinesPerLoad(const SimConfig &config);
+
+/**
  * Evaluate every law the organization implies on a finished run:
  * the capability zero-columns, the refill equations (misses =
  * handler calls + L2-TLB hits, interrupt and PTE-load budgets per

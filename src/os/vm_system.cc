@@ -1,9 +1,123 @@
 #include "os/vm_system.hh"
 
+#include <array>
+#include <atomic>
+#include <exception>
+#include <thread>
+#include <utility>
+
+#include "base/handoff.hh"
 #include "base/logging.hh"
 
 namespace vmsim
 {
+
+/**
+ * The split back end on a thread of its own (pipelineBackEnd()): a
+ * ring of kSlots blocks, each one's records and service log, handed
+ * over through counters published with release/acquire. The
+ * simulation thread fills a slot only once the worker has replayed
+ * it, and takes that slot's log back in exchange for the new one, so
+ * every log is written and cleared on the simulation thread and only
+ * read by the worker. What the worker writes (its ServiceReplay, its
+ * counter and the MemSystem) lies on cache lines of its own.
+ */
+class alignas(64) VmSystem::BackEndWorker
+{
+  public:
+    static constexpr std::uint32_t kSlots = 4;
+
+    explicit BackEndWorker(MemSystem &mem)
+        : replay_(mem), thread_(&BackEndWorker::run, this)
+    {}
+
+    ~BackEndWorker()
+    {
+        drain();
+        stop_.store(true, std::memory_order_release);
+        // Any change to published_ wakes an idle worker, which checks
+        // stop_ before taking a slot.
+        published_.fetch_add(1, std::memory_order_release);
+        published_.notify_one();
+        thread_.join();
+    }
+
+    BackEndWorker(const BackEndWorker &) = delete;
+    BackEndWorker &operator=(const BackEndWorker &) = delete;
+
+    /** Hand over @p blk and @p log; @p log comes back empty. */
+    void
+    publish(const AccessBlock &blk, ServiceLog &log)
+    {
+        const auto sent = static_cast<std::uint32_t>(sent_);
+        std::uint32_t done = replayed_.load(std::memory_order_acquire);
+        while (sent - done >= kSlots)
+            done = awaitChange(replayed_, done);
+        Slot &slot = ring_[sent % kSlots];
+        slot.blk = blk;
+        std::swap(slot.log, log);
+        log.inst.clear();
+        log.data.clear();
+        ++sent_;
+        published_.store(sent + 1, std::memory_order_release);
+        published_.notify_one();
+    }
+
+    void
+    drain()
+    {
+        const auto sent = static_cast<std::uint32_t>(sent_);
+        std::uint32_t done = replayed_.load(std::memory_order_acquire);
+        while (done != sent)
+            done = awaitChange(replayed_, done);
+    }
+
+    /** What a replay threw, once drained; cleared. */
+    std::exception_ptr takeError() { return std::exchange(error_, nullptr); }
+
+    Counter sent() const { return sent_; }
+
+  private:
+    struct alignas(64) Slot
+    {
+        AccessBlock blk;
+        ServiceLog log;
+    };
+
+    /** Worker body: replay each published slot in turn. */
+    void
+    run()
+    {
+        for (std::uint32_t done = 0;; ++done) {
+            std::uint32_t pub = published_.load(std::memory_order_acquire);
+            while (pub == done && !stop_.load(std::memory_order_acquire))
+                pub = awaitChange(published_, pub);
+            if (stop_.load(std::memory_order_acquire))
+                return;
+            const Slot &slot = ring_[done % kSlots];
+            try {
+                replay_.start(slot.log);
+                replay_.block(slot.blk.recs, slot.blk.n, 0);
+                replay_.flush(slot.blk.n);
+            } catch (...) {
+                if (!error_)
+                    error_ = std::current_exception();
+            }
+            replayed_.store(done + 1, std::memory_order_release);
+            replayed_.notify_one();
+        }
+    }
+
+    std::array<Slot, kSlots> ring_;
+    /** Blocks published (mod 2^32), and their exact count. */
+    alignas(64) std::atomic<std::uint32_t> published_{0};
+    Counter sent_ = 0;
+    std::atomic<bool> stop_{false};
+    alignas(64) std::atomic<std::uint32_t> replayed_{0}; ///< mod 2^32
+    alignas(64) ServiceReplay replay_;
+    std::exception_ptr error_; ///< published with replayed_
+    std::thread thread_;       ///< started last
+};
 
 VmSystem::VmSystem(std::string name, MemSystem &mem, unsigned cores)
     : name_(std::move(name)), mem_(mem), cores_(cores ? cores : 1)
@@ -12,6 +126,23 @@ VmSystem::VmSystem(std::string name, MemSystem &mem, unsigned cores)
 }
 
 VmSystem::~VmSystem() = default;
+
+void
+VmSystem::pipelineBackEnd(bool on)
+{
+    pipelined_ = on;
+    if (on || !worker_)
+        return;
+    worker_->drain();
+    if (std::exception_ptr e = worker_->takeError())
+        std::rethrow_exception(e);
+}
+
+Counter
+VmSystem::pipelinedBlocks() const
+{
+    return worker_ ? worker_->sent() : 0;
+}
 
 void
 VmSystem::attachLatency(LatencyCollector *lat)
@@ -299,6 +430,16 @@ VmSystem::backEnd(const AccessBlock &blk)
         keepBlockLog(blk);
     blockLog_.inst.clear();
     blockLog_.data.clear();
+}
+
+void
+VmSystem::publishBackEnd(const AccessBlock &blk)
+{
+    if (record_)
+        keepBlockLog(blk);
+    if (!worker_)
+        worker_ = std::make_unique<BackEndWorker>(mem_);
+    worker_->publish(blk, blockLog_);
 }
 
 // LINT-KERNEL-BEGIN (back end)

@@ -34,9 +34,10 @@
  * back end (ServiceReplay) then runs the block's user accesses merged
  * with that log through the caches, a D pass and then an I pass: with
  * a split L2 the two sides share no state, so each only needs its own
- * order. An observer (events and latency episodes carry the
- * interleaving and the cache levels) or a unified L2 keeps a block on
- * the loop above, cache accesses inline.
+ * order. It runs inline, or on a worker thread while the front end
+ * runs the next block (pipelineBackEnd()). An observer (events and
+ * latency episodes carry the interleaving and the cache levels) or a
+ * unified L2 keeps a block on the loop above, cache accesses inline.
  *
  * The access API is core-indexed: every Access carries the id of the
  * core issuing it, organizations keep one I/D TLB pair per core
@@ -307,6 +308,8 @@ struct ServiceAccess
     std::uint64_t slot : 40;
     std::uint64_t n : 21;  ///< bytes loaded, or handler instructions
     std::uint64_t cls : 3; ///< AccessClass
+
+    bool operator==(const ServiceAccess &) const = default;
 };
 
 /**
@@ -606,6 +609,21 @@ class VmSystem
      * with no observer.
      */
     void recordService(ServiceLog *log) { record_ = log; }
+
+    /**
+     * Run each split block's back end on a worker thread (@p on) or
+     * inline. Pipelined, the front end runs the next block while the
+     * worker replays this one's log through the caches, at most a ring
+     * of four blocks behind; the worker starts with the first block
+     * handed to it and is joined when this VM is destroyed. Turning it
+     * off drains the worker, then rethrows what a replay threw: until
+     * then the caller keeps every handed-off block's records valid and
+     * reads no cache state.
+     */
+    void pipelineBackEnd(bool on);
+
+    /** Blocks handed to the back-end worker so far. */
+    Counter pipelinedBlocks() const;
 
     /**
      * Timebase for emitted events: the current user-instruction
@@ -957,7 +975,8 @@ class VmSystem
      * Run @p blk split: @p front_end() takes its records in scalar
      * order through the TLBs, walks, handlers and frame pool, touching
      * no cache (serviceLoad() and fetchHandler() log into blockLog_),
-     * then backEnd(). @pre splitLegal()
+     * then backEnd(), or hands the back end to the worker while
+     * pipelineBackEnd() is on. @pre splitLegal()
      */
     template <class Pass>
     void
@@ -966,7 +985,10 @@ class VmSystem
         inFrontEnd_ = true;
         front_end();
         inFrontEnd_ = false;
-        backEnd(blk);
+        if (pipelined_)
+            publishBackEnd(blk);
+        else
+            backEnd(blk);
     }
 
     /**
@@ -1036,6 +1058,9 @@ class VmSystem
     /** Append blockLog_ to record_, for the block @p blk. */
     void keepBlockLog(const AccessBlock &blk);
 
+    /** backEnd() on the worker: hand it @p blk and blockLog_. */
+    void publishBackEnd(const AccessBlock &blk);
+
     /**
      * Evict one victim (never @p exclude) and apply the side effects:
      * invalidate its translations and PTE, broadcast the eviction
@@ -1089,6 +1114,9 @@ class VmSystem
     ServiceLog blockLog_; ///< the running block's service accesses
     ServiceReplay back_{mem_};
     ServiceLog *record_ = nullptr; ///< recordService() target
+    bool pipelined_ = false;       ///< pipelineBackEnd() is on
+    class BackEndWorker;
+    std::unique_ptr<BackEndWorker> worker_; ///< started on first use
     /** @} */
 };
 

@@ -3,61 +3,12 @@
 #include <sys/mman.h>
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <new>
 #include <utility>
 
 namespace vmsim
 {
-
-namespace
-{
-
-/**
- * How a waiting side waits. It polls with a pause for about a
- * microsecond, then polls yielding the CPU (should the other side share
- * it) for about two chunks' generation time, and only then blocks: a
- * futex sleep and wake-up costs more than a chunk on a virtual machine,
- * so a wait the other side is about to end must not pay for one.
- */
-constexpr int kPauses = 64;
-constexpr auto kSpin = std::chrono::microseconds(50);
-
-inline void
-cpuRelax()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#endif
-}
-
-/** Wait until @p a differs from @p old; returns the new value. */
-std::uint32_t
-awaitChange(const std::atomic<std::uint32_t> &a, std::uint32_t old)
-{
-    for (int i = 0; i < kPauses; ++i) {
-        const std::uint32_t v = a.load(std::memory_order_acquire);
-        if (v != old)
-            return v;
-        cpuRelax();
-    }
-    const auto until = std::chrono::steady_clock::now() + kSpin;
-    do {
-        const std::uint32_t v = a.load(std::memory_order_acquire);
-        if (v != old)
-            return v;
-        std::this_thread::yield();
-    } while (std::chrono::steady_clock::now() < until);
-    for (;;) {
-        a.wait(old, std::memory_order_acquire);
-        const std::uint32_t v = a.load(std::memory_order_acquire);
-        if (v != old)
-            return v;
-    }
-}
-
-} // anonymous namespace
 
 void
 PrefetchedTrace::Unmap::operator()(Chunk *ring) const

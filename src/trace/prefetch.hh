@@ -26,23 +26,12 @@
 #include <memory>
 #include <thread>
 
+#include "base/handoff.hh"
 #include "base/types.hh"
 #include "trace/trace.hh"
 
 namespace vmsim
 {
-
-/**
- * Whether a run may add a producer thread: true while every run in
- * flight could have two hardware threads, i.e. 2 x @p runs_in_flight
- * <= @p hardware_threads. An unknown thread count (0) never prefetches.
- */
-constexpr bool
-prefetchAffordable(unsigned runs_in_flight, unsigned hardware_threads)
-{
-    return hardware_threads != 0 &&
-           2ull * runs_in_flight <= hardware_threads;
-}
 
 /**
  * A TraceSource that yields the first @p records records of an inner
@@ -51,9 +40,8 @@ prefetchAffordable(unsigned runs_in_flight, unsigned hardware_threads)
  * the inner source does no more work than a direct consumer would.
  *
  * Handoff: kChunks chunks of kChunkRecords records. Chunk counters are
- * published with release/acquire; a side that has to wait polls
- * briefly (pausing, then yielding the CPU), then blocks in
- * std::atomic::wait. A pointer from lendBatch() stays valid until the
+ * published with release/acquire; a side that has to wait does so in
+ * awaitChange(). A pointer from lendBatch() stays valid until the
  * next call on this source.
  *
  * An exception thrown by the inner source is rethrown to the consumer

@@ -132,6 +132,7 @@ class ReplayCursor : public TraceSource
     bool next(TraceRecord &rec) override;
     std::size_t nextBatch(TraceRecord *out, std::size_t n) override;
     const TraceRecord *lendBatch(std::size_t n, std::size_t &got) override;
+    bool lendsStableRecords() const override { return true; }
 
     /** Restart the replay from the cursor's start record. */
     void rewind() { pos_ = start_; }

@@ -100,6 +100,15 @@ class TraceSource
         got = 0;
         return nullptr;
     }
+
+    /**
+     * True when this source always lends (lendBatch() never returns
+     * nullptr) and every pointer it lends stays valid until the source
+     * is destroyed, so a consumer may hand lent records to another
+     * thread while it fetches the next batch. A ReplayCursor's shared,
+     * immutable recording does; a buffer reused per call does not.
+     */
+    virtual bool lendsStableRecords() const { return false; }
 };
 
 } // namespace vmsim

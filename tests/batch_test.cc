@@ -9,11 +9,10 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/logging.hh"
@@ -41,25 +40,6 @@ namespace vmsim
 namespace
 {
 
-/** Temp-file helper that cleans up after itself. */
-class TempFile
-{
-  public:
-    TempFile()
-    {
-        char tmpl[] = "/tmp/vmsim_batch_XXXXXX";
-        int fd = mkstemp(tmpl);
-        if (fd >= 0)
-            ::close(fd);
-        path_ = tmpl;
-    }
-    ~TempFile() { std::remove(path_.c_str()); }
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
 /** Deterministic bounded source that only implements next(). */
 class CountedSource : public TraceSource
 {
@@ -84,6 +64,17 @@ class CountedSource : public TraceSource
     Counter total_;
     Counter emitted_ = 0;
 };
+
+/** Write @p total CountedSource records to the trace file @p path. */
+void
+writeCounted(const std::string &path, Counter total)
+{
+    TraceFileWriter writer(path);
+    CountedSource src(total);
+    for (TraceRecord rec; src.next(rec);)
+        writer.write(rec);
+    writer.close();
+}
 
 /** Drain @p source one record at a time. */
 std::vector<TraceRecord>
@@ -152,14 +143,7 @@ TEST(NextBatch, TraceFileReaderMatchesScalar)
     // More records than one 4096-record I/O buffer, plus a remainder,
     // so batches cross refill boundaries.
     const Counter total = 2 * 4096 + 37;
-    {
-        TraceFileWriter writer(file.path());
-        CountedSource src(total);
-        TraceRecord rec;
-        while (src.next(rec))
-            writer.write(rec);
-        writer.close();
-    }
+    writeCounted(file.path(), total);
 
     TraceFileReader scalarReader(file.path());
     std::vector<TraceRecord> scalar = drainScalar(scalarReader);
@@ -180,14 +164,7 @@ TEST(NextBatch, TraceFileReaderCorruptOpThrowsAtExactRecord)
 {
     TempFile file;
     const Counter total = 100;
-    {
-        TraceFileWriter writer(file.path());
-        CountedSource src(total);
-        TraceRecord rec;
-        while (src.next(rec))
-            writer.write(rec);
-        writer.close();
-    }
+    writeCounted(file.path(), total);
     // Corrupt record 60's op byte in place.
     {
         std::FILE *f = std::fopen(file.path().c_str(), "r+b");
@@ -720,20 +697,26 @@ tlbCounts(const VmSystem &vm)
 }
 
 /**
- * Results::serialize() plus the TLB counts of one unobserved run of
- * @p cfg at @p batch (1 = the scalar loop), optionally with a latency
- * collector attached.
+ * Results in both forms plus the TLB counts of one unobserved run of
+ * @p cfg at @p batch (1 = the scalar loop) over a recording of
+ * @p workload, with the optional latency collector @p lat, service
+ * log @p log (RunHooks::record) and count of @p pipelined blocks.
  */
 std::string
 bareRun(const SimConfig &cfg, const std::string &workload,
-        std::size_t batch, LatencyCollector *lat = nullptr)
+        std::size_t batch, LatencyCollector *lat = nullptr,
+        ServiceLog *log = nullptr, Counter *pipelined = nullptr)
 {
     System sys(cfg);
     sys.setBatchSize(batch);
     sys.attachLatency(lat);
-    auto trace = makeWorkload(workload, cfg.seed);
-    Results r = sys.run(*trace, 20000, trace->name(), 5000);
-    return r.serialize().dump() + tlbCounts(sys.vm());
+    sys.vm().recordService(log);
+    ReplayCursor trace(std::make_shared<const RecordedTrace>(
+        RecordedTrace::record(*makeWorkload(workload, cfg.seed), 25000)));
+    Results r = sys.run(trace, 20000, workload, 5000);
+    if (pipelined)
+        *pipelined = sys.vm().pipelinedBlocks();
+    return r.serialize().dump() + r.toJson().dump() + tlbCounts(sys.vm());
 }
 
 /** Every batched run of @p cfg equals its scalar run. */
@@ -946,6 +929,72 @@ TEST(SplitBlocks, FallbacksMatchScalar)
                   bareRun(cfg, "gcc", Simulator::kDefaultBatch, &lat))
             << kindName(kind) << " latency";
     }
+}
+
+/** Runs with the back end forced inline and onto its worker agree. */
+TEST(SplitBlocks, PipelinedIdenticalToInline)
+{
+    for (SystemKind kind : kSplitKinds)
+        for (const char *wl : {"gcc", "vortex", "ijpeg"})
+            for (auto [frames, reclaim] :
+                 {std::pair{0u, ReclaimPolicy::Lru},
+                  std::pair{48u, ReclaimPolicy::Lru},
+                  std::pair{48u, ReclaimPolicy::Clock}})
+                for (unsigned cores : {1u, 4u})
+                    for (bool record : {false, true}) {
+                        SimConfig cfg = budgetedSplitConfig(
+                            kind, TlbRepl::LRU, reclaim, cores);
+                        cfg.physFrames = frames;
+                        std::string runs[2];
+                        ServiceLog logs[2];
+                        Counter blocks[2];
+                        for (bool on : {false, true}) {
+                            forceBackEndPipelineForTest(on);
+                            runs[on] = bareRun(cfg, wl, 512, nullptr,
+                                               record ? &logs[on] : nullptr,
+                                               &blocks[on]);
+                        }
+                        forceBackEndPipelineForTest(std::nullopt);
+                        EXPECT_TRUE(runs[0] == runs[1] &&
+                                    logs[0].inst == logs[1].inst &&
+                                    logs[0].data == logs[1].data)
+                            << kindName(kind) << ' ' << wl << " frames "
+                            << frames << ' ' << reclaimPolicyName(reclaim)
+                            << " cores " << cores << " record " << record;
+                        EXPECT_EQ(blocks[0], 0u);
+                        // BASE has no front end to overlap.
+                        EXPECT_EQ(blocks[1] > 0, kind != SystemKind::Base);
+                    }
+}
+
+/**
+ * A cancel mid-run ends a pipelined four-core budgeted run Canceled,
+ * its worker drained before the recording it reads is freed.
+ */
+TEST(SplitBlocks, CancelStopsAPipelinedRun)
+{
+    std::atomic<bool> cancel{false};
+    std::atomic<Counter> progress{0};
+    forceBackEndPipelineForTest(true);
+    System sys(budgetedSplitConfig(SystemKind::Mach, TlbRepl::LRU,
+                                   ReclaimPolicy::Clock, 4));
+    sys.attachCancel(&cancel);
+    sys.attachProgress(&progress);
+    std::thread trigger([&] {
+        while (progress.load() < 4 * Simulator::kDefaultBatch)
+            std::this_thread::yield();
+        cancel.store(true);
+    });
+    auto gen = makeWorkload("gcc", 777);
+    try {
+        sys.run(*gen, 1'000'000, gen->name(), 0);
+        ADD_FAILURE() << "the run was not canceled";
+    } catch (const VmsimError &e) {
+        EXPECT_EQ(e.code(), ErrorCode::Canceled);
+    }
+    trigger.join();
+    forceBackEndPipelineForTest(std::nullopt);
+    EXPECT_GT(sys.vm().pipelinedBlocks(), 0u);
 }
 
 } // anonymous namespace

@@ -18,6 +18,7 @@
 #include "base/error.hh"
 #include "base/logging.hh"
 #include "base/units.hh"
+#include "common.hh"
 #include "core/sweep.hh"
 #include "fault/fault.hh"
 #include "obs/event.hh"
@@ -43,22 +44,6 @@ class CountingSource : public TraceSource
   private:
     std::uint32_t pc_ = 0x1000;
 };
-
-SweepSpec
-smallSpec()
-{
-    SimConfig base;
-    base.l1 = CacheParams{4_KiB, 32};
-    base.l2 = CacheParams{1_MiB, 64};
-    SweepSpec spec;
-    spec.base(base)
-        .systems({SystemKind::Ultrix, SystemKind::Intel})
-        .workloads({"gcc"})
-        .l1Sizes({4_KiB, 16_KiB})
-        .instructions(20'000)
-        .warmup(2'000);
-    return spec;
-}
 
 // -------------------------------------------------------------- FaultSpec
 

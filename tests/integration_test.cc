@@ -174,37 +174,30 @@ TEST(Integration, WarmupReducesMeasuredMcpi)
 TEST(Integration, SimulatorStopsAtTraceEnd)
 {
     // A finite file trace ends the run early.
-    char tmpl[] = "/tmp/vmsim_integ_XXXXXX";
-    int fd = mkstemp(tmpl);
-    ASSERT_GE(fd, 0);
-    ::close(fd);
+    const TempFile tmp;
     {
-        TraceFileWriter w(tmpl);
+        TraceFileWriter w(tmp.path());
         for (int i = 0; i < 100; ++i)
             w.write(TraceRecord{static_cast<std::uint32_t>(0x400000 +
                                                            4 * i),
                                 0, MemOp::None});
         w.close();
     }
-    TraceFileReader trace(tmpl);
+    TraceFileReader trace(tmp.path());
     System system(baseConfig(SystemKind::Ultrix));
     Results r = system.run(trace, 1000000, "file");
     EXPECT_EQ(r.userInstrs(), 100u);
-    std::remove(tmpl);
 }
 
 TEST(Integration, FileTraceMatchesSyntheticSource)
 {
     // Recording a synthetic trace to disk and replaying it must give
     // identical results to driving the generator directly.
-    char tmpl[] = "/tmp/vmsim_integ2_XXXXXX";
-    int fd = mkstemp(tmpl);
-    ASSERT_GE(fd, 0);
-    ::close(fd);
+    const TempFile tmp;
     const Counter n = 30000;
     {
         GccLikeWorkload w(5);
-        TraceFileWriter out(tmpl);
+        TraceFileWriter out(tmp.path());
         TraceRecord rec;
         for (Counter i = 0; i < n; ++i) {
             w.next(rec);
@@ -219,13 +212,12 @@ TEST(Integration, FileTraceMatchesSyntheticSource)
     System sys_a(cfg);
     Results ra = sys_a.run(direct, n, "direct");
 
-    TraceFileReader replay(tmpl);
+    TraceFileReader replay(tmp.path());
     System sys_b(cfg);
     Results rb = sys_b.run(replay, n, "replay");
 
     EXPECT_DOUBLE_EQ(ra.mcpi(), rb.mcpi());
     EXPECT_DOUBLE_EQ(ra.vmcpi(), rb.vmcpi());
-    std::remove(tmpl);
 }
 
 TEST(Integration, SweepHelpersProduceValidGrids)

@@ -240,8 +240,7 @@ TEST(PrefetchedRun, MatchesTheBareGeneratorOnEveryOrganization)
 TEST(PrefetchedRun, LiveGeneratorPrefetchesOnlyAffordableSingleCoreRuns)
 {
     SimConfig c = cfg(SystemKind::Ultrix);
-    const bool affordable = prefetchAffordable(
-        runsInFlight(), std::thread::hardware_concurrency());
+    const bool affordable = helperThreadFree();
     auto gen = makeWorkload("gcc", 1);
     TraceSource *raw = gen.get();
     auto live = liveGenerator(std::move(gen), c, 1000);

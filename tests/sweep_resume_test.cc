@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -29,42 +27,6 @@ namespace vmsim
 {
 namespace
 {
-
-/** Temp-file helper that cleans up after itself. */
-class TempFile
-{
-  public:
-    TempFile()
-    {
-        char tmpl[] = "/tmp/vmsim_journal_XXXXXX";
-        int fd = mkstemp(tmpl);
-        if (fd >= 0)
-            ::close(fd);
-        path_ = tmpl;
-    }
-    ~TempFile() { std::remove(path_.c_str()); }
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
-SweepSpec
-smallSpec()
-{
-    SimConfig base;
-    base.l1 = CacheParams{4_KiB, 32};
-    base.l2 = CacheParams{1_MiB, 64};
-    SweepSpec spec;
-    spec.base(base)
-        .systems({SystemKind::Ultrix, SystemKind::Intel})
-        .workloads({"gcc"})
-        .l1Sizes({4_KiB, 16_KiB})
-        .seeds(2)
-        .instructions(20'000)
-        .warmup(2'000);
-    return spec;
-}
 
 std::vector<std::string>
 readLines(const std::string &path)
@@ -87,21 +49,21 @@ writeLines(const std::string &path, const std::vector<std::string> &lines)
 
 TEST(SpecFingerprint, StableAndSpecSensitive)
 {
-    SweepSpec a = smallSpec();
-    SweepSpec b = smallSpec();
+    SweepSpec a = smallSpec(2);
+    SweepSpec b = smallSpec(2);
     EXPECT_EQ(specFingerprint(a), specFingerprint(b));
 
     b.instructions(30'000);
     EXPECT_NE(specFingerprint(a), specFingerprint(b));
 
-    SweepSpec c = smallSpec();
+    SweepSpec c = smallSpec(2);
     c.l1Sizes({4_KiB, 32_KiB});
     EXPECT_NE(specFingerprint(a), specFingerprint(c));
 }
 
 TEST(SweepResume, JournalWrittenAndFullResumeSkipsEveryCell)
 {
-    SweepSpec spec = smallSpec();
+    SweepSpec spec = smallSpec(2);
     TempFile journal;
 
     SweepResults first =
@@ -125,7 +87,7 @@ TEST(SweepResume, JournalWrittenAndFullResumeSkipsEveryCell)
 
 TEST(SweepResume, KilledSweepResumesByteIdentical)
 {
-    SweepSpec spec = smallSpec();
+    SweepSpec spec = smallSpec(2);
 
     // The reference artifact: one uninterrupted run.
     TempFile ref;
@@ -162,7 +124,7 @@ TEST(SweepResume, KilledSweepResumesByteIdentical)
 
 TEST(SweepResume, ToleratesAKillMidLine)
 {
-    SweepSpec spec = smallSpec();
+    SweepSpec spec = smallSpec(2);
     std::string cleanCsv = csvOf(SweepRunner(2).run(spec));
 
     TempFile journal;
@@ -205,7 +167,7 @@ TEST(SweepResume, HandWrittenVersion1And2JournalsResume)
     // Journals in both formats earlier releases wrote, built by hand:
     // version 1 with unframed lines, version 2 with every line
     // CRC-framed. Both must still resume.
-    SweepSpec spec = smallSpec();
+    SweepSpec spec = smallSpec(2);
     SweepResults clean = SweepRunner(2).run(spec);
     char fp[17];
     std::snprintf(fp, sizeof(fp), "%016llx",
@@ -246,7 +208,7 @@ TEST(SweepResume, MidFileCorruptionIsRejected)
     // A bad line *followed by more records* is real corruption, not a
     // torn tail — resume must refuse rather than silently re-run the
     // damaged interior cells.
-    SweepSpec spec = smallSpec();
+    SweepSpec spec = smallSpec(2);
     TempFile journal;
     SweepRunner(2).journal(journal.path()).run(spec);
     auto lines = readLines(journal.path());
@@ -271,7 +233,7 @@ TEST(SweepResume, CorruptTailRecordIsTruncatedWithWarning)
     // Flip one payload byte in the *final* record: the CRC frame makes
     // the damage detectable, and because nothing follows it, resume
     // truncates to the last good record and re-runs just that cell.
-    SweepSpec spec = smallSpec();
+    SweepSpec spec = smallSpec(2);
     std::string cleanCsv = csvOf(SweepRunner(2).run(spec));
 
     TempFile journal;
@@ -298,10 +260,10 @@ TEST(SweepResume, CorruptTailRecordIsTruncatedWithWarning)
 TEST(SweepResume, FingerprintMismatchIsRejected)
 {
     TempFile journal;
-    SweepSpec spec = smallSpec();
+    SweepSpec spec = smallSpec(2);
     SweepRunner(1).journal(journal.path()).run(spec);
 
-    SweepSpec other = smallSpec();
+    SweepSpec other = smallSpec(2);
     other.instructions(30'000);
     setQuiet(true);
     try {
@@ -317,7 +279,7 @@ TEST(SweepResume, FingerprintMismatchIsRejected)
 
 TEST(SweepResume, MissingJournalMeansFreshRun)
 {
-    SweepSpec spec = smallSpec();
+    SweepSpec spec = smallSpec(2);
     std::string cleanCsv = csvOf(SweepRunner(2).run(spec));
 
     TempFile journal;
@@ -332,7 +294,7 @@ TEST(SweepResume, MissingJournalMeansFreshRun)
 
 TEST(SweepResume, FailedCellsAreNotJournaledAndRetryOnResume)
 {
-    SweepSpec spec = smallSpec();
+    SweepSpec spec = smallSpec(2);
     TempFile journal;
 
     setQuiet(true);

@@ -8,12 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <climits>
 #include <cstdio>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -21,6 +20,7 @@
 
 #include "base/error.hh"
 #include "base/logging.hh"
+#include "common.hh"
 #include "trace/prefetch.hh"
 #include "trace/synthetic/workloads.hh"
 #include "trace/trace.hh"
@@ -30,25 +30,6 @@ namespace vmsim
 {
 namespace
 {
-
-/** Temp-file helper that cleans up after itself. */
-class TempFile
-{
-  public:
-    TempFile()
-    {
-        char tmpl[] = "/tmp/vmsim_trace_XXXXXX";
-        int fd = mkstemp(tmpl);
-        if (fd >= 0)
-            ::close(fd);
-        path_ = tmpl;
-    }
-    ~TempFile() { std::remove(path_.c_str()); }
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
 
 TEST(TraceRecord, Predicates)
 {
@@ -177,11 +158,7 @@ TEST(TraceFile, BadMagicIsFatal)
 {
     setQuiet(true);
     TempFile tf;
-    {
-        std::FILE *f = std::fopen(tf.path().c_str(), "wb");
-        std::fputs("NOTATRACEFILE___", f);
-        std::fclose(f);
-    }
+    std::ofstream(tf.path(), std::ios::binary) << "NOTATRACEFILE___";
     EXPECT_THROW(TraceFileReader r(tf.path()), FatalError);
     setQuiet(false);
 }
@@ -190,11 +167,7 @@ TEST(TraceFile, ShortHeaderIsFatal)
 {
     setQuiet(true);
     TempFile tf;
-    {
-        std::FILE *f = std::fopen(tf.path().c_str(), "wb");
-        std::fputs("VMT1", f);
-        std::fclose(f);
-    }
+    std::ofstream(tf.path(), std::ios::binary) << "VMT1";
     EXPECT_THROW(TraceFileReader r(tf.path()), FatalError);
     setQuiet(false);
 }
@@ -671,17 +644,17 @@ TEST(PrefetchedTrace, DestructionWithAFullRingIsPrompt)
 
 TEST(PrefetchedTrace, AffordableWhileEveryRunCanHaveTwoThreads)
 {
-    EXPECT_FALSE(prefetchAffordable(1, 0)); // unknown thread count
-    EXPECT_FALSE(prefetchAffordable(0, 0));
-    EXPECT_FALSE(prefetchAffordable(1, 1));
-    EXPECT_TRUE(prefetchAffordable(1, 2));
-    EXPECT_TRUE(prefetchAffordable(2, 4));
-    EXPECT_FALSE(prefetchAffordable(3, 4));
-    EXPECT_FALSE(prefetchAffordable(2, 3));
-    EXPECT_TRUE(prefetchAffordable(4, 8));
-    EXPECT_FALSE(prefetchAffordable(5, 8));
-    EXPECT_FALSE(prefetchAffordable(UINT_MAX, UINT_MAX));
-    EXPECT_TRUE(prefetchAffordable(UINT_MAX / 2, UINT_MAX));
+    EXPECT_FALSE(helperThreadAffordable(1, 0)); // unknown thread count
+    EXPECT_FALSE(helperThreadAffordable(0, 0));
+    EXPECT_FALSE(helperThreadAffordable(1, 1));
+    EXPECT_TRUE(helperThreadAffordable(1, 2));
+    EXPECT_TRUE(helperThreadAffordable(2, 4));
+    EXPECT_FALSE(helperThreadAffordable(3, 4));
+    EXPECT_FALSE(helperThreadAffordable(2, 3));
+    EXPECT_TRUE(helperThreadAffordable(4, 8));
+    EXPECT_FALSE(helperThreadAffordable(5, 8));
+    EXPECT_FALSE(helperThreadAffordable(UINT_MAX, UINT_MAX));
+    EXPECT_TRUE(helperThreadAffordable(UINT_MAX / 2, UINT_MAX));
 }
 
 } // anonymous namespace
